@@ -178,6 +178,12 @@ def _cmd_wild(args) -> int:
     lines = []
     payload = {"op": args.op}
     terms = [wild.parse_elem(t) for t in args.terms]
+    # a 0 term names no generator, so it takes the family of the other terms
+    named = [e for e, t in zip(terms, args.terms) if t.strip() not in ("0", "")]
+    if len({type(e) for e in named}) > 1:
+        raise ValueError("cannot mix ladder and bar terms")
+    if named and isinstance(named[0], wild.BarElem):
+        terms = [e if isinstance(e, wild.BarElem) else wild.BarElem.zero() for e in terms]
 
     def need(n):
         if len(terms) != n:

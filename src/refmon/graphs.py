@@ -18,7 +18,8 @@ File format (UTF-8, `#` comments):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .presentation import Presentation, make_presentation
@@ -44,11 +45,12 @@ class DirectedGraph:
                 raise ValueError(f"arrow {a!r} references unknown vertex")
 
     def src(self, arrow: str) -> str:
-        return self._by_name()[arrow][1]
+        return self._by_name[arrow][1]
 
     def rng(self, arrow: str) -> str:
-        return self._by_name()[arrow][2]
+        return self._by_name[arrow][2]
 
+    @cached_property
     def _by_name(self) -> dict:
         return {a: (a, s, r) for a, s, r in self.arrows}
 
@@ -61,11 +63,6 @@ class DirectedGraph:
     def is_sink(self, v: str) -> bool:
         return self.out_degree(v) == 0
 
-    def is_row_finite(self) -> bool:
-        # trivially true for in-memory finite graphs; kept as the explicit
-        # check the tilde construction promises
-        return all(self.out_degree(v) < float("inf") for v in self.vertices)
-
 
 @dataclass(frozen=True)
 class SeparatedGraph:
@@ -74,7 +71,7 @@ class SeparatedGraph:
     separation: tuple[tuple[str, tuple[tuple[str, ...], ...]], ...]
 
     def __post_init__(self) -> None:
-        sep = dict(self.separation)
+        sep = self._classes
         if len(sep) != len(self.separation):
             raise ValueError("duplicate separation entry for a vertex")
         for v in sep:
@@ -98,7 +95,11 @@ class SeparatedGraph:
                 raise ValueError(f"separation at {v!r} is not a partition of its arrows (missing {missing})")
 
     def classes_at(self, v: str) -> tuple[tuple[str, ...], ...]:
-        return dict(self.separation).get(v, ())
+        return self._classes.get(v, ())
+
+    @cached_property
+    def _classes(self) -> dict:
+        return dict(self.separation)
 
     def all_classes(self) -> list[tuple[str, tuple[str, ...]]]:
         out = []

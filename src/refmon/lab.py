@@ -345,83 +345,68 @@ def _check_refinement(o, b, samples):
         got = sw.definite(dec)
         if got is False:
             return Decision.fails(counterexample=(a, bb, c, d), note=dec.note), [a, bb, c, d]
-    note = f"{len(eqs)} sampled equations refined"
-    if sw.unknowns:
-        return Decision.unknown(b, note=f"{note}; {sw.unknowns} unknown"), []
-    return Decision.holds(note=note), []
+    return sw.close(b, f"{len(eqs)} sampled equations refined"), []
+
+
+def _sampled(b, samples, draw, found, fail_note: str, held_note: str):
+    """The loop shared by the sampled forall-exists checks.
+
+    `draw(definite)` draws one random instance and returns it if its
+    hypothesis holds, else None; it passes hypothesis verdicts through
+    `definite`, which counts the Unknowns.  `found(*instance)` is the bounded
+    witness search.  Up to samples // 4 instances are tried, in at most
+    samples * 10 draws; the first one without a witness is the counterexample.
+    """
+    sw = _Sweep()
+    tried = 0
+    attempts = 0
+    while tried < max(1, samples // 4) and attempts < samples * 10:
+        attempts += 1
+        inst = draw(sw.definite)
+        if inst is None:
+            continue
+        tried += 1
+        if not found(*inst):
+            return Decision.fails(counterexample=inst, note=fail_note), list(inst)
+    return sw.close(b, held_note.format(tried)), []
 
 
 def _check_riesz_decomposition(o, b, samples):
     E = _elems(o, b)
     rng = random.Random(_SEED + 1)
-    sw = _Sweep()
-    tried = 0
-    attempts = 0
-    while tried < max(1, samples // 4) and attempts < samples * 10:
-        attempts += 1
+
+    def draw(definite):
         x, y1, y2 = rng.choice(E), rng.choice(E), rng.choice(E)
-        hyp = sw.definite(o.leq(x, o.add(y1, y2)))
-        if not hyp:
-            continue
-        tried += 1
-        found = False
-        l1 = [e for e in E if o.leq(e, y1).is_holds and o.leq(e, x).is_holds]
-        for x1 in l1:
-            x2 = o.leq(x1, x).witness
-            if o.leq(x2, y2).is_holds:
-                found = True
-                break
+        return (x, y1, y2) if definite(o.leq(x, o.add(y1, y2))) else None
+
+    def found(x, y1, y2):
+        for x1 in (e for e in E if o.leq(e, y1).is_holds and o.leq(e, x).is_holds):
+            if o.leq(o.leq(x1, x).witness, y2).is_holds:
+                return True
             # the canonical complement may fail where another works: search
-            for x2 in E:
-                if o.equal(o.add(x1, x2), x).is_holds and o.leq(x2, y2).is_holds:
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            return (
-                Decision.fails(counterexample=(x, y1, y2), note="no bounded decomposition found"),
-                [x, y1, y2],
-            )
-    note = f"{tried} sampled instances decomposed"
-    if sw.unknowns:
-        return Decision.unknown(b, note=f"{note}; {sw.unknowns} unknown"), []
-    return Decision.holds(note=note), []
+            if any(o.equal(o.add(x1, x2), x).is_holds and o.leq(x2, y2).is_holds for x2 in E):
+                return True
+        return False
+
+    return _sampled(b, samples, draw, found, "no bounded decomposition found", "{} sampled instances decomposed")
 
 
 def _check_riesz_interpolation(o, b, samples):
     E = _elems(o, b)
     rng = random.Random(_SEED + 2)
-    sw = _Sweep()
-    tried = 0
-    attempts = 0
-    while tried < max(1, samples // 4) and attempts < samples * 10:
-        attempts += 1
+
+    def draw(definite):
         y1, y2 = rng.choice(E), rng.choice(E)
         below = [e for e in E if o.leq(e, y1).is_holds and o.leq(e, y2).is_holds]
-        if not below:
-            continue
-        x1, x2 = rng.choice(below), rng.choice(below)
-        tried += 1
-        found = False
-        for z in E:
-            if (
-                o.leq(x1, z).is_holds
-                and o.leq(x2, z).is_holds
-                and o.leq(z, y1).is_holds
-                and o.leq(z, y2).is_holds
-            ):
-                found = True
-                break
-        if not found:
-            return (
-                Decision.fails(counterexample=(x1, x2, y1, y2), note="no bounded interpolant found"),
-                [x1, x2, y1, y2],
-            )
-    note = f"{tried} sampled instances interpolated"
-    if sw.unknowns:
-        return Decision.unknown(b, note=f"{note}; {sw.unknowns} unknown"), []
-    return Decision.holds(note=note), []
+        return (rng.choice(below), rng.choice(below), y1, y2) if below else None
+
+    def found(x1, x2, y1, y2):
+        return any(
+            o.leq(x1, z).is_holds and o.leq(x2, z).is_holds and o.leq(z, y1).is_holds and o.leq(z, y2).is_holds
+            for z in E
+        )
+
+    return _sampled(b, samples, draw, found, "no bounded interpolant found", "{} sampled instances interpolated")
 
 
 _CHECKERS = {
@@ -602,48 +587,30 @@ def further_tame_checks(o: MonoidOracle, b: SearchBound, samples: int = 200):
     """
     E = _elems(o, b)
     rng = random.Random(_SEED + 3)
-    reports = []
-    t0 = time.monotonic()
-    sw = _Sweep()
-    tried = 0
-    attempts = 0
-    fail = None
-    while tried < max(1, samples // 4) and attempts < samples * 10 and fail is None:
-        attempts += 1
-        a, bb, c = rng.choice(E), rng.choice(E), rng.choice(E)
-        hyp = sw.definite(o.leq(o.add(a, c), o.add(bb, c)))
-        if not hyp:
-            continue
-        tried += 1
-        if not any(
-            o.equal(o.add(a1, c), c).is_holds and o.leq(a, o.add(bb, a1)).is_holds for a1 in E
-        ):
-            fail = (a, bb, c)
-    if fail is not None:
-        verdict = Decision.fails(counterexample=fail, note="clause 1 witness search failed at bound")
-    else:
-        verdict = sw.close(b, f"clause 1 held on {tried} sampled instances")
-    reports.append(PropertyReport("tame-consequence-1", verdict, [fail] if fail else [], b, time.monotonic() - t0))
 
-    t0 = time.monotonic()
-    sw = _Sweep()
-    tried = 0
-    attempts = 0
-    fail = None
-    while tried < max(1, samples // 4) and attempts < samples * 10 and fail is None:
-        attempts += 1
+    def draw1(definite):
+        a, bb, c = rng.choice(E), rng.choice(E), rng.choice(E)
+        return (a, bb, c) if definite(o.leq(o.add(a, c), o.add(bb, c))) else None
+
+    def found1(a, bb, c):
+        return any(o.equal(o.add(a1, c), c).is_holds and o.leq(a, o.add(bb, a1)).is_holds for a1 in E)
+
+    def draw2(definite):
         a, c, d1, d2 = (rng.choice(E) for _ in range(4))
-        if not (sw.definite(o.leq(a, o.add(c, d1))) and sw.definite(o.leq(a, o.add(c, d2)))):
-            continue
-        tried += 1
-        if not any(
-            o.leq(a, o.add(c, d)).is_holds and o.leq(d, d1).is_holds and o.leq(d, d2).is_holds
-            for d in E
-        ):
-            fail = (a, c, d1, d2)
-    if fail is not None:
-        verdict = Decision.fails(counterexample=fail, note="clause 2 witness search failed at bound")
-    else:
-        verdict = sw.close(b, f"clause 2 held on {tried} sampled instances")
-    reports.append(PropertyReport("tame-consequence-2", verdict, [fail] if fail else [], b, time.monotonic() - t0))
+        if definite(o.leq(a, o.add(c, d1))) and definite(o.leq(a, o.add(c, d2))):
+            return a, c, d1, d2
+        return None
+
+    def found2(a, c, d1, d2):
+        return any(
+            o.leq(a, o.add(c, d)).is_holds and o.leq(d, d1).is_holds and o.leq(d, d2).is_holds for d in E
+        )
+
+    reports = []
+    for n, draw, found in ((1, draw1, found1), (2, draw2, found2)):
+        t0 = time.monotonic()
+        fail_note = f"clause {n} witness search failed at bound"
+        verdict, _ = _sampled(b, samples, draw, found, fail_note, f"clause {n} held on {{}} sampled instances")
+        fail = [verdict.counterexample] if verdict.is_fails else []
+        reports.append(PropertyReport(f"tame-consequence-{n}", verdict, fail, b, time.monotonic() - t0))
     return tuple(reports)

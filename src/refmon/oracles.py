@@ -8,7 +8,7 @@ may.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -16,7 +16,7 @@ from . import primitive, wild
 from .decisions import Decision, SearchBound
 from .presentation import Presentation
 from .rewrite import ClassCache, decide_equal, decide_leq, find_refinement
-from .words import Word
+from .words import Word, compositions
 
 
 @dataclass
@@ -109,21 +109,6 @@ def free_oracle(rank: int) -> MonoidOracle:
 
     zero = (0,) * rank
 
-    def elements(max_degree: int):
-        out = []
-
-        def rec(pos, left, acc):
-            if pos == rank:
-                out.append(tuple(acc))
-                return
-            for c in range(left + 1):
-                acc.append(c)
-                rec(pos + 1, left - c, acc)
-                acc.pop()
-
-        rec(0, max_degree, [])
-        return out
-
     def leq(x, y):
         if all(a <= b for a, b in zip(x, y)):
             return tuple(b - a for a, b in zip(x, y))
@@ -144,7 +129,7 @@ def free_oracle(rank: int) -> MonoidOracle:
         add=lambda x, y: tuple(a + b for a, b in zip(x, y)),
         equal=_exact_equal(lambda x, y: x == y),
         leq=_exact_leq(leq),
-        elements=elements,
+        elements=lambda d: list(compositions(rank, d)),
         refine=refine,
         positive_state=lambda x: Fraction(sum(x)),
         exact=True,
@@ -176,19 +161,9 @@ def presentation_oracle(
     cache = ClassCache(p, bound)
 
     def elements(max_degree: int):
-        out = []
-
-        def rec(pos, left, acc):
-            if pos == len(p.gens):
-                out.append(Word.of([(i, c) for i, c in enumerate(acc) if c]))
-                return
-            for c in range(left + 1):
-                acc.append(c)
-                rec(pos + 1, left - c, acc)
-                acc.pop()
-
-        rec(0, max_degree, [])
-        return out
+        return [
+            Word.of([(i, c) for i, c in enumerate(t) if c]) for t in compositions(len(p.gens), max_degree)
+        ]
 
     return MonoidOracle(
         name=p.name,

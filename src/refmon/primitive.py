@@ -19,11 +19,11 @@ rejected to force explicitness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .presentation import Presentation, make_presentation
 from .targets import INF, CertificateHom, NonnegIntegersWithInfinity, build_certificate
-from .words import ParseError, Word
+from .words import ParseError, Word, compositions
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,13 @@ def normalize(poset: PrimePoset, raw) -> PrimElem:
     """Delete every supported prime strictly below another supported prime
     (one simultaneous pass; a fixed point since the relation is transitive),
     then cap idempotents at 1."""
-    support = {p for p, c in dict(raw).items() if c}
+    raw = dict(raw)
+    support = {p for p, c in raw.items() if c}
     kept = {}
     for p in support:
         if any(q != p and poset.lt(p, q) for q in support):
             continue
-        c = dict(raw)[p]
-        kept[p] = 1 if poset.idempotent(p) else c
+        kept[p] = 1 if poset.idempotent(p) else raw[p]
     return PrimElem(poset, tuple(sorted(kept.items())))
 
 
@@ -123,23 +123,11 @@ def prim_leq(e1: PrimElem, e2: PrimElem) -> PrimElem | None:
         raise ValueError("poset mismatch")
     poset = e1.poset
     cap = max([c for _, c in e2.coeffs], default=0) + 1
-    primes = poset.primes
-
-    def rec(pos: int, acc: dict):
-        if pos == len(primes):
-            cand = normalize(poset, acc)
-            if prim_equal(prim_add(e1, cand), e2):
-                return cand
-            return None
-        for c in range(cap + 1):
-            acc[primes[pos]] = c
-            got = rec(pos + 1, acc)
-            if got is not None:
-                return got
-        del acc[primes[pos]]
-        return None
-
-    return rec(0, {})
+    for cs in product(range(cap + 1), repeat=len(poset.primes)):
+        cand = normalize(poset, zip(poset.primes, cs))
+        if prim_equal(prim_add(e1, cand), e2):
+            return cand
+    return None
 
 
 def presentation_of(poset: PrimePoset) -> Presentation:
@@ -199,20 +187,8 @@ def finite_subsystem(poset: PrimePoset, subset):
 
 def enumerate_elements(poset: PrimePoset, max_degree: int) -> list[PrimElem]:
     """All canonical elements with a raw representative of degree <= max_degree."""
-    seen = []
-
-    def rec(pos: int, left: int, acc: dict):
-        if pos == len(poset.primes):
-            e = normalize(poset, acc)
-            if e not in seen:
-                seen.append(e)
-            return
-        for c in range(left + 1):
-            acc[poset.primes[pos]] = c
-            rec(pos + 1, left - c, acc)
-
-    rec(0, max_degree, {})
-    return seen
+    elems = (normalize(poset, zip(poset.primes, t)) for t in compositions(len(poset.primes), max_degree))
+    return list(dict.fromkeys(elems))  # drops repeats, keeping first-seen order
 
 
 def enumerate_posets(names) -> list[PrimePoset]:

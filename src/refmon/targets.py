@@ -258,7 +258,3 @@ def build_certificate(
                 f"(images {target.fmt(lhs)} != {target.fmt(rhs)})"
             )
     return hom
-
-
-def apply_hom(h: CertificateHom, w: Word):
-    return h.apply(w)

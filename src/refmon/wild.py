@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .presentation import Presentation, make_presentation
 from .targets import (
@@ -47,7 +46,7 @@ from .targets import (
     build_certificate,
     vec,
 )
-from .words import Word
+from .words import Word, compositions
 
 
 # ---------------------------------------------------------------------------
@@ -701,38 +700,16 @@ def standard_certificates(n: int, kind: str = "ladder") -> dict[str, Certificate
 # Enumeration and term parsing
 
 
-def _tuples(total_vars: int, max_degree: int) -> Iterator[tuple[int, ...]]:
-    if total_vars == 0:
-        yield ()
-        return
-    for first in range(max_degree + 1):
-        for rest in _tuples(total_vars - 1, max_degree - first):
-            yield (first,) + rest
-
-
 def enumerate_ladder(max_level: int, max_degree: int) -> list[LadderElem]:
     """All canonical ladder elements of level <= max_level and degree <= max_degree."""
-    out = []
-    seen = set()
-    for n in range(max_level + 1):
-        for t in _tuples(3 + n, max_degree):
-            e = LadderElem.make(n, t[0], t[1], t[2], t[3:])
-            if e not in seen:
-                seen.add(e)
-                out.append(e)
-    return out
+    levels = range(max_level + 1)
+    elems = (LadderElem.make(n, t[0], t[1], t[2], t[3:]) for n in levels for t in compositions(3 + n, max_degree))
+    return list(dict.fromkeys(elems))  # drops repeats, keeping first-seen order
 
 
 def enumerate_bar(max_level: int, max_degree: int) -> list[BarElem]:
-    out = []
-    seen = set()
-    for n in range(max_level + 1):
-        for t in _tuples(3, max_degree):
-            e = BarElem.make(n, t[0], t[1], t[2])
-            if e not in seen:
-                seen.add(e)
-                out.append(e)
-    return out
+    elems = (BarElem.make(n, *t) for n in range(max_level + 1) for t in compositions(3, max_degree))
+    return list(dict.fromkeys(elems))
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\s*\*\s*)?([A-Za-z]+)(\d*)$")

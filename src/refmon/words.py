@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Iterable, Iterator
 
 
@@ -109,18 +110,8 @@ class Word:
     def subwords(self) -> Iterator["Word"]:
         """All componentwise-dominated words, in lexicographic order."""
         idxs = [i for i, _ in self.exps]
-        caps = [e for _, e in self.exps]
-
-        def rec(pos: int, acc: list[tuple[int, int]]) -> Iterator[Word]:
-            if pos == len(idxs):
-                yield Word(tuple(p for p in acc if p[1]))
-                return
-            for e in range(caps[pos] + 1):
-                acc.append((idxs[pos], e))
-                yield from rec(pos + 1, acc)
-                acc.pop()
-
-        yield from rec(0, [])
+        for es in product(*(range(e + 1) for _, e in self.exps)):
+            yield Word(tuple((i, e) for i, e in zip(idxs, es) if e))
 
     def format(self, gens: GeneratorSet) -> str:
         if not self.exps:
@@ -135,8 +126,13 @@ class Word:
         return (self.degree(), self.exps)
 
 
-def add_words(u: Word, v: Word) -> Word:
-    return u.add(v)
+def compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """Every n-tuple of nonnegative integers with sum <= d, in lexicographic
+    order.  Stars and bars: n bar positions b_1 < ... < b_n in range(n + d)
+    give the tuple with entries b_k - b_{k-1} - 1 (b_0 = -1), and bars in
+    lexicographic order give tuples in lexicographic order."""
+    for bars in combinations(range(n + d), n):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
 
 
 def parse_term(text: str, gens: GeneratorSet, line: int | None = None) -> Word:

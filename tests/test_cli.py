@@ -166,6 +166,25 @@ def test_wild_arity_and_errors(capsys):
         main(["wild", "refine", "x0", "x0", "y0", "y0"])  # precondition fails
 
 
+def test_wild_zero_term_takes_the_other_terms_family(capsys):
+    code, out, _ = run(capsys, "wild", "refine", "xbar1", "zbar0", "xbar1 + zbar0", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["matrix"] == [["xbar1", "0"], ["zbar0", "0"]]
+    code, out, _ = run(capsys, "wild", "add", "ybar0", "0")
+    assert code == 0 and "= ybar0" in out
+    code, out, _ = run(capsys, "wild", "leq", "0", "xbar2")
+    assert code == 0 and "complement xbar2" in out
+    code, out, _ = run(capsys, "wild", "eq", "0", "0")  # no family named: ladder
+    assert code == 0
+
+
+def test_wild_mixed_families_rejected(capsys):
+    for argv in (("eq", "x0", "xbar0"), ("add", "ybar0", "y0"), ("refine", "x0", "0", "xbar0", "0")):
+        code, _, err = run(capsys, "wild", *argv)
+        assert code == 1
+        assert err.strip() == "error: cannot mix ladder and bar terms"
+
+
 # -- graph and poset conversions
 
 

@@ -212,7 +212,8 @@ def test_tilde_example():
     assert t.out_arrows("v") == ("e1", "v__w_v_1")
     assert set(t.out_arrows("w_v_1")) == {"w_v_1__w_v_2", "w_v_1__r1"}
     assert t.rng("w_v_1__r1") == "z"
-    assert t.is_row_finite()
+    # the chain replaces the fan: every emitter and chain vertex emits <= 2 arrows
+    assert all(t.out_degree(v) <= 2 for v in ("v", "w_v_1", "w_v_2"))
     # monoid relations of the unseparated tilde graph
     p = present_finitely_separated(unseparation(t))
     assert decide_equal(p, p.word("v"), p.word("z + w_v_1"), B).is_holds

@@ -270,3 +270,67 @@ def test_search_refine_on_presentation_oracle():
         o, p.word("x0"), p.word("y0"), p.word("x0"), p.word("z0"), SearchBound(max_degree=2)
     )
     assert dec2.is_fails  # the mixing equation has no refinement in M0 itself
+
+
+# -- sampled forall-exists checks: verdicts and counterexamples pinned at
+# small degrees and 60 samples, so any change to the draws or the witness
+# search shows here
+
+_SAMPLED = {  # oracle factory, degree bound
+    "ladder": (lambda: ladder_oracle(2), 3),
+    "ladder-deg4": (lambda: ladder_oracle(2), 4),
+    "bar": (lambda: bar_oracle(3), 3),
+    "free": (lambda: free_oracle(2), 3),
+    "m0": (lambda: presentation_oracle(wild.m0_presentation(), SearchBound(max_degree=3)), 3),
+}
+
+_PINNED = [
+    ("ladder", "riesz-decomposition", "fails", "no bounded decomposition found",
+     ("y2 + z2 + a2", "3*z0", "x2 + a1 + a2")),
+    ("ladder", "riesz-interpolation", "holds", "15 sampled instances interpolated", None),
+    ("ladder-deg4", "riesz-interpolation", "fails", "no bounded interpolant found",
+     ("4*z2", "2*y2 + z2 + a2", "x0 + 2*y0", "3*x1 + y1")),
+    ("ladder", "tame-consequence-1", "fails", "clause 1 witness search failed at bound",
+     ("y2 + z2", "3*y2", "2*x2")),
+    ("ladder", "tame-consequence-2", "fails", "clause 2 witness search failed at bound",
+     ("2*y2 + a2", "2*z1 + a1", "2*y0", "3*x2")),
+    ("bar", "riesz-decomposition", "holds", "15 sampled instances decomposed", None),
+    ("bar", "riesz-interpolation", "holds", "15 sampled instances interpolated", None),
+    ("bar", "tame-consequence-1", "fails", "clause 1 witness search failed at bound",
+     ("2*zbar0", "2*ybar0 + zbar0", "3*xbar3")),
+    ("bar", "tame-consequence-2", "holds", "clause 2 held on 15 sampled instances", None),
+    ("free", "riesz-decomposition", "holds", "15 sampled instances decomposed", None),
+    ("free", "riesz-interpolation", "holds", "15 sampled instances interpolated", None),
+    ("free", "tame-consequence-1", "holds", "clause 1 held on 15 sampled instances", None),
+    ("free", "tame-consequence-2", "holds", "clause 2 held on 15 sampled instances", None),
+    # Unknown notes end in the count of unknown hypothesis verdicts
+    ("m0", "riesz-decomposition", "unknown", "15 sampled instances decomposed; 9 unknown", None),
+    ("m0", "riesz-interpolation", "holds", "15 sampled instances interpolated", None),
+    ("m0", "tame-consequence-1", "unknown", "clause 1 held on 15 sampled instances; 61 unknown", None),
+    ("m0", "tame-consequence-2", "unknown", "clause 2 held on 15 sampled instances; 26 unknown", None),
+]
+
+
+@pytest.mark.parametrize("oracle, check, verdict, note, counterexample", _PINNED)
+def test_sampled_checks_pinned(oracle, check, verdict, note, counterexample):
+    make, degree = _SAMPLED[oracle]
+    o, b = make(), SearchBound(max_degree=degree)
+    tame = check.startswith("tame-consequence")
+    if tame:
+        rep = lab.further_tame_checks(o, b, samples=60)[int(check[-1]) - 1]
+    else:
+        rep = lab.check_property(o, check, b, samples=60)
+    dec = rep.verdict
+    assert rep.property == check
+    assert dec.verdict == verdict
+    if verdict == "unknown":
+        assert dec.note.startswith(note)
+    else:
+        assert dec.note == note
+    shown = None if dec.counterexample is None else tuple(o.fmt(x) for x in dec.counterexample)
+    assert shown == counterexample
+    # check_property lists the counterexample's parts, further_tame_checks the whole tuple
+    if dec.counterexample is None:
+        assert rep.witnesses == []
+    else:
+        assert rep.witnesses == ([dec.counterexample] if tame else list(dec.counterexample))

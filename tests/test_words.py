@@ -1,7 +1,9 @@
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
-from refmon.words import GeneratorSet, ParseError, Word, parse_term
+from refmon.words import GeneratorSet, ParseError, Word, compositions, parse_term
 
 GENS = GeneratorSet(("a", "b", "c"))
 
@@ -41,6 +43,21 @@ def test_meet_and_subwords():
     subs = list(Word.of([(0, 1), (1, 1)]).subwords())
     assert len(subs) == 4
     assert Word() in subs
+
+
+def test_subwords_in_lexicographic_order():
+    subs = list(Word.of([(0, 1), (2, 2)]).subwords())
+    assert [w.exps for w in subs] == [
+        (), ((2, 1),), ((2, 2),), ((0, 1),), ((0, 1), (2, 1)), ((0, 1), (2, 2)),
+    ]
+
+
+@pytest.mark.parametrize("n, d", [(0, 0), (0, 5), (1, 4), (2, 3), (3, 0), (3, 3), (5, 2)])
+def test_compositions_count_order_and_sums(n, d):
+    got = list(compositions(n, d))
+    assert len(got) == comb(n + d, d)  # so n = 0 yields exactly ()
+    assert got == sorted(got) and len(set(got)) == len(got)
+    assert all(len(t) == n and all(c >= 0 for c in t) and sum(t) <= d for t in got)
 
 
 def test_negative_exponent_rejected():
