@@ -9,11 +9,19 @@ the entire congruence class.
 Degree caps apply to intermediate words too: an equality whose shortest proof
 passes through a high-degree word may come back Unknown.  That is documented
 behaviour, not a bug.
+
+What a search bound b explores from w is the connected component of w in the
+graph whose nodes are the words of degree <= b.max_degree and whose edges are
+single relation moves; `exhausted` says that no move leaves that graph.  Both
+are the same from every member of the component, so ClassCache shares one
+result among all of them, unless the class-size cap cut the search short.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import compress
+from operator import add
+from typing import Sequence
 
 from .decisions import Decision, SearchBound
 from .presentation import Presentation
@@ -29,11 +37,23 @@ class ClassResult:
     root: Word | None = None
 
 
-def _neighbors(p: Presentation, w: Word) -> Iterable[Word]:
+def _moves(p: Presentation) -> list[tuple]:
+    """Each relation direction src -> dst as (support pairs of src, dense
+    exponent delta, degree delta), in relation order, lhs -> rhs first."""
+    moves = []
     for rel in p.relations:
-        for src, dst in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
-            if w.contains(src):
-                yield w.sub(src).add(dst)
+        delta = [0] * len(p.gens)
+        for i, e in rel.lhs.exps:
+            delta[i] -= e
+        for i, e in rel.rhs.exps:
+            delta[i] += e
+        moves.append((rel.lhs.exps, tuple(delta), sum(delta)))
+        moves.append((rel.rhs.exps, tuple(-d for d in delta), -sum(delta)))
+    return moves
+
+
+def _word(t: bytes | tuple[int, ...]) -> Word:
+    return Word(tuple(compress(enumerate(t), t)))
 
 
 def enumerate_class(p: Presentation, w: Word, b: SearchBound) -> ClassResult:
@@ -41,36 +61,71 @@ def enumerate_class(p: Presentation, w: Word, b: SearchBound) -> ClassResult:
 
     exhausted is True iff no word was discarded for degree and the frontier
     was never truncated by max_class_size; in that case the returned set is
-    the entire congruence class of w.
+    the entire congruence class of w.  If fewer than max_class_size words come
+    back, the size cap never fired and the set is the whole component of w
+    (see the module docstring): enumerating from any member gives the same
+    words and the same exhausted flag.  When the cap fires, the kept words are
+    those found first with each round's frontier in Word.sort_key order.
+
+    During the search a word is its dense exponent vector, as bytes (a tuple
+    if max_degree > 255); it becomes a Word once, at the end.
     """
     if w.degree() > b.max_degree:
         return ClassResult(frozenset([w]), exhausted=False, parents={w: None}, root=w)
-    seen: dict[Word, Word | None] = {w: None}
-    order = [w]
-    frontier = [w]
+    moves = _moves(p)
+    # bytes hold exponents up to 255 in far less memory than a tuple, and no
+    # free list keeps them alive after the search
+    pack = bytes if b.max_degree < 256 else tuple
+    start = [0] * len(p.gens)
+    for i, e in w.exps:
+        start[i] = e
+    start = pack(start)
+    seen: dict = {start: None}
+    frontier = [(start, w.degree())]
     exhausted = True
+    max_degree, cap = b.max_degree, b.max_class_size
     while frontier:
         nxt = []
-        # deterministic order: lexicographic by (degree, exponent tuple)
-        for cur in sorted(frontier, key=Word.sort_key):
-            for new in _neighbors(p, cur):
-                if new in seen:
-                    continue
-                if new.degree() > b.max_degree:
-                    exhausted = False
-                    continue
-                if len(seen) >= b.max_class_size:
-                    exhausted = False
-                    continue
-                seen[new] = cur
-                order.append(new)
-                nxt.append(new)
+        for cur, deg in frontier:
+            for src, delta, ddeg in moves:
+                for i, e in src:
+                    if cur[i] < e:
+                        break
+                else:
+                    if deg + ddeg > max_degree:
+                        exhausted = False
+                        continue
+                    new = pack(map(add, cur, delta))
+                    if new not in seen:
+                        seen[new] = cur
+                        nxt.append((new, deg + ddeg))
+        if len(seen) > cap:
+            # This round overflowed the cap: redo it, keeping the first words
+            # found with the frontier in Word.sort_key order, and stop.
+            exhausted = False
+            for new, _ in nxt:
+                del seen[new]
+            for cur, deg in sorted(frontier, key=lambda f: _word(f[0]).sort_key()):
+                for src, delta, ddeg in moves:
+                    if len(seen) >= cap:
+                        break
+                    if deg + ddeg <= max_degree and all(cur[i] >= e for i, e in src):
+                        seen.setdefault(pack(map(add, cur, delta)), cur)
+            break
         frontier = nxt
-    return ClassResult(frozenset(seen), exhausted, parents=seen, root=w)
+    words = {t: _word(t) for t in seen}
+    parents = {words[t]: None if par is None else words[par] for t, par in seen.items()}
+    return ClassResult(frozenset(parents), exhausted, parents=parents, root=w)
 
 
 class ClassCache:
-    """Memoizes enumerate_class per (presentation, bound)."""
+    """Memoizes enumerate_class per (presentation, bound).
+
+    A result with fewer than max_class_size words is a whole component (see
+    the module docstring), so it is stored under every one of its words and
+    the component is enumerated once.  A result the size cap cut short
+    depends on where the search started, so it is stored under its root only.
+    """
 
     def __init__(self, p: Presentation, b: SearchBound):
         self.p = p
@@ -78,9 +133,14 @@ class ClassCache:
         self._cache: dict[Word, ClassResult] = {}
 
     def get(self, w: Word) -> ClassResult:
-        if w not in self._cache:
-            self._cache[w] = enumerate_class(self.p, w, self.b)
-        return self._cache[w]
+        res = self._cache.get(w)
+        if res is None:
+            res = enumerate_class(self.p, w, self.b)
+            if len(res.words) < self.b.max_class_size:
+                self._cache.update(dict.fromkeys(res.words, res))
+            else:
+                self._cache[w] = res
+        return res
 
 
 def _path_to(res: ClassResult, target: Word) -> list[Word]:
@@ -89,6 +149,16 @@ def _path_to(res: ClassResult, target: Word) -> list[Word]:
         path.append(res.parents[path[-1]])
     path.reverse()
     return path
+
+
+def _path(res: ClassResult, x: Word, y: Word) -> list[Word]:
+    """Rewrite path x -> ... -> y inside one result: up the search tree from x
+    to the last word shared with the root's path to y, then down to y."""
+    px, py = _path_to(res, x), _path_to(res, y)
+    k = 1
+    while k < min(len(px), len(py)) and px[k] == py[k]:
+        k += 1
+    return px[k - 1:][::-1] + py[k:]
 
 
 def decide_equal(
@@ -118,12 +188,12 @@ def decide_equal(
     cache = cache or ClassCache(p, b)
     cu = cache.get(u)
     if v in cu.words:
-        return Decision.holds(witness=_path_to(cu, v), note="rewrite path")
+        return Decision.holds(witness=_path(cu, u, v), note="rewrite path")
     cv = cache.get(v)
     meet = cu.words & cv.words
     if meet:
         m = min(meet, key=Word.sort_key)
-        path = _path_to(cu, m) + list(reversed(_path_to(cv, m)))[1:]
+        path = _path(cu, u, m) + _path(cv, m, v)[1:]
         return Decision.holds(witness=path, note="rewrite path via common word")
     if cu.exhausted and cv.exhausted:
         return Decision.fails(
@@ -172,20 +242,24 @@ def find_refinement(
     rb - z21 for representatives rb of bw, and d = z12 + z22 is checked.
     The search is complete relative to the enumerated classes, so Fails is
     only returned when every involved class is exhausted and every candidate
-    was rejected definitively.
+    was rejected definitively.  A precondition a + bw = c + d that fails
+    raises ValueError; one that is Unknown at the bound gives Unknown.
     """
     cache = cache or ClassCache(p, b)
     pre = decide_equal(p, a.add(bw), c.add(d), b, certs, cache)
-    if not pre.is_holds:
-        raise ValueError("precondition a + b = c + d does not hold (or is unknown at this bound)")
+    if pre.is_fails:
+        raise ValueError("precondition a + b = c + d does not hold")
+    if pre.is_unknown:
+        return Decision.unknown(b, note="precondition a + b = c + d is unknown at this bound")
     ca, cb, cc = cache.get(a), cache.get(bw), cache.get(c)
     all_definite = ca.exhausted and cb.exhausted and cc.exhausted
-    for ra in sorted(ca.words, key=Word.sort_key):
-        for rc in sorted(cc.words, key=Word.sort_key):
+    reps_a, reps_b, reps_c = (sorted(r.words, key=Word.sort_key) for r in (ca, cb, cc))
+    for ra in reps_a:
+        for rc in reps_c:
             for z11 in ra.meet(rc).subwords():
                 z12 = ra.sub(z11)
                 z21 = rc.sub(z11)
-                for rb in sorted(cb.words, key=Word.sort_key):
+                for rb in reps_b:
                     if not rb.contains(z21):
                         continue
                     z22 = rb.sub(z21)

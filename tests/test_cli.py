@@ -68,6 +68,16 @@ def test_refine_prints_matrix(capsys):
     assert code == 1
 
 
+def test_refine_with_unknown_precondition_is_unknown(capsys):
+    # eq on the same pair is Unknown at this bound, so refine must not error
+    code, _, _ = run(capsys, "eq", "ladder:1", "x0", "x1 + y1", "--max-degree", "1")
+    assert code == 2
+    code, out, err = run(capsys, "refine", "ladder:1", "x0", "0", "x1", "y1", "--max-degree", "1")
+    assert code == 2 and "unknown" in out and not err
+    code, out, err = run(capsys, "refine", "ec:1", "u + y1", "u + x1", "x0 + y0 + z0 + x1 + 2*y1", "x1")
+    assert code == 2 and "unknown" in out and not err
+
+
 def test_bad_words_are_reported(capsys):
     code, _, err = run(capsys, "eq", "m0", "x0 + nope", "x0")
     assert code == 1

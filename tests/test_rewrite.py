@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from refmon import rewrite
 from refmon.decisions import SearchBound
 from refmon.presentation import parse_presentation
 from refmon.rewrite import (
@@ -11,13 +13,19 @@ from refmon.rewrite import (
     verify_refinement,
 )
 from refmon.targets import NonnegIntegers, build_certificate
-from refmon.wild import m0_presentation
+from refmon.wild import m0_presentation, truncation_presentation
+from refmon.words import Word
 
 B = SearchBound(max_degree=6)
 
 FREE = parse_presentation("monoid F\ngenerators a b\n")
 ABSORB = parse_presentation("monoid A\ngenerators e f\nrelation e + f = f\n")
 M0 = m0_presentation()
+# one class a = b = c = d = e, reached along a chain of single moves
+CHAIN = parse_presentation(
+    "monoid C\ngenerators a b c d e\n"
+    "relation a = b\nrelation b = c\nrelation c = d\nrelation d = e\n"
+)
 
 
 def test_free_class_is_singleton():
@@ -32,6 +40,16 @@ def test_class_enumeration_absorbing():
     assert ABSORB.word("f") in res.words
     assert ABSORB.word("4*e + f") in res.words
     assert not res.exhausted  # 6*e + f exceeds the degree cap
+
+
+def test_class_above_degree_255():
+    # exponents above 255 do not fit the search's byte vectors
+    b = SearchBound(max_degree=300)
+    res = enumerate_class(ABSORB, ABSORB.word("f"), b)
+    assert len(res.words) == 300 and ABSORB.word("299*e + f") in res.words
+    assert not res.exhausted
+    dec = decide_equal(ABSORB, ABSORB.word("f"), ABSORB.word("299*e + f"), b)
+    assert dec.is_holds and len(dec.witness) == 300
 
 
 def test_decide_equal_path_witness():
@@ -112,3 +130,114 @@ def test_cache_reuse():
     r1 = cache.get(M0.word("x0 + y0"))
     r2 = cache.get(M0.word("x0 + y0"))
     assert r1 is r2
+
+
+def assert_rewrite_path(p, path, u, v):
+    """path runs from u to v, and each step replaces one side of one relation
+    by the other side."""
+    assert path[0] == u and path[-1] == v
+    moves = [(r.lhs, r.rhs) for r in p.relations] + [(r.rhs, r.lhs) for r in p.relations]
+    for x, y in zip(path, path[1:]):
+        assert any(x.contains(src) and x.sub(src).add(dst) == y for src, dst in moves), (x, y)
+
+
+PRESENTATIONS = {
+    "m0": M0,
+    "ladder:2": truncation_presentation(2, "ladder"),
+    "bar:2": truncation_presentation(2, "bar"),
+    "free:2": FREE,
+}
+
+
+@st.composite
+def words_and_bounds(draw):
+    p = PRESENTATIONS[draw(st.sampled_from(sorted(PRESENTATIONS)))]
+    max_degree = draw(st.integers(2, 5))
+    # relation sides make words that some move applies to; a few words lie
+    # above the degree bound
+    sides = [s for r in p.relations for s in (r.lhs, r.rhs)] + [Word.single(i) for i in range(len(p.gens))]
+    w = Word()
+    for s in draw(st.lists(st.sampled_from(sides), min_size=1, max_size=3)):
+        w = w.add(s)
+    return p, w, SearchBound(max_degree=max_degree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(words_and_bounds())
+def test_uncapped_class_is_the_same_from_every_member(case):
+    p, w, b = case
+    res = enumerate_class(p, w, b)
+    assert len(res.words) < b.max_class_size  # the size cap did not fire
+    for x in res.words:
+        again = enumerate_class(p, x, b)
+        assert again.words == res.words and again.exhausted == res.exhausted
+        assert_rewrite_path(p, rewrite._path_to(res, x), w, x)
+
+
+def counting_enumerations(monkeypatch):
+    calls = []
+    real = rewrite.enumerate_class
+
+    def counted(p, w, b):
+        calls.append(w)
+        return real(p, w, b)
+
+    monkeypatch.setattr(rewrite, "enumerate_class", counted)
+    return calls
+
+
+def test_cache_shares_an_uncapped_class_among_its_members(monkeypatch):
+    calls = counting_enumerations(monkeypatch)
+    p = PRESENTATIONS["ladder:2"]
+    cache = ClassCache(p, B)
+    res = cache.get(p.word("x0 + y0"))
+    assert 1 < len(res.words) < B.max_class_size
+    assert all(cache.get(x) is res for x in res.words)
+    assert len(calls) == 1
+
+
+def test_cache_does_not_share_a_capped_class(monkeypatch):
+    calls = counting_enumerations(monkeypatch)
+    cache = ClassCache(CHAIN, SearchBound(max_class_size=3))
+    res = cache.get(CHAIN.word("a"))
+    assert res.words == {CHAIN.word("a"), CHAIN.word("b"), CHAIN.word("c")}
+    assert not res.exhausted
+    other = cache.get(CHAIN.word("b"))
+    assert other is not res and other.root == CHAIN.word("b")
+    assert cache.get(CHAIN.word("a")) is res
+    assert len(calls) == 2
+
+
+def test_capped_class_keeps_the_first_words_in_sort_key_order():
+    # from c the search finds b before a, but the round that overflows the
+    # cap runs its frontier in Word.sort_key order, so a's move to x is kept
+    p = parse_presentation(
+        "monoid S\ngenerators a b c x y\n"
+        "relation c = b\nrelation c = a\nrelation b = y\nrelation a = x\n"
+    )
+    res = enumerate_class(p, p.word("c"), SearchBound(max_class_size=4))
+    assert res.words == {p.word(t) for t in "cbax"}
+    assert not res.exhausted
+
+
+def test_path_between_members_that_are_not_the_root():
+    p = PRESENTATIONS["ladder:2"]
+    cache = ClassCache(p, B)
+    root = p.word("x0 + y0")
+    res = cache.get(root)
+    far = [x for x in sorted(res.words, key=Word.sort_key) if len(rewrite._path_to(res, x)) > 2]
+    u, v = far[0], far[-1]
+    assert root not in (u, v)
+    dec = decide_equal(p, u, v, B, cache=cache)
+    assert dec.is_holds and dec.note == "rewrite path"
+    assert_rewrite_path(p, dec.witness, u, v)
+    assert cache.get(u) is res  # no new enumeration rooted at u
+
+
+def test_path_via_common_word_when_the_cap_fires():
+    b = SearchBound(max_class_size=3)
+    u, v = CHAIN.word("a"), CHAIN.word("e")
+    dec = decide_equal(CHAIN, u, v, b)
+    assert dec.is_holds and dec.note == "rewrite path via common word"
+    assert_rewrite_path(CHAIN, dec.witness, u, v)
+    assert dec.witness == [CHAIN.word(t) for t in "abcde"]
