@@ -6,7 +6,7 @@ found within the bound" must stay distinct from "provably absent".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 HOLDS = "holds"
@@ -57,10 +57,14 @@ class Decision:
 
     @staticmethod
     def holds(witness: Any = None, note: str = "") -> "Decision":
+        if witness is None and not note:
+            return _BARE_HOLDS
         return Decision(HOLDS, witness=witness, note=note)
 
     @staticmethod
     def fails(counterexample: Any = None, note: str = "") -> "Decision":
+        if counterexample is None and not note:
+            return _BARE_FAILS
         return Decision(FAILS, counterexample=counterexample, note=note)
 
     @staticmethod
@@ -82,3 +86,9 @@ class Decision:
     def __bool__(self) -> bool:
         # deliberate: forces callers to test .is_holds / .is_fails explicitly
         raise TypeError("Decision is three-valued; test .is_holds / .is_fails")
+
+
+# Decisions are frozen, so the bare ones (no witness, counterexample or note)
+# that exact oracles return by the hundred thousand can be one shared object.
+_BARE_HOLDS = Decision(HOLDS)
+_BARE_FAILS = Decision(FAILS)

@@ -11,7 +11,7 @@ where a term is `k*<id> + ...` (coefficient 1 may be omitted, `0` is empty).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .words import GeneratorSet, ParseError, Word, parse_term
 

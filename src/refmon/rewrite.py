@@ -219,7 +219,7 @@ def decide_leq(
     cv = cache.get(v)
     for w in sorted(cv.words, key=Word.sort_key):
         if w.contains(u):
-            return Decision.holds(witness=w.sub(u), note=f"via representative")
+            return Decision.holds(witness=w.sub(u), note="via representative")
     if cv.exhausted:
         return Decision.fails(counterexample={"class_v_size": len(cv.words)}, note="no dominating representative")
     return Decision.unknown(b)

@@ -129,6 +129,8 @@ class LadderElem:
         """
         if target < self.level:
             raise ValueError("target level below stored level")
+        if target == self.level:
+            return self.m, self.i, self.j, self.rungs
         m, i, j = self.m, self.i, self.j
         rungs = list(self.rungs)
         for _ in range(target - self.level):

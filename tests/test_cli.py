@@ -78,6 +78,15 @@ def test_refine_with_unknown_precondition_is_unknown(capsys):
     assert code == 2 and "unknown" in out and not err
 
 
+def test_check_and_refine_agree_on_m0_refinement(capsys):
+    # x0 + y0 = x0 + z0 has no refinement in M0: the property check and the
+    # direct refine command must both say so
+    code, out, _ = run(capsys, "check", "m0", "--prop", "refinement", "--max-degree", "3")
+    assert code == 1 and "refinement: fails" in out
+    code, out, _ = run(capsys, "refine", "m0", "x0", "y0", "x0", "z0")
+    assert code == 1 and out.rstrip().endswith(": fails")
+
+
 def test_bad_words_are_reported(capsys):
     code, _, err = run(capsys, "eq", "m0", "x0 + nope", "x0")
     assert code == 1

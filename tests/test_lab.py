@@ -1,4 +1,6 @@
 """Property lab: bounded checkers over the oracle facade."""
+import dataclasses
+
 import pytest
 
 from refmon import lab, wild
@@ -40,6 +42,31 @@ def test_exact_oracle_decisions_never_unknown(ladder):
         for y in E[:10]:
             assert not ladder.equal(x, y).is_unknown
             assert not ladder.leq(x, y).is_unknown
+
+
+def test_bare_decisions_are_shared_and_frozen():
+    assert Decision.holds() is Decision.holds()
+    assert Decision.fails() is Decision.fails()
+    assert Decision.holds().is_holds and Decision.fails().is_fails
+    for shared in (Decision.holds(), Decision.fails()):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.note = "changed"
+        assert shared.note == "" and shared.witness is None and shared.counterexample is None
+
+
+def test_decisions_with_content_are_fresh():
+    fresh = [
+        Decision.holds(witness=0),
+        Decision.holds(witness=()),
+        Decision.holds(note="n"),
+        Decision.fails(counterexample=0),
+        Decision.fails(note="n"),
+    ]
+    for dec in fresh:
+        assert dec is not Decision.holds() and dec is not Decision.fails()
+    assert Decision.holds(witness=1) is not Decision.holds(witness=1)
+    assert Decision.fails(note="n") is not Decision.fails(note="n")
+    assert fresh[0].witness == 0 and fresh[3].counterexample == 0
 
 
 def test_ladder_state_is_additive_and_positive(ladder):
@@ -334,3 +361,57 @@ def test_sampled_checks_pinned(oracle, check, verdict, note, counterexample):
         assert rep.witnesses == []
     else:
         assert rep.witnesses == ([dec.counterexample] if tame else list(dec.counterexample))
+
+
+# -- the lab on primitive oracles: verdicts and counterexamples pinned at the
+# lab sheet's bounds (degree 2, coefficients up to 3, 100 samples).
+# prim_leq's complement feeds the sampled equations and both Riesz checks, so
+# a different complement would move a witness here
+
+_POSETS = {
+    "prim-free": validate_poset(["p", "q", "r"], []),
+    "prim-chain": validate_poset(["p", "q", "r"], [("p", "q"), ("q", "r"), ("p", "r")]),
+}
+
+_EXHAUSTIVE = "exhaustive at bound"
+_PINNED_PRIMITIVE = [
+    *[("prim-free", prop, "holds", _EXHAUSTIVE, None) for prop in (
+        "conical", "stably-finite", "separative", "strongly-separative", "cancellative",
+        "unperforated", "antisymmetric")],
+    ("prim-free", "archimedean", "unknown",
+     "enumeration cannot certify archimedean; no state available", None),
+    ("prim-free", "refinement", "holds", "100 sampled equations refined", None),
+    ("prim-free", "riesz-decomposition", "holds", "25 sampled instances decomposed", None),
+    ("prim-free", "riesz-interpolation", "holds", "25 sampled instances interpolated", None),
+    ("prim-free", "wildness", "unknown", "no wildness evidence at bound (consistent with tame)", None),
+    ("prim-chain", "conical", "holds", _EXHAUSTIVE, None),
+    ("prim-chain", "stably-finite", "fails", "x + y = x with y nonzero", ("r", "q")),
+    ("prim-chain", "separative", "holds", _EXHAUSTIVE, None),
+    ("prim-chain", "strongly-separative", "holds", _EXHAUSTIVE, None),
+    ("prim-chain", "cancellative", "fails", "x + z = y + z with x != y", ("q", "0", "r")),
+    ("prim-chain", "unperforated", "holds", _EXHAUSTIVE, None),
+    ("prim-chain", "antisymmetric", "holds", _EXHAUSTIVE, None),
+    ("prim-chain", "archimedean", "fails", "n*x <= y for all tested n with x nonzero", ("q", "r", "6")),
+    ("prim-chain", "refinement", "fails", "no refinement with all four parts at bound",
+     ("q", "2*p", "q", "0")),
+    ("prim-chain", "riesz-decomposition", "holds", "25 sampled instances decomposed", None),
+    ("prim-chain", "riesz-interpolation", "holds", "25 sampled instances interpolated", None),
+    ("prim-chain", "wildness", "unknown", "no wildness evidence at bound (consistent with tame)", None),
+]
+
+
+@pytest.mark.parametrize("poset, check, verdict, note, counterexample", _PINNED_PRIMITIVE)
+def test_primitive_lab_pinned(poset, check, verdict, note, counterexample):
+    o = primitive_oracle(_POSETS[poset], poset)
+    b = SearchBound(max_degree=2, max_coefficient=3)
+    if check == "wildness":
+        rep = lab.wildness_certificate(o, b, samples=100)
+    else:
+        rep = lab.check_property(o, check, b, samples=100)
+    dec = rep.verdict
+    assert rep.property == check
+    assert (dec.verdict, dec.note) == (verdict, note)
+    shown = None if dec.counterexample is None else tuple(o.fmt(x) for x in dec.counterexample)
+    assert shown == counterexample
+    # the witnesses are the counterexample's elements (archimedean's also carries the tested n)
+    assert rep.witnesses == [x for x in dec.counterexample or () if not isinstance(x, int)]

@@ -1,5 +1,6 @@
 """Prime-generated monoids with absorption relations."""
 import random
+from itertools import product
 
 import pytest
 
@@ -125,6 +126,86 @@ def test_leq_examples():
     assert prim_leq(p1, q1) is not None  # p + q = q
     assert prim_leq(q1, p1) is None
     assert prim_leq(r1, q1) is None  # incomparable primes never absorb
+
+
+# -- the closed-form order against the complement search it replaced
+
+
+def _leq_by_search(e1, e2):
+    """Reference: the first raw complement in lexicographic order over the
+    primes, with every coefficient at most max(c2) + 1."""
+    poset = e1.poset
+    cap = max([c for _, c in e2.coeffs], default=0) + 1
+    for cs in product(range(cap + 1), repeat=len(poset.primes)):
+        cand = normalize(poset, zip(poset.primes, cs))
+        if prim_equal(prim_add(e1, cand), e2):
+            return cand
+    return None
+
+
+def _assert_same_complement(e1, e2):
+    got, want = prim_leq(e1, e2), _leq_by_search(e1, e2)
+    assert (got is None) == (want is None), (e1, e2, got, want)
+    if want is not None:
+        assert got.coeffs == want.coeffs, (e1, e2, got, want)
+
+
+def test_leq_matches_search_on_every_small_poset():
+    pairs = 0
+    for names in (["p"], ["p", "q"], ["p", "q", "r"]):
+        for poset in enumerate_posets(names):
+            E = enumerate_elements(poset, 2)
+            for e1 in E:
+                for e2 in E:
+                    _assert_same_complement(e1, e2)
+            pairs += len(E) ** 2
+    assert pairs == 7119
+
+
+def test_leq_matches_search_on_large_coefficients():
+    """Coefficients up to 8, so the search's cap of max(c2) + 1 matters;
+    every other pair is ordered by construction."""
+    rng = random.Random(67)
+    posets = enumerate_posets(["p", "q", "r"])
+
+    def draw(poset):
+        return normalize(poset, {x: rng.randint(0, 8) for x in poset.primes if rng.random() < 0.6})
+
+    for k in range(200):
+        poset = rng.choice(posets)
+        e1 = draw(poset)
+        e2 = prim_add(e1, draw(poset)) if k % 2 else draw(poset)
+        _assert_same_complement(e1, e2)
+
+
+def test_leq_complement_skips_idempotents_already_present():
+    """p idempotent below q, r free (CHAIN): an idempotent prime that e1
+    already has is left out of the complement; one it lacks is added once."""
+    e = lambda **cs: normalize(CHAIN, cs)  # noqa: E731
+    cases = [
+        (e(p=1), e(p=1), e()),
+        (e(p=1), e(p=1, r=1), e(r=1)),
+        (e(p=1, r=1), e(p=1, r=3), e(r=2)),
+        (e(r=1), e(p=1, r=1), e(p=1)),
+        (e(p=1), e(q=2), e(q=2)),
+        (e(p=1, r=1), e(q=1, r=1), e(q=1)),
+        (e(q=1), e(p=1), None),
+        (e(p=1, r=1), e(q=1), None),
+        (e(r=2), e(p=1, r=1), None),
+    ]
+    # q idempotent too, with p below it: q absorbs p, and e1 = q needs nothing
+    both = validate_poset(["p", "q"], [("p", "p"), ("q", "q"), ("p", "q")])
+    f = lambda **cs: normalize(both, cs)  # noqa: E731
+    cases += [
+        (f(q=1), f(q=1), f()),
+        (f(p=1), f(q=1), f(q=1)),
+        (f(p=1), f(p=1), f()),
+        (f(q=1), f(p=1), None),
+    ]
+    for e1, e2, want in cases:
+        got = prim_leq(e1, e2)
+        assert (None if got is None else got.coeffs) == (None if want is None else want.coeffs), (e1, e2)
+        _assert_same_complement(e1, e2)
 
 
 # -- certificates

@@ -62,6 +62,16 @@ def test_raising_closed_form_examples():
         LadderElem.a(2).raised(1)
 
 
+@given(ladder_elems())
+def test_raised_at_own_level_is_the_stored_form(e):
+    assert e.raised(e.level) == (e.m, e.i, e.j, e.rungs)
+    m, i, j, rungs = e.raised(e.level + 1)
+    assert (m, i, j, rungs) == (e.m, e.m + e.i, e.j, e.rungs + (e.i + e.j,))
+    if e.level:
+        with pytest.raises(ValueError, match="below stored level"):
+            e.raised(e.level - 1)
+
+
 def test_order_unit_representation():
     # u = x_n + (n+1) y_n + sum l*a_l
     for n in range(5):
