@@ -29,7 +29,11 @@ class MonoidOracle:
     elements: Callable  # max_degree -> list
     # optional capabilities
     refine: Callable | None = None  # (a, b, c, d) -> Decision with matrix witness
-    positive_state: Callable | None = None  # element -> positive rational; None if no state
+    # element -> positive rational, additive (s(x + y) = s(x) + s(y)); None if
+    # no state.  Besides certifying conical, stably finite and archimedean, it
+    # refutes order and equality: x <= y forces s(x) <= s(y), and x = y forces
+    # s(x) = s(y), which the lab's pairwise sweeps use to skip pairs.
+    positive_state: Callable | None = None
     extended_elements: Callable | None = None  # larger candidate pool for decompositions
     exact: bool = False  # canonical hashable elements, decisions never Unknown
     key: Callable | None = None  # canonical hash key (exact oracles only)
@@ -70,9 +74,9 @@ def ladder_oracle(level: int) -> MonoidOracle:
     return MonoidOracle(
         name=f"ladder(level={level})",
         zero=wild.LadderElem.zero(),
-        add=lambda x, y: x.add(y),
-        equal=_exact_equal(lambda x, y: x.equal(y)),
-        leq=_exact_leq(lambda x, y: x.leq(y)),
+        add=wild.LadderElem.add,
+        equal=_exact_equal(wild.LadderElem.equal),
+        leq=_exact_leq(wild.LadderElem.leq),
         elements=lambda d: wild.enumerate_ladder(level, d),
         refine=refine,
         positive_state=state,
@@ -93,9 +97,9 @@ def bar_oracle(level: int) -> MonoidOracle:
     return MonoidOracle(
         name=f"bar(level={level})",
         zero=wild.BarElem.zero(),
-        add=lambda x, y: x.add(y),
-        equal=_exact_equal(lambda x, y: x.equal(y)),
-        leq=_exact_leq(lambda x, y: x.leq(y)),
+        add=wild.BarElem.add,
+        equal=_exact_equal(wild.BarElem.equal),
+        leq=_exact_leq(wild.BarElem.leq),
         elements=lambda d: wild.enumerate_bar(level, d),
         refine=refine,
         extended_elements=lambda d: wild.enumerate_bar(level + 2, d),

@@ -27,6 +27,7 @@ closed forms are derived, not taken on faith.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -131,12 +132,11 @@ class LadderElem:
             raise ValueError("target level below stored level")
         if target == self.level:
             return self.m, self.i, self.j, self.rungs
-        m, i, j = self.m, self.i, self.j
-        rungs = list(self.rungs)
+        m, i, j, rungs = self.m, self.i, self.j, self.rungs
         for _ in range(target - self.level):
-            rungs.append(i + j)
+            rungs += (i + j,)
             i = m + i
-        return m, i, j, tuple(rungs)
+        return m, i, j, rungs
 
     def raise_to(self, target: int) -> "RawLadder":
         m, i, j, rungs = self.raised(target)
@@ -163,7 +163,7 @@ class LadderElem:
         n = max(self.level, other.level)
         m1, i1, j1, k1 = self.raised(n)
         m2, i2, j2, k2 = other.raised(n)
-        return LadderElem.make(n, m1 + m2, i1 + i2, j1 + j2, tuple(p + q for p, q in zip(k1, k2)))
+        return LadderElem.make(n, m1 + m2, i1 + i2, j1 + j2, tuple(map(operator.add, k1, k2)))
 
     def scale(self, c: int) -> "LadderElem":
         if c < 0:
@@ -177,14 +177,16 @@ class LadderElem:
         Derived criterion (validated against complement search on truncations):
         at the common level, m1 <= m2, rung coefficients componentwise <=, and
         i1 + j1 <= i2 + j2 when m2 > 0, respectively i1 <= i2 and j1 <= j2 when
-        m2 = 0.
+        m2 = 0.  Raising never changes m, so m1 > m2 is settled before it.
         """
+        if self.m > other.m:
+            return None
         n = max(self.level, other.level)
         m1, i1, j1, k1 = self.raised(n)
         m2, i2, j2, k2 = other.raised(n)
-        if any(p > q for p, q in zip(k1, k2)):
+        dk = tuple(map(operator.sub, k2, k1))
+        if dk and min(dk) < 0:
             return None
-        dk = tuple(q - p for p, q in zip(k1, k2))
         if m2 == 0:
             if m1 == 0 and i1 <= i2 and j1 <= j2:
                 return LadderElem.make(n, 0, i2 - i1, j2 - j1, dk)
@@ -299,12 +301,13 @@ class BarElem:
     def leq(self, other: "BarElem") -> "BarElem | None":
         """Derived order criterion: with k = xbar coefficient, self <= other iff
         k1 < k2, or k1 = k2 > 0 with i1 + j1 <= i2 + j2 (at a common level),
-        or k1 = k2 = 0 with i1 <= i2 and j1 <= j2."""
+        or k1 = k2 = 0 with i1 <= i2 and j1 <= j2.  Raising never changes k,
+        so k1 > k2 is settled before it."""
+        if self.k > other.k:
+            return None
         n = max(self.level, other.level)
         i1, j1, k1 = self.raised(n)
         i2, j2, k2 = other.raised(n)
-        if k1 > k2:
-            return None
         if k2 == 0:
             if i1 <= i2 and j1 <= j2:
                 return BarElem.make(0, i2 - i1, j2 - j1, 0)

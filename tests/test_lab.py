@@ -1,11 +1,13 @@
 """Property lab: bounded checkers over the oracle facade."""
 import dataclasses
+import operator
 
 import pytest
 
 from refmon import lab, wild
 from refmon.decisions import Decision, SearchBound
 from refmon.oracles import (
+    MonoidOracle,
     bar_oracle,
     free_oracle,
     ladder_oracle,
@@ -154,7 +156,7 @@ def test_bar_not_archimedean(bar):
     assert rep.verdict.is_fails
     x, y, _ = rep.verdict.counterexample
     # every tested multiple of x fits below y
-    assert bar.leq(lab._scaled(bar, x, B.max_coefficient), y).is_holds
+    assert bar.leq(lab._multiples(bar, x, B.max_coefficient)[-1], y).is_holds
 
 
 def test_bar_not_cancellative(bar):
@@ -415,3 +417,113 @@ def test_primitive_lab_pinned(poset, check, verdict, note, counterexample):
     assert shown == counterexample
     # the witnesses are the counterexample's elements (archimedean's also carries the tested n)
     assert rep.witnesses == [x for x in dec.counterexample or () if not isinstance(x, int)]
+
+
+# -- state pruning in the pairwise sweeps: a pair whose states rule out every
+# tested hypothesis is skipped, so the report must be the unpruned one
+
+_PRUNED = (lab.UNPERFORATED, lab.STRONGLY_SEPARATIVE, lab.ANTISYMMETRIC)
+_B4 = SearchBound(max_degree=4, max_coefficient=3)
+
+
+def _report(o, prop, b):
+    rep = lab.check_property(o, prop, b)
+    return rep.verdict, rep.witnesses
+
+
+def _stateless(o):
+    return dataclasses.replace(o, positive_state=None)
+
+
+def _degree_oracle(name, zero, add, elements, degree):
+    """Exact oracle over canonical elements whose state is the degree; x <= y
+    is decided by searching the complement among elements of degree
+    degree(y) - degree(x)."""
+
+    def leq(x, y):
+        d = degree(y) - degree(x)
+        c = next((c for c in elements(max(d, 0)) if degree(c) == d and add(x, c) == y), None)
+        return Decision.fails() if c is None else Decision.holds(witness=c)
+
+    return MonoidOracle(
+        name=name,
+        zero=zero,
+        add=add,
+        equal=lambda x, y: Decision.holds() if x == y else Decision.fails(),
+        leq=leq,
+        elements=elements,
+        positive_state=degree,
+        exact=True,
+        key=lambda e: e,
+    )
+
+
+def _numerical_2_3():
+    """The numerical semigroup <2, 3>; an element is its integer value."""
+    return _degree_oracle("<2,3>", 0, operator.add, lambda d: [n for n in range(d + 1) if n != 1], lambda n: n)
+
+
+def _pq_oracle(name, canon):
+    """A monoid on a, b; elements are canonical pairs (p, q) for p*a + q*b."""
+
+    def add(x, y):
+        return canon(x[0] + y[0], x[1] + y[1])
+
+    def elements(d):
+        return list(dict.fromkeys(canon(p, n - p) for n in range(d + 1) for p in range(n + 1)))
+
+    return _degree_oracle(name, (0, 0), add, elements, sum)
+
+
+def _mixing():
+    """<a, b | 2a = a + b>: with an a present, only the degree counts."""
+    return _pq_oracle("<a,b|2a=a+b>", lambda p, q: (1, p + q - 1) if p else (0, q))
+
+
+def _square():
+    """<a, b | 2a = 2b>: the degree and the parity of p count."""
+    return _pq_oracle("<a,b|2a=2b>", lambda p, q: (p % 2, p + q - p % 2))
+
+
+@pytest.mark.parametrize("make", [lambda: ladder_oracle(2), lambda: free_oracle(3)])
+@pytest.mark.parametrize("b", [B, _B4])
+@pytest.mark.parametrize("prop", _PRUNED)
+def test_state_pruning_keeps_the_report(make, b, prop):
+    o = make()
+    assert _report(o, prop, b) == _report(_stateless(o), prop, b)
+
+
+@pytest.mark.parametrize(
+    "make, prop, counterexample",
+    [
+        (_numerical_2_3, lab.UNPERFORATED, (2, 3, 2)),
+        (_mixing, lab.STRONGLY_SEPARATIVE, ((1, 0), (0, 1))),
+        (_square, lab.UNPERFORATED, ((0, 1), (1, 0), 2)),
+    ],
+)
+def test_state_pruning_keeps_small_counterexamples(make, prop, counterexample):
+    """Three exact monoids whose first counterexample sits on a pair the
+    pruning must keep: states differing the allowed way (2 <= 3 in <2, 3>),
+    or equal (a and b of degree 1)."""
+    o = make()
+    rep = _report(o, prop, _B4)
+    assert rep[0].is_fails and rep[0].counterexample == counterexample
+    assert rep == _report(_stateless(o), prop, _B4)
+    for p in _PRUNED:
+        assert _report(o, p, _B4) == _report(_stateless(o), p, _B4)
+
+
+def test_state_pruning_saves_leq_calls():
+    def counted(o):
+        calls = [0]
+
+        def leq(x, y):
+            calls[0] += 1
+            return o.leq(x, y)
+
+        return dataclasses.replace(o, leq=leq), calls
+
+    pruned, n_pruned = counted(ladder_oracle(2))
+    full, n_full = counted(_stateless(ladder_oracle(2)))
+    assert _report(pruned, lab.UNPERFORATED, B) == _report(full, lab.UNPERFORATED, B)
+    assert n_pruned[0] < n_full[0]

@@ -1,0 +1,58 @@
+"""Lint guard for the package sources, with the standard library's `ast` only."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "refmon").glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exported(tree):
+    """Names listed in a module-level `__all__`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return set()
+
+
+def test_sources_found():
+    assert len(SOURCES) > 10
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    tree = _tree(path)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds `a`
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    unused = sorted(f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used)
+    assert not unused
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_fstring_without_placeholder(path):
+    tree = _tree(path)
+    # the format spec of `{x:8s}` is a nested JoinedStr with no placeholder
+    specs = {
+        id(n.format_spec) for n in ast.walk(tree) if isinstance(n, ast.FormattedValue) and n.format_spec
+    }
+    bare = [
+        f"{path.name}:{n.lineno}"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.JoinedStr)
+        and id(n) not in specs
+        and not any(isinstance(v, ast.FormattedValue) for v in n.values)
+    ]
+    assert not bare

@@ -123,6 +123,38 @@ def test_leq_complete_against_complement_search():
         assert has == (e2 in shifted), (e1, e2)
 
 
+def _ref_leq(e1, e2):
+    """The order criterion as first written: raise both sides, then compare k."""
+    n = max(e1.level, e2.level)
+    i1, j1, k1 = e1.raised(n)
+    i2, j2, k2 = e2.raised(n)
+    if k1 > k2:
+        return None
+    if k2 == 0:
+        if i1 <= i2 and j1 <= j2:
+            return BarElem.make(0, i2 - i1, j2 - j1, 0)
+        return None
+    if k1 == k2:
+        if i1 + j1 <= i2 + j2:
+            return BarElem.make(n, i2 + j2 - i1 - j1, 0, 0)
+        return None
+    gap = (i1 + j1) - (i2 + j2)
+    t = 0 if gap <= 0 else -(-gap // (k2 - k1))
+    i1t, j1t, _ = e1.raised(n + t)
+    i2t, j2t, _ = e2.raised(n + t)
+    return BarElem.make(n + t, (i2t + j2t) - (i1t + j1t), 0, k2 - k1)
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_leq_matches_reference_on_every_pair(c):
+    """Every pair of enumerate_bar(3, 5), and of its c-fold multiples, gets the
+    reference's verdict and complement."""
+    E = [e.scale(c) for e in wild.enumerate_bar(3, 5)]
+    for e1 in E:
+        for e2 in E:
+            assert e1.leq(e2) == _ref_leq(e1, e2), (e1, e2)
+
+
 # -- refinement
 
 

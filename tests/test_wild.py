@@ -167,6 +167,52 @@ def test_leq_complete_against_complement_search():
         assert has == found, (e1, e2)
 
 
+def _ref_raised(e, target):
+    """Raising as first written: a list of rungs grown one level at a time."""
+    m, i, j = e.m, e.i, e.j
+    rungs = list(e.rungs)
+    for _ in range(target - e.level):
+        rungs.append(i + j)
+        i = m + i
+    return m, i, j, tuple(rungs)
+
+
+def _ref_add(e1, e2):
+    n = max(e1.level, e2.level)
+    m1, i1, j1, k1 = _ref_raised(e1, n)
+    m2, i2, j2, k2 = _ref_raised(e2, n)
+    return LadderElem.make(n, m1 + m2, i1 + i2, j1 + j2, tuple(p + q for p, q in zip(k1, k2)))
+
+
+def _ref_leq(e1, e2):
+    """The order criterion as first written: raise both sides, then compare."""
+    n = max(e1.level, e2.level)
+    m1, i1, j1, k1 = _ref_raised(e1, n)
+    m2, i2, j2, k2 = _ref_raised(e2, n)
+    if any(p > q for p, q in zip(k1, k2)):
+        return None
+    dk = tuple(q - p for p, q in zip(k1, k2))
+    if m2 == 0:
+        if m1 == 0 and i1 <= i2 and j1 <= j2:
+            return LadderElem.make(n, 0, i2 - i1, j2 - j1, dk)
+        return None
+    if m1 <= m2 and i1 + j1 <= i2 + j2:
+        return LadderElem.make(n, m2 - m1, i2 + j2 - i1 - j1, 0, dk)
+    return None
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_leq_and_add_match_reference_on_every_pair(c):
+    """Every pair of enumerate_ladder(2, 4), and of its c-fold multiples (the
+    pairs the unperforated sweep sends), gets the reference's verdict and
+    complement, and the reference's sum."""
+    E = [e.scale(c) for e in wild.enumerate_ladder(2, 4)]
+    for e1 in E:
+        for e2 in E:
+            assert e1.leq(e2) == _ref_leq(e1, e2), (e1, e2)
+            assert e1.add(e2) == _ref_add(e1, e2), (e1, e2)
+
+
 # -- refinement
 
 
