@@ -10,22 +10,31 @@ bound" (documented semantics, printed in the note).
 The archimedean property is special: enumeration can only refute it, so Holds
 is granted solely on a positive-state certificate.
 
-State pruning.  An oracle's `positive_state` s is additive, so x <= y (that
-is, y = x + c) forces s(x) <= s(y), and m*x <= m*y forces s(x) <= s(y) for
-every m >= 1; likewise 2x = x + y, and x <= y <= x, each force s(x) = s(y).
-The unperforated sweep therefore skips a pair (x, y) with s(x) > s(y), and
-the strongly-separative and antisymmetric sweeps skip a pair with s(x) !=
-s(y): the oracle would answer Fails to every hypothesis tested on such a
-pair, so it can never be a counterexample.  The loops keep their order, so
-the first counterexample, and with it the report, is the one the unpruned
-sweep finds.  For an oracle that has a state and also answers Unknown, the
-only possible difference is that an Unknown on a skipped pair is never asked,
-which can turn an Unknown report into Holds; no oracle has both today.
+Order keys.  An oracle's `positive_state` s and its `invariants` inv are
+additive maps into ordered monoids (the rationals, and tuples of ints ordered
+componentwise).  For such a map f, x <= y (that is, y = x + c) forces f(x) <=
+f(y); m*x <= m*y forces m*f(x) <= m*f(y), hence f(x) <= f(y), for every m >=
+1; and 2x = x + y, and x <= y <= x, each force f(x) = f(y).  A sweep's key
+for x is (rank of s(x) among the states, *inv(x)), ranks standing in for the
+Fractions.  The unperforated sweep therefore skips a pair (x, y) unless
+key(x) <= key(y) componentwise, and the strongly-separative and
+antisymmetric sweeps skip a pair unless key(x) = key(y): the oracle would
+answer Fails to every hypothesis tested on a skipped pair, so it can never be
+a counterexample.  The loops keep their order, so the first counterexample,
+and with it the report, is the one the unpruned sweep finds.  For an oracle
+that has keys and also answers Unknown, the only possible difference is that
+an Unknown on a skipped pair is never asked, which can turn an Unknown report
+into Holds; no oracle has both today.
+
+A positive state (zero only on 0) also certifies antisymmetry outright: x <=
+y <= x gives y = x + c and x = y + d, so s(c) + s(d) = 0 and c = d = 0.
 """
 from __future__ import annotations
 
+import operator
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .decisions import HOLDS, UNKNOWN, Decision, SearchBound
@@ -110,15 +119,39 @@ def _elems(o: MonoidOracle, b: SearchBound):
     return o.elements(b.max_degree)
 
 
-def _state_ranks(o: MonoidOracle, E):
-    """For each element of E, the rank of its state among the distinct state
-    values (ints compare faster than Fractions); None when there is no state.
-    See the module docstring for the pairs these ranks let a sweep skip."""
-    if o.positive_state is None:
+def _order_keys(o: MonoidOracle, E):
+    """For each element of E, (rank of its state among the distinct state
+    values, *its invariants), leaving out what the oracle lacks; None when it
+    has neither.  See the module docstring for the pairs these keys refute."""
+    if o.positive_state is None and o.invariants is None:
         return None
-    states = [o.positive_state(x) for x in E]
-    rank = {s: r for r, s in enumerate(sorted(set(states)))}
-    return [rank[s] for s in states]
+    keys = [()] * len(E)
+    if o.positive_state is not None:
+        states = [o.positive_state(x) for x in E]
+        rank = {s: r for r, s in enumerate(sorted(set(states)))}
+        keys = [(rank[s],) for s in states]
+    if o.invariants is not None:
+        keys = [k + tuple(o.invariants(x)) for k, x in zip(keys, E)]
+    return keys
+
+
+def _partners(o: MonoidOracle, E, same: bool) -> list:
+    """For each index into E, the ascending indices of the elements whose key
+    equals its key (`same`) or is componentwise >= it; every index when the
+    oracle has no keys."""
+    keys = _order_keys(o, E)
+    if keys is None:
+        return [range(len(E))] * len(E)
+    if same:
+        groups: dict = {}
+        for iy, k in enumerate(keys):
+            groups.setdefault(k, []).append(iy)
+        return [groups[k] for k in keys]
+    above: dict = {}
+    for k in keys:
+        if k not in above:
+            above[k] = [iy for iy, ky in enumerate(keys) if all(map(operator.le, k, ky))]
+    return [above[k] for k in keys]
 
 
 def _check_conical(o, b, samples):
@@ -224,13 +257,12 @@ def _check_separative(o, b, samples):
 
 def _check_strongly_separative(o, b, samples):
     E = _elems(o, b)
-    ranks = _state_ranks(o, E)
+    partners = _partners(o, E, same=True)  # 2x = x + y gives key(x) = key(y)
     sw = _Sweep()
     for ix, x in enumerate(E):
         xx = o.add(x, x)
-        for iy, y in enumerate(E):
-            if ranks and ranks[ix] != ranks[iy]:
-                continue  # 2x = x + y would give s(x) = s(y)
+        for iy in partners[ix]:
+            y = E[iy]
             got = sw.definite(o.equal(xx, o.add(x, y)))
             if not got:
                 continue
@@ -250,13 +282,12 @@ def _multiples(o, x, n: int) -> list:
 
 def _check_unperforated(o, b, samples):
     E = _elems(o, b)
-    ranks = _state_ranks(o, E)
+    partners = _partners(o, E, same=False)  # m*x <= m*y gives key(x) <= key(y)
     sw = _Sweep()
     multiples = [_multiples(o, x, b.max_coefficient) for x in E]
     for ix, x in enumerate(E):
-        for iy, y in enumerate(E):
-            if ranks and ranks[ix] > ranks[iy]:
-                continue  # s(x) > s(y): neither x <= y nor m*x <= m*y
+        for iy in partners[ix]:
+            y = E[iy]
             base = sw.definite(o.leq(x, y))
             if base or base is None:
                 continue
@@ -271,13 +302,14 @@ def _check_unperforated(o, b, samples):
 
 
 def _check_antisymmetric(o, b, samples):
+    if o.positive_state is not None:
+        return Decision.holds(note="positive state certificate"), []
     E = _elems(o, b)
-    ranks = _state_ranks(o, E)
+    partners = _partners(o, E, same=True)  # x <= y <= x gives key(x) = key(y)
     sw = _Sweep()
     for ix, x in enumerate(E):
-        for iy in range(ix + 1, len(E)):
-            if ranks and ranks[ix] != ranks[iy]:
-                continue  # x <= y <= x would give s(x) = s(y)
+        later = partners[ix]
+        for iy in later[bisect_right(later, ix):]:
             y = E[iy]
             d1 = sw.definite(o.leq(x, y))
             if not d1:
@@ -339,7 +371,14 @@ def _sample_equations(o, E, rng, samples):
 
 
 def search_refine(o: MonoidOracle, a, bb, c, d, b: SearchBound) -> Decision:
-    """Generic bounded refinement search for oracles with no native refine."""
+    """Generic bounded refinement search for oracles with no native refine.
+
+    For each bounded z11 below a and c, the first pass takes z12 and z21 to be
+    the complements the oracle returns and searches a z22 closing the two
+    remaining sums.  The canonical z21 may fail where another works (with p <
+    q in a primitive monoid, q + 2p = q + 0 needs z21 = 2p, not 0), so a second
+    pass tries every bounded z21 with z11 + z21 = c.
+    """
     E = _elems(o, b)
     sw = _Sweep()
     cand11 = []
@@ -350,16 +389,27 @@ def search_refine(o: MonoidOracle, a, bb, c, d, b: SearchBound) -> Decision:
         lc = sw.definite(o.leq(z, c))
         if lc:
             cand11.append(z)
-    for z11 in cand11:
-        z12 = o.leq(z11, a).witness
-        z21 = o.leq(z11, c).witness
-        # complete inner search: any bounded z22 closing both remaining sums
+
+    def closed(z11, z12, z21):
         for z22 in E:
             if (
                 o.equal(o.add(z21, z22), bb).is_holds
                 and o.equal(o.add(z12, z22), d).is_holds
             ):
                 return Decision.holds(witness=((z11, z12), (z21, z22)), note="searched refinement")
+        return None
+
+    for z11 in cand11:
+        dec = closed(z11, o.leq(z11, a).witness, o.leq(z11, c).witness)
+        if dec is not None:
+            return dec
+    for z11 in cand11:
+        z12 = o.leq(z11, a).witness
+        for z21 in E:
+            if sw.definite(o.equal(o.add(z11, z21), c)):
+                dec = closed(z11, z12, z21)
+                if dec is not None:
+                    return dec
     if sw.unknowns:
         return Decision.unknown(b, note="refinement search inconclusive")
     return Decision.fails(note="no refinement with all four parts at bound")

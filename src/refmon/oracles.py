@@ -21,6 +21,17 @@ from .words import Word, compositions
 
 @dataclass
 class MonoidOracle:
+    """One monoid as the lab sees it: elements up to a degree, three-valued
+    `equal` and `leq`, total `add`, and optional capabilities.
+
+    Two optional capabilities are additive maps into ordered monoids, and the
+    lab uses them as certificates and to skip pairs: `positive_state` (a
+    rational that is zero only on 0) and `invariants` (a vector of ints).
+    Exact oracles have both where the mathematics gives them: the ladder
+    monoid a state and (x-count, rung counts), the bar monoid only the xbar
+    count, the free monoid degree and the exponent tuple itself.
+    """
+
     name: str
     zero: object
     add: Callable
@@ -30,10 +41,16 @@ class MonoidOracle:
     # optional capabilities
     refine: Callable | None = None  # (a, b, c, d) -> Decision with matrix witness
     # element -> positive rational, additive (s(x + y) = s(x) + s(y)); None if
-    # no state.  Besides certifying conical, stably finite and archimedean, it
-    # refutes order and equality: x <= y forces s(x) <= s(y), and x = y forces
-    # s(x) = s(y), which the lab's pairwise sweeps use to skip pairs.
+    # no state.  Besides certifying conical, stably finite, antisymmetric and
+    # archimedean, it refutes order and equality: x <= y forces s(x) <= s(y),
+    # and x = y forces s(x) = s(y), which the lab's pairwise sweeps use to skip
+    # pairs.
     positive_state: Callable | None = None
+    # element -> tuple of nonnegative ints, additive (inv(x + y) = inv(x) +
+    # inv(y) componentwise); None if the oracle has none.  x <= y forces
+    # inv(x) <= inv(y) componentwise and x = y forces inv(x) = inv(y); the lab's
+    # pairwise sweeps skip the pairs this refutes, as they do with the state.
+    invariants: Callable | None = None
     extended_elements: Callable | None = None  # larger candidate pool for decompositions
     exact: bool = False  # canonical hashable elements, decisions never Unknown
     key: Callable | None = None  # canonical hash key (exact oracles only)
@@ -71,6 +88,12 @@ def ladder_oracle(level: int) -> MonoidOracle:
             total += Fraction(k, 2**l)
         return total
 
+    def invariants(e: wild.LadderElem) -> tuple[int, ...]:
+        # the x-count and the rungs a_1..a_level; raising keeps the rungs it
+        # finds and canonical lowering drops a top rung that raising restores
+        m, _, _, rungs = e.raised(max(level, e.level))
+        return (m, *rungs[:level])
+
     return MonoidOracle(
         name=f"ladder(level={level})",
         zero=wild.LadderElem.zero(),
@@ -80,6 +103,7 @@ def ladder_oracle(level: int) -> MonoidOracle:
         elements=lambda d: wild.enumerate_ladder(level, d),
         refine=refine,
         positive_state=state,
+        invariants=invariants,
         extended_elements=lambda d: wild.enumerate_ladder(level + 2, d),
         exact=True,
         key=lambda e: e,
@@ -89,7 +113,7 @@ def ladder_oracle(level: int) -> MonoidOracle:
 def bar_oracle(level: int) -> MonoidOracle:
     """Exact oracle for the bar monoid.  Deliberately has no positive state:
     the monoid is not archimedean, and stable finiteness is established by
-    exhaustive sweep instead."""
+    exhaustive sweep instead.  Its one invariant is the xbar count."""
 
     def refine(a, b, c, d):
         return Decision.holds(witness=wild.bar_refine(a, b, c, d), note="exact refinement")
@@ -102,6 +126,7 @@ def bar_oracle(level: int) -> MonoidOracle:
         leq=_exact_leq(wild.BarElem.leq),
         elements=lambda d: wild.enumerate_bar(level, d),
         refine=refine,
+        invariants=lambda e: (e.k,),
         extended_elements=lambda d: wild.enumerate_bar(level + 2, d),
         exact=True,
         key=lambda e: e,
@@ -136,6 +161,7 @@ def free_oracle(rank: int) -> MonoidOracle:
         elements=lambda d: list(compositions(rank, d)),
         refine=refine,
         positive_state=lambda x: Fraction(sum(x)),
+        invariants=lambda x: x,
         exact=True,
         key=lambda e: e,
     )

@@ -21,6 +21,12 @@ and two such representations at the same level denote the same element iff
 (m = m' = 0, i = i', j = j', k = k') or (m = m' > 0, i + j = i' + j', k = k').
 We store the unique canonical representative: j is folded into i whenever
 m > 0, and the level is lowered greedily by inverting the raising rules.
+
+Order, equality and addition work at the higher of the two operands'
+levels.  Raising never changes m (in the bar monoid, the xbar count k), so
+that is compared first; then only the lower-level operand is raised, inline
+and one rung at a time, so that a comparison can stop at the first rung that
+settles it, and a complement is built only once the order holds.
 Everything here is validated against the bounded rewriting oracle on the
 truncated presentations (see tests); the order criterion and the congruence
 closed forms are derived, not taken on faith.
@@ -130,13 +136,8 @@ class LadderElem:
         """
         if target < self.level:
             raise ValueError("target level below stored level")
-        if target == self.level:
-            return self.m, self.i, self.j, self.rungs
-        m, i, j, rungs = self.m, self.i, self.j, self.rungs
-        for _ in range(target - self.level):
-            rungs += (i + j,)
-            i = m + i
-        return m, i, j, rungs
+        i, rungs = _raise(self.m, self.i, self.j, self.rungs, target - self.level)
+        return self.m, i, self.j, rungs
 
     def raise_to(self, target: int) -> "RawLadder":
         m, i, j, rungs = self.raised(target)
@@ -149,21 +150,33 @@ class LadderElem:
         return self.degree() == 0
 
     def equal(self, other: "LadderElem") -> bool:
-        """Raise-and-compare equality (agrees with canonical-form identity)."""
-        n = max(self.level, other.level)
-        m1, i1, j1, k1 = self.raised(n)
-        m2, i2, j2, k2 = other.raised(n)
-        if m1 != m2 or k1 != k2:
+        """Raise-and-compare equality (agrees with canonical-form identity).
+
+        Raising never changes m, so it is compared first; then the lower-level
+        operand's rungs are raised one level at a time against the other's.
+        """
+        m = self.m
+        if m != other.m:
             return False
-        if m1 == 0:
-            return i1 == i2 and j1 == j2
-        return i1 + j1 == i2 + j2
+        lo, hi = (self, other) if self.level <= other.level else (other, self)
+        n, k = lo.level, hi.rungs
+        if lo.rungs != k[:n]:
+            return False
+        i, j = lo.i, lo.j
+        for l in range(n, hi.level):
+            if k[l] != i + j:
+                return False
+            i += m
+        if m == 0:
+            return i == hi.i and j == hi.j
+        return i + j == hi.i + hi.j
 
     def add(self, other: "LadderElem") -> "LadderElem":
-        n = max(self.level, other.level)
-        m1, i1, j1, k1 = self.raised(n)
-        m2, i2, j2, k2 = other.raised(n)
-        return LadderElem.make(n, m1 + m2, i1 + i2, j1 + j2, tuple(map(operator.add, k1, k2)))
+        lo, hi = (self, other) if self.level <= other.level else (other, self)
+        i, k = _raise(lo.m, lo.i, lo.j, lo.rungs, hi.level - lo.level)
+        return LadderElem.make(
+            hi.level, lo.m + hi.m, i + hi.i, lo.j + hi.j, tuple(map(operator.add, k, hi.rungs))
+        )
 
     def scale(self, c: int) -> "LadderElem":
         if c < 0:
@@ -177,29 +190,53 @@ class LadderElem:
         Derived criterion (validated against complement search on truncations):
         at the common level, m1 <= m2, rung coefficients componentwise <=, and
         i1 + j1 <= i2 + j2 when m2 > 0, respectively i1 <= i2 and j1 <= j2 when
-        m2 = 0.  Raising never changes m, so m1 > m2 is settled before it.
+        m2 = 0.  Raising never changes m, so m1 > m2 is settled before it; the
+        rungs are compared as the lower-level operand is raised, and the
+        complement is built only when the answer is yes.
         """
-        if self.m > other.m:
+        m1, m2 = self.m, other.m
+        if m1 > m2:
             return None
-        n = max(self.level, other.level)
-        m1, i1, j1, k1 = self.raised(n)
-        m2, i2, j2, k2 = other.raised(n)
-        dk = tuple(map(operator.sub, k2, k1))
-        if dk and min(dk) < 0:
-            return None
+        k1, k2 = self.rungs, other.rungs
+        for p, q in zip(k1, k2):
+            if p > q:
+                return None
+        i1, j1, i2, j2 = self.i, self.j, other.i, other.j
+        n1, n2 = self.level, other.level
+        for l in range(n1, n2):  # raise self
+            if i1 + j1 > k2[l]:
+                return None
+            i1 += m1
+        for l in range(n2, n1):  # raise other
+            if k1[l] > i2 + j2:
+                return None
+            i2 += m2
         if m2 == 0:
-            if m1 == 0 and i1 <= i2 and j1 <= j2:
-                return LadderElem.make(n, 0, i2 - i1, j2 - j1, dk)
+            if m1 or i1 > i2 or j1 > j2:
+                return None
+        elif i1 + j1 > i2 + j2:
             return None
-        if m1 <= m2 and i1 + j1 <= i2 + j2:
-            return LadderElem.make(n, m2 - m1, i2 + j2 - i1 - j1, 0, dk)
-        return None
+        _, k1 = _raise(m1, self.i, j1, k1, n2 - n1)
+        _, k2 = _raise(m2, other.i, j2, k2, n1 - n2)
+        n, dk = max(n1, n2), tuple(map(operator.sub, k2, k1))
+        if m2 == 0:
+            return LadderElem.make(n, 0, i2 - i1, j2 - j1, dk)
+        return LadderElem.make(n, m2 - m1, i2 + j2 - i1 - j1, 0, dk)
 
     def format(self) -> str:
         return _format(self.level, self.m, self.i, self.j, self.rungs, names=("x", "y", "z", "a"))
 
     def __str__(self) -> str:
         return self.format()
+
+
+def _raise(m: int, i: int, j: int, rungs: tuple[int, ...], steps: int) -> tuple[int, tuple[int, ...]]:
+    """(i, rungs) of m*x_n + i*y_n + j*z_n + rungs raised `steps` levels: each
+    step appends the rung i + j and adds m to i (m and j never change)."""
+    for _ in range(steps):
+        rungs += (i + j,)
+        i += m
+    return i, rungs
 
 
 @dataclass(frozen=True)
@@ -278,20 +315,22 @@ class BarElem:
         return self.degree() == 0
 
     def equal(self, other: "BarElem") -> bool:
-        n = max(self.level, other.level)
-        i1, j1, k1 = self.raised(n)
-        i2, j2, k2 = other.raised(n)
-        if k1 != k2:
+        k = self.k
+        if k != other.k:
             return False
-        if k1 == 0:
-            return i1 == i2 and j1 == j2
-        return i1 + j1 == i2 + j2
+        i1, i2 = self.i, other.i  # raise the lower-level operand's ybar count
+        if self.level < other.level:
+            i1 += k * (other.level - self.level)
+        else:
+            i2 += k * (self.level - other.level)
+        if k == 0:
+            return i1 == i2 and self.j == other.j
+        return i1 + self.j == i2 + other.j
 
     def add(self, other: "BarElem") -> "BarElem":
-        n = max(self.level, other.level)
-        i1, j1, k1 = self.raised(n)
-        i2, j2, k2 = other.raised(n)
-        return BarElem.make(n, i1 + i2, j1 + j2, k1 + k2)
+        lo, hi = (self, other) if self.level <= other.level else (other, self)
+        i = lo.i + lo.k * (hi.level - lo.level)
+        return BarElem.make(hi.level, i + hi.i, lo.j + hi.j, lo.k + hi.k)
 
     def scale(self, c: int) -> "BarElem":
         if c < 0:
@@ -302,26 +341,30 @@ class BarElem:
         """Derived order criterion: with k = xbar coefficient, self <= other iff
         k1 < k2, or k1 = k2 > 0 with i1 + j1 <= i2 + j2 (at a common level),
         or k1 = k2 = 0 with i1 <= i2 and j1 <= j2.  Raising never changes k,
-        so k1 > k2 is settled before it."""
-        if self.k > other.k:
+        so k1 > k2 is settled before it; only the lower-level operand's ybar
+        count is raised."""
+        k1, k2 = self.k, other.k
+        if k1 > k2:
             return None
-        n = max(self.level, other.level)
-        i1, j1, k1 = self.raised(n)
-        i2, j2, k2 = other.raised(n)
+        i1, j1, i2, j2 = self.i, self.j, other.i, other.j
+        n1, n2 = self.level, other.level
+        if n1 < n2:
+            i1 += k1 * (n2 - n1)
+        else:
+            i2 += k2 * (n1 - n2)
         if k2 == 0:
             if i1 <= i2 and j1 <= j2:
                 return BarElem.make(0, i2 - i1, j2 - j1, 0)
             return None
+        n = max(n1, n2)
         if k1 == k2:
             if i1 + j1 <= i2 + j2:
                 return BarElem.make(n, i2 + j2 - i1 - j1, 0, 0)
             return None
-        # k1 < k2: raise until the y/z budget of `other` catches up
+        # k1 < k2: raise t more levels, until the y/z budget of `other` catches up
         gap = (i1 + j1) - (i2 + j2)
         t = 0 if gap <= 0 else -(-gap // (k2 - k1))
-        i1t, j1t, _ = self.raised(n + t)
-        i2t, j2t, _ = other.raised(n + t)
-        return BarElem.make(n + t, (i2t + j2t) - (i1t + j1t), 0, k2 - k1)
+        return BarElem.make(n + t, (i2 + j2 - i1 - j1) + (k2 - k1) * t, 0, k2 - k1)
 
     def format(self) -> str:
         return _format(self.level, self.k, self.i, self.j, None, names=("xbar", "ybar", "zbar", None))

@@ -82,6 +82,29 @@ def test_ladder_state_is_additive_and_positive(ladder):
             assert ladder.positive_state(x) > 0
 
 
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("family", ["ladder", "bar"])
+def test_invariants_are_additive_and_monotone(family, level, c):
+    """On every pair of c-fold multiples: inv(x + y) = inv(x) + inv(y), and x <= y
+    forces inv(x) <= inv(y) componentwise.  A raw representation one level up,
+    equal to its canonical form, has the same inv."""
+    if family == "ladder":
+        o, E = ladder_oracle(level), [e.scale(c) for e in wild.enumerate_ladder(level, 4)]
+        raw = [LadderElem(level + 1, *e.raised(level + 1)) for e in E]
+    else:
+        o, E = bar_oracle(level), [e.scale(c) for e in wild.enumerate_bar(level, 5)]
+        raw = [BarElem(level + 1, *e.raised(level + 1)) for e in E]
+    inv = [o.invariants(x) for x in E]
+    for x, r, ix in zip(E, raw, inv):
+        assert o.equal(x, r).is_holds and o.invariants(r) == ix, x
+    for x, ix in zip(E, inv):
+        for y, iy in zip(E, inv):
+            assert o.invariants(o.add(x, y)) == tuple(map(operator.add, ix, iy)), (x, y)
+            if o.leq(x, y).is_holds:
+                assert all(map(operator.le, ix, iy)), (x, y)
+
+
 def test_bar_oracle_has_no_state(bar):
     assert bar.positive_state is None
 
@@ -394,8 +417,7 @@ _PINNED_PRIMITIVE = [
     ("prim-chain", "unperforated", "holds", _EXHAUSTIVE, None),
     ("prim-chain", "antisymmetric", "holds", _EXHAUSTIVE, None),
     ("prim-chain", "archimedean", "fails", "n*x <= y for all tested n with x nonzero", ("q", "r", "6")),
-    ("prim-chain", "refinement", "fails", "no refinement with all four parts at bound",
-     ("q", "2*p", "q", "0")),
+    ("prim-chain", "refinement", "holds", "100 sampled equations refined", None),
     ("prim-chain", "riesz-decomposition", "holds", "25 sampled instances decomposed", None),
     ("prim-chain", "riesz-interpolation", "holds", "25 sampled instances interpolated", None),
     ("prim-chain", "wildness", "unknown", "no wildness evidence at bound (consistent with tame)", None),
@@ -419,8 +441,25 @@ def test_primitive_lab_pinned(poset, check, verdict, note, counterexample):
     assert rep.witnesses == [x for x in dec.counterexample or () if not isinstance(x, int)]
 
 
-# -- state pruning in the pairwise sweeps: a pair whose states rule out every
-# tested hypothesis is skipped, so the report must be the unpruned one
+def test_search_refine_tries_every_z21():
+    """In prim-chain (p < q < r), q + 2p = q + 0 refines only as ((q, 0), (2p, 0)):
+    the complement of q <= q is 0, and 0 + 2p != q + 0, so z21 = 2p must be
+    found by the second pass."""
+    o = primitive_oracle(_POSETS["prim-chain"], "prim-chain")
+    p, q = (normalize(_POSETS["prim-chain"], {name: 1}) for name in "pq")
+    a, bb, c, d = q, o.add(p, p), q, o.zero
+    assert o.equal(o.add(a, bb), o.add(c, d)).is_holds
+    dec = lab.search_refine(o, a, bb, c, d, SearchBound(max_degree=2, max_coefficient=3))
+    assert dec.is_holds and dec.note == "searched refinement"
+    (z11, z12), (z21, z22) = dec.witness
+    sums = ((z11, z12, a), (z21, z22, bb), (z11, z21, c), (z12, z22, d))
+    assert all(o.equal(o.add(u, v), want).is_holds for u, v, want in sums)
+    assert not o.equal(z21, o.leq(z11, c).witness).is_holds  # not the canonical complement
+
+
+# -- order keys in the pairwise sweeps: a pair whose state or invariants rule
+# out every tested hypothesis is skipped, so the report must be the unpruned
+# one
 
 _PRUNED = (lab.UNPERFORATED, lab.STRONGLY_SEPARATIVE, lab.ANTISYMMETRIC)
 _B4 = SearchBound(max_degree=4, max_coefficient=3)
@@ -432,13 +471,13 @@ def _report(o, prop, b):
 
 
 def _stateless(o):
-    return dataclasses.replace(o, positive_state=None)
+    return dataclasses.replace(o, positive_state=None, invariants=None)
 
 
 def _degree_oracle(name, zero, add, elements, degree):
-    """Exact oracle over canonical elements whose state is the degree; x <= y
-    is decided by searching the complement among elements of degree
-    degree(y) - degree(x)."""
+    """Exact oracle over canonical elements whose state and one invariant are
+    the degree; x <= y is decided by searching the complement among elements
+    of degree degree(y) - degree(x)."""
 
     def leq(x, y):
         d = degree(y) - degree(x)
@@ -453,6 +492,7 @@ def _degree_oracle(name, zero, add, elements, degree):
         leq=leq,
         elements=elements,
         positive_state=degree,
+        invariants=lambda x: (degree(x),),
         exact=True,
         key=lambda e: e,
     )
@@ -485,12 +525,18 @@ def _square():
     return _pq_oracle("<a,b|2a=2b>", lambda p, q: (p % 2, p + q - p % 2))
 
 
-@pytest.mark.parametrize("make", [lambda: ladder_oracle(2), lambda: free_oracle(3)])
+@pytest.mark.parametrize("make", [lambda: ladder_oracle(2), lambda: free_oracle(3), lambda: bar_oracle(3)])
 @pytest.mark.parametrize("b", [B, _B4])
 @pytest.mark.parametrize("prop", _PRUNED)
 def test_state_pruning_keeps_the_report(make, b, prop):
     o = make()
-    assert _report(o, prop, b) == _report(_stateless(o), prop, b)
+    got, want = _report(o, prop, b), _report(_stateless(o), prop, b)
+    if prop == lab.ANTISYMMETRIC and o.positive_state is not None:
+        # the state certifies antisymmetry; only the note differs from the sweep
+        assert got[0].note == "positive state certificate"
+        assert (got[0].verdict, got[1]) == (want[0].verdict, want[1])
+    else:
+        assert got == want
 
 
 @pytest.mark.parametrize(
@@ -509,8 +555,18 @@ def test_state_pruning_keeps_small_counterexamples(make, prop, counterexample):
     rep = _report(o, prop, _B4)
     assert rep[0].is_fails and rep[0].counterexample == counterexample
     assert rep == _report(_stateless(o), prop, _B4)
-    for p in _PRUNED:
+    for p in (lab.UNPERFORATED, lab.STRONGLY_SEPARATIVE):
         assert _report(o, p, _B4) == _report(_stateless(o), p, _B4)
+
+
+@pytest.mark.parametrize("make", [lambda: ladder_oracle(2), lambda: free_oracle(3), _numerical_2_3, _mixing, _square])
+@pytest.mark.parametrize("b", [B, _B4])
+def test_antisymmetric_state_certificate_matches_the_sweep(make, b):
+    o = make()
+    cert, sweep = _report(o, lab.ANTISYMMETRIC, b), _report(_stateless(o), lab.ANTISYMMETRIC, b)
+    assert cert[0].note == "positive state certificate"
+    assert sweep[0].note == "exhaustive at bound"
+    assert cert[0].verdict == sweep[0].verdict == "holds"
 
 
 def test_state_pruning_saves_leq_calls():

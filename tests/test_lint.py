@@ -56,3 +56,50 @@ def test_no_fstring_without_placeholder(path):
         and not any(isinstance(v, ast.FormattedValue) for v in n.values)
     ]
     assert not bare
+
+
+def test_no_unreferenced_private_definitions():
+    """Every module-level `_name` function or class is referenced somewhere in
+    the package outside its own body, by name or as a module attribute."""
+    statements = [(path, node) for path in SOURCES for node in _tree(path).body]
+    names = {}
+    for _, node in statements:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                names.setdefault(n.id, set()).add(id(node))
+            elif isinstance(n, ast.Attribute):
+                names.setdefault(n.attr, set()).add(id(node))
+    dead = sorted(
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, node in statements
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and not names.get(node.name, set()) - {id(node)}
+    )
+    assert not dead
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_locals(path):
+    """No function assigns a local name that nothing in it reads.  Targets of
+    tuple unpacking and names starting with `_` are exempt."""
+    found = set()
+    for fn in ast.walk(_tree(path)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        nodes = list(ast.walk(fn))
+        read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {name for n in nodes if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
+        for n in nodes:
+            if isinstance(n, ast.Assign):
+                targets = n.targets
+            elif isinstance(n, (ast.AnnAssign, ast.NamedExpr)) and n.value is not None:
+                targets = [n.target]
+            else:
+                continue
+            for t in targets:
+                if isinstance(t, ast.Name) and not t.id.startswith("_") and t.id not in read:
+                    found.add(f"{path.name}:{t.lineno} {t.id}")
+    unread = sorted(found)
+    assert not unread

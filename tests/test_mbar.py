@@ -155,6 +155,39 @@ def test_leq_matches_reference_on_every_pair(c):
             assert e1.leq(e2) == _ref_leq(e1, e2), (e1, e2)
 
 
+def _ref_equal(e1, e2):
+    """Equality as first written: raise both sides, then compare."""
+    n = max(e1.level, e2.level)
+    i1, j1, k1 = e1.raised(n)
+    i2, j2, k2 = e2.raised(n)
+    if k1 != k2:
+        return False
+    if k1 == 0:
+        return i1 == i2 and j1 == j2
+    return i1 + j1 == i2 + j2
+
+
+def _ref_add(e1, e2):
+    n = max(e1.level, e2.level)
+    i1, j1, k1 = e1.raised(n)
+    i2, j2, k2 = e2.raised(n)
+    return BarElem.make(n, i1 + i2, j1 + j2, k1 + k2)
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_kernels_match_reference_with_raw_operands(c):
+    """Every pair of the c-fold multiples of enumerate_bar(3, 5), each also as a
+    raw representation at level 4, gets the reference's equality, order and
+    sum, so the raising of either operand is exercised."""
+    E = [e.scale(c) for e in wild.enumerate_bar(3, 5)]
+    E += [BarElem(4, *e.raised(4)) for e in E]
+    for e1 in E:
+        for e2 in E:
+            assert e1.equal(e2) == _ref_equal(e1, e2), (e1, e2)
+            assert e1.leq(e2) == _ref_leq(e1, e2), (e1, e2)
+            assert e1.add(e2) == _ref_add(e1, e2), (e1, e2)
+
+
 # -- refinement
 
 

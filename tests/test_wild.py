@@ -213,6 +213,32 @@ def test_leq_and_add_match_reference_on_every_pair(c):
             assert e1.add(e2) == _ref_add(e1, e2), (e1, e2)
 
 
+def _ref_equal(e1, e2):
+    """Equality as first written: raise both sides, then compare."""
+    n = max(e1.level, e2.level)
+    m1, i1, j1, k1 = _ref_raised(e1, n)
+    m2, i2, j2, k2 = _ref_raised(e2, n)
+    if m1 != m2 or k1 != k2:
+        return False
+    if m1 == 0:
+        return i1 == i2 and j1 == j2
+    return i1 + j1 == i2 + j2
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_kernels_match_reference_with_raw_operands(c):
+    """Every pair of the c-fold multiples of enumerate_ladder(2, 4), each also
+    as a raw representation at level 3, gets the reference's equality, order
+    and sum, so the raising of either operand is exercised."""
+    E = [e.scale(c) for e in wild.enumerate_ladder(2, 4)]
+    E += [LadderElem(3, *e.raised(3)) for e in E]
+    for e1 in E:
+        for e2 in E:
+            assert e1.equal(e2) == _ref_equal(e1, e2), (e1, e2)
+            assert e1.leq(e2) == _ref_leq(e1, e2), (e1, e2)
+            assert e1.add(e2) == _ref_add(e1, e2), (e1, e2)
+
+
 # -- refinement
 
 
