@@ -83,7 +83,8 @@ class PropertyReport:
 
 
 class _Sweep:
-    """Accumulates Unknown verdicts during an exhaustive pass."""
+    """Counts the Unknown verdicts of an exhaustive pass or a witness search,
+    and closes it with them."""
 
     def __init__(self) -> None:
         self.unknowns = 0
@@ -100,6 +101,18 @@ class _Sweep:
             return Decision.unknown(b, note=f"{note}; {self.unknowns} unknown oracle verdicts")
         return Decision.holds(note=note)
 
+    def exhausted(self, b: SearchBound, note: str, unknown_note: str = "") -> Decision:
+        """Close an existential search that found no witness: Fails with
+        `note` when no verdict was Unknown, else Unknown at the bound."""
+        if self.unknowns:
+            return Decision.unknown(b, note=unknown_note)
+        return Decision.fails(note=note)
+
+
+# Properties a positive state certifies outright (see the module docstring);
+# archimedean can be certified no other way.
+_STATE_CERTIFIED = {CONICAL, STABLY_FINITE, ANTISYMMETRIC, ARCHIMEDEAN}
+
 
 def check_property(
     o: MonoidOracle,
@@ -110,8 +123,10 @@ def check_property(
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property id {prop!r}")
     t0 = time.monotonic()
-    fn = _CHECKERS[prop]
-    verdict, witnesses = fn(o, b, samples)
+    if prop in _STATE_CERTIFIED and o.positive_state is not None:
+        verdict, witnesses = Decision.holds(note="positive state certificate"), []
+    else:
+        verdict, witnesses = _CHECKERS[prop](o, b, samples)
     return PropertyReport(prop, verdict, witnesses, b, time.monotonic() - t0)
 
 
@@ -155,8 +170,6 @@ def _partners(o: MonoidOracle, E, same: bool) -> list:
 
 
 def _check_conical(o, b, samples):
-    if o.positive_state is not None:
-        return Decision.holds(note="positive state certificate"), []
     E = _elems(o, b)
     sw = _Sweep()
     for x in E:
@@ -175,8 +188,6 @@ def _check_conical(o, b, samples):
 
 
 def _check_stably_finite(o, b, samples):
-    if o.positive_state is not None:
-        return Decision.holds(note="positive state certificate"), []
     E = _elems(o, b)
     sw = _Sweep()
     for x in E:
@@ -302,8 +313,6 @@ def _check_unperforated(o, b, samples):
 
 
 def _check_antisymmetric(o, b, samples):
-    if o.positive_state is not None:
-        return Decision.holds(note="positive state certificate"), []
     E = _elems(o, b)
     partners = _partners(o, E, same=True)  # x <= y <= x gives key(x) = key(y)
     sw = _Sweep()
@@ -324,8 +333,6 @@ def _check_antisymmetric(o, b, samples):
 
 
 def _check_archimedean(o, b, samples):
-    if o.positive_state is not None:
-        return Decision.holds(note="positive state certificate"), []
     E = _elems(o, b)
     sw = _Sweep()
     # refutation needs n well past the degree bound, or small-y artifacts
@@ -410,9 +417,7 @@ def search_refine(o: MonoidOracle, a, bb, c, d, b: SearchBound) -> Decision:
                 dec = closed(z11, z12, z21)
                 if dec is not None:
                     return dec
-    if sw.unknowns:
-        return Decision.unknown(b, note="refinement search inconclusive")
-    return Decision.fails(note="no refinement with all four parts at bound")
+    return sw.exhausted(b, "no refinement with all four parts at bound", "refinement search inconclusive")
 
 
 def _check_refinement(o, b, samples):
@@ -530,29 +535,18 @@ def irreducibles(o: MonoidOracle, b: SearchBound):
     for x in E:
         if o.is_zero(x).is_holds:
             continue
+        sw = _Sweep()
         # x = x + x is a decomposition the a != x scan below cannot see
-        idem = o.equal(o.add(x, x), x)
-        if idem.is_holds:
+        if sw.definite(o.equal(o.add(x, x), x)):
             continue
-        verdict = None if idem.is_unknown else True
         for a in pool:
-            la = o.leq(a, x)
-            if la.is_unknown:
-                verdict = None
-                continue
-            if not la.is_holds:
-                continue
-            eq = o.equal(a, x)
-            if eq.is_unknown:
-                verdict = None
-            elif not eq.is_holds:
-                verdict = False
-                break
-        if verdict is True:
-            if not any(o.equal(x, y).is_holds for y in found):
+            if sw.definite(o.leq(a, x)) and sw.definite(o.equal(a, x)) is False:
+                break  # x = a + complement
+        else:
+            if sw.exhausted(b, "no decomposition at bound").is_unknown:
+                unknown.append(x)
+            elif not any(o.equal(x, y).is_holds for y in found):
                 found.append(x)
-        elif verdict is None:
-            unknown.append(x)
     return found, unknown
 
 
@@ -571,16 +565,11 @@ def o_ideal_closure(o: MonoidOracle, gens, b: SearchBound):
         combos = [o.add(c, gn) for c in combos for gn in gs]
 
     def member(x) -> Decision:
-        unknowns = 0
+        sw = _Sweep()
         for s in combos:
-            dec = o.leq(x, s)
-            if dec.is_holds:
+            if sw.definite(o.leq(x, s)):
                 return Decision.holds(witness=s, note="below a generator combination")
-            if dec.is_unknown:
-                unknowns += 1
-        if unknowns:
-            return Decision.unknown(b)
-        return Decision.fails(note=f"not below any of {len(combos)} combinations at bound")
+        return sw.exhausted(b, f"not below any of {len(combos)} combinations at bound")
 
     return member
 
@@ -588,25 +577,14 @@ def o_ideal_closure(o: MonoidOracle, gens, b: SearchBound):
 def quotient_equal(o: MonoidOracle, member, x, y, b: SearchBound) -> Decision:
     """x == y modulo the o-ideal given by `member`: bounded search for ideal
     elements a, b with x + a = y + b."""
-    J = []
-    unknowns = 0
-    for e in _elems(o, b):
-        dec = member(e)
-        if dec.is_holds:
-            J.append(e)
-        elif dec.is_unknown:
-            unknowns += 1
+    sw = _Sweep()
+    J = [e for e in _elems(o, b) if sw.definite(member(e))]
     for a in J:
         xa = o.add(x, a)
         for bb in J:
-            dec = o.equal(xa, o.add(y, bb))
-            if dec.is_holds:
+            if sw.definite(o.equal(xa, o.add(y, bb))):
                 return Decision.holds(witness=(a, bb), note="ideal shift found")
-            if dec.is_unknown:
-                unknowns += 1
-    if unknowns:
-        return Decision.unknown(b)
-    return Decision.fails(note="no ideal shift at bound")
+    return sw.exhausted(b, "no ideal shift at bound")
 
 
 def max_antisym_equal(o: MonoidOracle, x, y, b: SearchBound) -> Decision:
@@ -622,16 +600,11 @@ def max_antisym_equal(o: MonoidOracle, x, y, b: SearchBound) -> Decision:
 def max_cancel_equal(o: MonoidOracle, x, y, b: SearchBound) -> Decision:
     """Congruence of the maximal cancellative quotient: x ~ y iff x+z = y+z
     for some z (bounded search)."""
-    unknowns = 0
+    sw = _Sweep()
     for z in _elems(o, b):
-        dec = o.equal(o.add(x, z), o.add(y, z))
-        if dec.is_holds:
+        if sw.definite(o.equal(o.add(x, z), o.add(y, z))):
             return Decision.holds(witness=z)
-        if dec.is_unknown:
-            unknowns += 1
-    if unknowns:
-        return Decision.unknown(b)
-    return Decision.fails(note="no cancelling element at bound")
+    return sw.exhausted(b, "no cancelling element at bound")
 
 
 def wildness_certificate(o: MonoidOracle, b: SearchBound, samples: int = 200) -> PropertyReport:

@@ -52,9 +52,14 @@ class MonoidOracle:
     # pairwise sweeps skip the pairs this refutes, as they do with the state.
     invariants: Callable | None = None
     extended_elements: Callable | None = None  # larger candidate pool for decompositions
-    exact: bool = False  # canonical hashable elements, decisions never Unknown
     key: Callable | None = None  # canonical hash key (exact oracles only)
     fmt: Callable = str
+
+    @property
+    def exact(self) -> bool:
+        """Canonical hashable elements, decisions never Unknown: the oracles
+        that have a key."""
+        return self.key is not None
 
     def is_zero(self, x) -> Decision:
         return self.equal(x, self.zero)
@@ -77,6 +82,8 @@ def _exact_leq(leq):
 
 def ladder_oracle(level: int) -> MonoidOracle:
     """Exact oracle for the ladder monoid, elements enumerated up to `level`."""
+    if level < 1:
+        raise ValueError("truncation level must be >= 1")
 
     def refine(a, b, c, d):
         return Decision.holds(witness=wild.ladder_refine(a, b, c, d), note="exact refinement")
@@ -105,7 +112,6 @@ def ladder_oracle(level: int) -> MonoidOracle:
         positive_state=state,
         invariants=invariants,
         extended_elements=lambda d: wild.enumerate_ladder(level + 2, d),
-        exact=True,
         key=lambda e: e,
     )
 
@@ -114,6 +120,8 @@ def bar_oracle(level: int) -> MonoidOracle:
     """Exact oracle for the bar monoid.  Deliberately has no positive state:
     the monoid is not archimedean, and stable finiteness is established by
     exhaustive sweep instead.  Its one invariant is the xbar count."""
+    if level < 1:
+        raise ValueError("truncation level must be >= 1")
 
     def refine(a, b, c, d):
         return Decision.holds(witness=wild.bar_refine(a, b, c, d), note="exact refinement")
@@ -128,14 +136,14 @@ def bar_oracle(level: int) -> MonoidOracle:
         refine=refine,
         invariants=lambda e: (e.k,),
         extended_elements=lambda d: wild.enumerate_bar(level + 2, d),
-        exact=True,
         key=lambda e: e,
     )
 
 
 def free_oracle(rank: int) -> MonoidOracle:
     """The free commutative monoid of the given rank, as integer tuples."""
-
+    if rank < 0:
+        raise ValueError("rank must be >= 0")
     zero = (0,) * rank
 
     def leq(x, y):
@@ -162,7 +170,6 @@ def free_oracle(rank: int) -> MonoidOracle:
         refine=refine,
         positive_state=lambda x: Fraction(sum(x)),
         invariants=lambda x: x,
-        exact=True,
         key=lambda e: e,
     )
 
@@ -175,7 +182,6 @@ def primitive_oracle(poset: primitive.PrimePoset, name: str = "prim") -> MonoidO
         equal=_exact_equal(primitive.prim_equal),
         leq=_exact_leq(primitive.prim_leq),
         elements=lambda d: primitive.enumerate_elements(poset, d),
-        exact=True,
         key=lambda e: e.coeffs,
     )
 
@@ -203,6 +209,5 @@ def presentation_oracle(
         leq=lambda x, y: decide_leq(p, x, y, bound, cache),
         elements=elements,
         refine=lambda a, b, c, d: find_refinement(p, a, b, c, d, bound, certs, cache),
-        exact=False,
         fmt=lambda w: w.format(p.gens),
     )

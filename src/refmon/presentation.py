@@ -21,9 +21,6 @@ class Relation:
     lhs: Word
     rhs: Word
 
-    def is_trivial(self) -> bool:
-        return self.lhs == self.rhs
-
     def format(self, gens: GeneratorSet) -> str:
         return f"{self.lhs.format(gens)} = {self.rhs.format(gens)}"
 

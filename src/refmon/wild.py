@@ -139,10 +139,6 @@ class LadderElem:
         i, rungs = _raise(self.m, self.i, self.j, self.rungs, target - self.level)
         return self.m, i, self.j, rungs
 
-    def raise_to(self, target: int) -> "RawLadder":
-        m, i, j, rungs = self.raised(target)
-        return RawLadder(target, m, i, j, rungs)
-
     def degree(self) -> int:
         return self.m + self.i + self.j + sum(self.rungs)
 
@@ -239,19 +235,16 @@ def _raise(m: int, i: int, j: int, rungs: tuple[int, ...], steps: int) -> tuple[
     return i, rungs
 
 
+# Nothing here constructs it; kept until perfbench/tracing.py stops patching it.
 @dataclass(frozen=True)
 class RawLadder:
-    """A (possibly non-canonical) leveled representation; plumbing for refine
-    and word conversion."""
+    """A (possibly non-canonical) leveled representation."""
 
     level: int
     m: int
     i: int
     j: int
     rungs: tuple[int, ...]
-
-    def elem(self) -> LadderElem:
-        return LadderElem.make(self.level, self.m, self.i, self.j, self.rungs)
 
 
 # ---------------------------------------------------------------------------
@@ -460,68 +453,53 @@ def _refine_triples(p1, p2, q1, q2):
     return 0, (mat[0][0], mat[0][1], mat[1][0], mat[1][1])
 
 
-def ladder_refine(a: LadderElem, b: LadderElem, c: LadderElem, d: LadderElem):
-    """Total refinement in the ladder monoid: a + b = c + d yields a 2x2 matrix
-    of elements whose rows sum to a, b and columns to c, d.
+def _refine(a, b, c, d, coeffs, build):
+    """The refinement scheme both monoids share.
 
-    Follows the constructive proof that the monoid has refinement: split off
-    the rung parts (free refinement), raise the level until the mixed-case
-    formulas apply, and emit the matrix.  All four sums are re-verified.
+    `coeffs(e, n)` reads (m, i, j, rungs) of e raised to level n, m being the
+    x-count; `build(n, m, i, j, rungs)` makes the canonical element.  Follows
+    the constructive proof that the monoid has refinement: split off the rung
+    parts (free refinement, level by level), raise the level until the
+    mixed-case formulas apply, and emit the matrix.  All four sums are
+    re-verified.
     """
     if not a.add(b).equal(c.add(d)):
         raise ValueError("precondition a + b = c + d does not hold")
-    zero = LadderElem.zero()
+    zero = type(a).zero()
     if a.equal(c) and b.equal(d):
         return ((a, zero), (zero, b))
     if a.equal(d) and b.equal(c):
         return ((zero, a), (b, zero))
     n = max(e.level for e in (a, b, c, d))
     while True:
-        raws = [e.raise_to(n) for e in (a, b, c, d)]
-        triples = [(r.m, r.i, r.j) if r.m == 0 else (r.m, r.i + r.j, 0) for r in raws]
+        raised = [coeffs(e, n) for e in (a, b, c, d)]
+        triples = [(m, i, j) if m == 0 else (m, i + j, 0) for m, i, j, _ in raised]
         extra, mat = _refine_triples(*triples)
         if extra == 0:
             break
         n += extra
-    kvecs = [r.rungs for r in raws]
-    kmat = [[None, None], [None, None]]
-    for l in range(n):
-        z11, z12, z21, z22 = _min_refine(kvecs[0][l], kvecs[1][l], kvecs[2][l], kvecs[3][l])
-        for slot, val in zip(((0, 0), (0, 1), (1, 0), (1, 1)), (z11, z12, z21, z22)):
-            row, col = slot
-            cur = kmat[row][col] or ()
-            kmat[row][col] = cur + (val,)
-    entries = []
-    for s in range(4):
-        row, col = divmod(s, 2)
-        m, i, j = mat[s]
-        entries.append(LadderElem.make(n, m, i, j, kmat[row][col] or (0,) * n))
+    levels = zip(*(rungs for *_, rungs in raised))
+    parts = list(zip(*(_min_refine(*ks) for ks in levels))) or [()] * 4
+    entries = [build(n, *mat[s], parts[s]) for s in range(4)]
     matrix = ((entries[0], entries[1]), (entries[2], entries[3]))
     _verify_matrix(matrix, a, b, c, d)
     return matrix
+
+
+def ladder_refine(a: LadderElem, b: LadderElem, c: LadderElem, d: LadderElem):
+    """Total refinement in the ladder monoid: a + b = c + d yields a 2x2 matrix
+    of elements whose rows sum to a, b and columns to c, d."""
+    return _refine(a, b, c, d, LadderElem.raised, LadderElem.make)
 
 
 def bar_refine(a: BarElem, b: BarElem, c: BarElem, d: BarElem):
     """Total refinement in the bar monoid (same scheme, no rung parts)."""
-    if not a.add(b).equal(c.add(d)):
-        raise ValueError("precondition a + b = c + d does not hold")
-    zero = BarElem.zero()
-    if a.equal(c) and b.equal(d):
-        return ((a, zero), (zero, b))
-    if a.equal(d) and b.equal(c):
-        return ((zero, a), (b, zero))
-    n = max(e.level for e in (a, b, c, d))
-    while True:
-        raised = [e.raised(n) for e in (a, b, c, d)]
-        triples = [(k, i, j) if k == 0 else (k, i + j, 0) for i, j, k in raised]
-        extra, mat = _refine_triples(*triples)
-        if extra == 0:
-            break
-        n += extra
-    entries = [BarElem.make(n, i, j, k) for k, i, j in mat]
-    matrix = ((entries[0], entries[1]), (entries[2], entries[3]))
-    _verify_matrix(matrix, a, b, c, d)
-    return matrix
+
+    def coeffs(e: BarElem, n: int):
+        i, j, k = e.raised(n)
+        return k, i, j, ()
+
+    return _refine(a, b, c, d, coeffs, lambda n, k, i, j, _rungs: BarElem.make(n, i, j, k))
 
 
 def _verify_matrix(matrix, a, b, c, d) -> None:
@@ -621,31 +599,26 @@ def truncation_presentation(n: int, kind: str = "ladder") -> Presentation:
         names = ["x0", "y0", "z0"]
         for l in range(1, n + 1):
             names += [f"a{l}", f"x{l}", f"y{l}", f"z{l}"]
-        gi = {nm: ix for ix, nm in enumerate(names)}
-
-        def w(*pairs):
-            return Word.of([(gi[nm], c) for nm, c in pairs])
-
-        rels = [(w(("x0", 1), ("y0", 1)), w(("x0", 1), ("z0", 1)))]
+        rels = [(("x0", "y0"), ("x0", "z0"))]
         for l in range(n):
-            rels.append((w((f"y{l}", 1)), w((f"y{l+1}", 1), (f"a{l+1}", 1))))
-            rels.append((w((f"z{l}", 1)), w((f"z{l+1}", 1), (f"a{l+1}", 1))))
-            rels.append((w((f"x{l}", 1)), w((f"x{l+1}", 1), (f"y{l+1}", 1))))
-            rels.append((w((f"x{l}", 1)), w((f"x{l+1}", 1), (f"z{l+1}", 1))))
-        return make_presentation(f"ladder{n}", names, rels)
-    if kind == "bar":
+            rels.append(((f"y{l}",), (f"y{l+1}", f"a{l+1}")))
+            rels.append(((f"z{l}",), (f"z{l+1}", f"a{l+1}")))
+            rels.append(((f"x{l}",), (f"x{l+1}", f"y{l+1}")))
+            rels.append(((f"x{l}",), (f"x{l+1}", f"z{l+1}")))
+    elif kind == "bar":
         names = ["xbar0", "ybar0", "zbar0"] + [f"xbar{l}" for l in range(1, n + 1)]
-        gi = {nm: ix for ix, nm in enumerate(names)}
-
-        def w(*pairs):
-            return Word.of([(gi[nm], c) for nm, c in pairs])
-
-        rels = [(w(("xbar0", 1), ("ybar0", 1)), w(("xbar0", 1), ("zbar0", 1)))]
+        rels = [(("xbar0", "ybar0"), ("xbar0", "zbar0"))]
         for l in range(n):
-            rels.append((w((f"xbar{l}", 1)), w((f"xbar{l+1}", 1), ("ybar0", 1))))
-            rels.append((w((f"xbar{l}", 1)), w((f"xbar{l+1}", 1), ("zbar0", 1))))
-        return make_presentation(f"bar{n}", names, rels)
-    raise ValueError(f"unknown kind {kind!r}")
+            rels.append(((f"xbar{l}",), (f"xbar{l+1}", "ybar0")))
+            rels.append(((f"xbar{l}",), (f"xbar{l+1}", "zbar0")))
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    gi = {nm: ix for ix, nm in enumerate(names)}
+
+    def w(side):
+        return Word.of([(gi[nm], 1) for nm in side])
+
+    return make_presentation(f"{kind}{n}", names, [(w(lhs), w(rhs)) for lhs, rhs in rels])
 
 
 def ladder_word(e: LadderElem, n: int) -> Word:
@@ -663,31 +636,22 @@ def bar_word(e: BarElem, n: int) -> Word:
     return Word.of([(p.gens.index(f"xbar{n}"), k), (p.gens.index("ybar0"), i), (p.gens.index("zbar0"), j)])
 
 
+def _from_word(w: Word, n: int, kind: str, zero):
+    p = truncation_presentation(n, kind)
+    acc = zero
+    for idx, exp in w.exps:
+        name, digits = _TERM_RE.match(p.gens.names[idx]).group(2, 3)
+        acc = acc.add(_GENERATORS[name](int(digits)).scale(exp))
+    return acc
+
+
 def ladder_from_word(w: Word, n: int) -> LadderElem:
     """Interpret a word over the level-n truncation presentation as an element."""
-    p = truncation_presentation(n, "ladder")
-    acc = LadderElem.zero()
-    for idx, exp in w.exps:
-        name = p.gens.names[idx]
-        kind, lvl = name[0], int(name[1:])
-        gen = {"x": LadderElem.x, "y": LadderElem.y, "z": LadderElem.z, "a": LadderElem.a}[kind](lvl)
-        acc = acc.add(gen.scale(exp))
-    return acc
+    return _from_word(w, n, "ladder", LadderElem.zero())
 
 
 def bar_from_word(w: Word, n: int) -> BarElem:
-    p = truncation_presentation(n, "bar")
-    acc = BarElem.zero()
-    for idx, exp in w.exps:
-        name = p.gens.names[idx]
-        if name.startswith("xbar"):
-            gen = BarElem.xbar(int(name[4:]))
-        elif name == "ybar0":
-            gen = BarElem.ybar()
-        else:
-            gen = BarElem.zbar()
-        acc = acc.add(gen.scale(exp))
-    return acc
+    return _from_word(w, n, "bar", BarElem.zero())
 
 
 @lru_cache(maxsize=None)
@@ -763,6 +727,19 @@ def enumerate_bar(max_level: int, max_degree: int) -> list[BarElem]:
 _TERM_RE = re.compile(r"^(?:(\d+)\s*\*\s*)?([A-Za-z]+)(\d*)$")
 
 
+# generator name -> the generator of that name at a level index; ybar and zbar
+# exist only at index 0, which parse_elem checks
+_GENERATORS = {
+    "x": LadderElem.x,
+    "y": LadderElem.y,
+    "z": LadderElem.z,
+    "a": LadderElem.a,
+    "xbar": BarElem.xbar,
+    "ybar": lambda _: BarElem.ybar(),
+    "zbar": lambda _: BarElem.zbar(),
+}
+
+
 def parse_elem(text: str):
     """Parse `x0 + y0`, `3*a3`, `xbar2 + 2*ybar0`, `u`, `0` into an element.
 
@@ -782,28 +759,16 @@ def parse_elem(text: str):
         coeff = int(m.group(1)) if m.group(1) else 1
         name, digits = m.group(2), m.group(3)
         if name == "u" and not digits:
-            ladder_terms.append(LadderElem.unit().scale(coeff))
-            continue
-        if not digits:
+            gen = LadderElem.unit()
+        elif not digits:
             raise ValueError(f"generator {chunk!r} needs a level index")
-        lvl = int(digits)
-        if name in ("x", "y", "z", "a"):
-            gen = {"x": LadderElem.x, "y": LadderElem.y, "z": LadderElem.z, "a": LadderElem.a}[name](lvl)
-            ladder_terms.append(gen.scale(coeff))
-        elif name in ("xbar", "ybar", "zbar"):
-            if name == "xbar":
-                gen = BarElem.xbar(lvl)
-            elif name == "ybar":
-                if lvl != 0:
-                    raise ValueError("ybar only exists at index 0")
-                gen = BarElem.ybar()
-            else:
-                if lvl != 0:
-                    raise ValueError("zbar only exists at index 0")
-                gen = BarElem.zbar()
-            bar_terms.append(gen.scale(coeff))
+        elif name in ("ybar", "zbar") and int(digits) != 0:
+            raise ValueError(f"{name} only exists at index 0")
+        elif name in _GENERATORS:
+            gen = _GENERATORS[name](int(digits))
         else:
             raise ValueError(f"unknown generator {chunk!r}")
+        (bar_terms if isinstance(gen, BarElem) else ladder_terms).append(gen.scale(coeff))
     if ladder_terms and bar_terms:
         raise ValueError("cannot mix ladder and bar generators in one term")
     acc = BarElem.zero() if bar_terms else LadderElem.zero()

@@ -145,6 +145,23 @@ def test_check_json_reports_bound(capsys):
     assert payload["reports"][0]["property"] == "conical"
 
 
+@pytest.mark.parametrize("command", ["check", "wildness"])
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("ladder:-1", "truncation level must be >= 1"),
+        ("ladder:0", "truncation level must be >= 1"),
+        ("bar:-2", "truncation level must be >= 1"),
+        ("free:-1", "rank must be >= 0"),
+    ],
+)
+def test_bad_oracle_target_rejected(capsys, command, spec, message):
+    code, out, err = run(capsys, command, spec, "--max-degree", "2")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_check_unknown_property_rejected(capsys):
     code, _, err = run(capsys, "check", "free:1", "--prop", "frobnicate")
     assert code == 1

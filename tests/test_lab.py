@@ -16,6 +16,7 @@ from refmon.oracles import (
 )
 from refmon.primitive import normalize, validate_poset
 from refmon.wild import BarElem, Ideal, LadderElem
+from refmon.words import Word
 
 B = SearchBound(max_degree=3, max_coefficient=3)
 
@@ -324,6 +325,75 @@ def test_search_refine_on_presentation_oracle():
     assert dec2.is_fails  # the mixing equation has no refinement in M0 itself
 
 
+# -- Unknown branches of the existential searches, on m0 at degree 3: the
+# inner oracle calls hit the degree cap, and no witness found must then read
+# Unknown at the bound, never Fails
+
+_M0_B = SearchBound(max_degree=3)
+
+
+def _m0_recording():
+    """The m0 presentation oracle at degree 3, and a list that collects every
+    Unknown its equal and leq answer."""
+    o = presentation_oracle(wild.m0_presentation(), _M0_B)
+    unknowns = []
+
+    def recorded(fn):
+        def f(x, y):
+            dec = fn(x, y)
+            if dec.is_unknown:
+                unknowns.append(dec)
+            return dec
+
+        return f
+
+    return dataclasses.replace(o, equal=recorded(o.equal), leq=recorded(o.leq)), unknowns
+
+
+def test_existential_searches_answer_unknown_at_the_bound():
+    o, unknowns = _m0_recording()
+    w = wild.m0_presentation().word
+    member = lab.o_ideal_closure(o, [w("y0")], _M0_B)
+    pairs = [(x, y) for x in o.elements(2) for y in o.elements(2)]
+    calls = [lambda x=x: member(x) for x in o.elements(3)]
+    calls += [lambda x=x, y=y: lab.quotient_equal(o, member, x, y, _M0_B) for x, y in pairs]
+    calls += [lambda x=x, y=y: lab.max_cancel_equal(o, x, y, _M0_B) for x, y in pairs]
+    answered = []
+    for call in calls:
+        unknowns.clear()
+        dec = call()
+        answered.append(dec.verdict)
+        if unknowns and not dec.is_holds:
+            assert dec == Decision.unknown(_M0_B)
+        elif not dec.is_holds:
+            assert dec.is_fails
+    assert "unknown" in answered and "fails" not in answered
+    for dec in (
+        member(w("z0")),
+        lab.quotient_equal(o, member, w("z0"), Word(), _M0_B),
+        lab.max_cancel_equal(o, Word(), w("z0"), _M0_B),
+    ):
+        assert dec == Decision.unknown(_M0_B)
+
+
+def test_search_refine_answers_unknown_at_the_bound():
+    o, _ = _m0_recording()
+    w = wild.m0_presentation().word
+    dec = lab.search_refine(o, w("x0"), w("2*y0"), w("x0"), w("y0 + z0"), _M0_B)
+    assert dec == Decision.unknown(_M0_B, note="refinement search inconclusive")
+
+
+@pytest.mark.parametrize("degree, found", [(1, False), (2, True), (3, True)])
+def test_m0_irreducibles_unknown_below_the_degree_they_need(degree, found):
+    """At degree 1 the scan cannot decide whether x0, y0 and z0 decompose, so
+    they are listed as unknown, not found."""
+    b = SearchBound(max_degree=degree)
+    p = wild.m0_presentation()
+    got = lab.irreducibles(presentation_oracle(p, b), b)
+    gens = {p.word(g) for g in ("x0", "y0", "z0")}
+    assert (set(got[0]), set(got[1])) == ((gens, set()) if found else (set(), gens))
+
+
 # -- sampled forall-exists checks: verdicts and counterexamples pinned at
 # small degrees and 60 samples, so any change to the draws or the witness
 # search shows here
@@ -493,7 +563,6 @@ def _degree_oracle(name, zero, add, elements, degree):
         elements=elements,
         positive_state=degree,
         invariants=lambda x: (degree(x),),
-        exact=True,
         key=lambda e: e,
     )
 

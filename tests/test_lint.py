@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "refmon").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "refmon").glob("*.py"))
 
 
 def _tree(path):
@@ -103,3 +104,37 @@ def test_no_unread_locals(path):
                     found.add(f"{path.name}:{t.lineno} {t.id}")
     unread = sorted(found)
     assert not unread
+
+
+def test_no_unreferenced_public_definitions():
+    """Every public module-level function or class, and every public method,
+    is named somewhere in src, tests or perfbench outside its own
+    definition: by name, as an attribute, in an import, or as a string (for
+    getattr and `__all__`)."""
+    trees = {path: _tree(path) for d in ("src", "tests", "perfbench") for path in sorted((ROOT / d).rglob("*.py"))}
+    seen = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                name = n.id
+            elif isinstance(n, ast.Attribute):
+                name = n.attr
+            elif isinstance(n, ast.alias):
+                name = n.name
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+                name = n.value
+            else:
+                continue
+            seen.setdefault(name, []).append(id(n))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    dead = []
+    for path in SOURCES:
+        for top in trees[path].body:
+            inner = top.body if isinstance(top, ast.ClassDef) else []
+            for node in [top] + [n for n in inner if isinstance(n, kinds)]:
+                if not isinstance(node, kinds) or node.name.startswith("_"):
+                    continue
+                own = {id(n) for n in ast.walk(node)}
+                if all(i in own for i in seen.get(node.name, [])):
+                    dead.append(f"{path.name} {node.name}")
+    assert not dead

@@ -260,6 +260,86 @@ def test_refine_precondition():
         wild.ladder_refine(X0, X0, Y0, Y0)
 
 
+def _ref_ladder_refine(a, b, c, d):
+    """ladder_refine as first written, before the shared refinement scheme."""
+    if not a.add(b).equal(c.add(d)):
+        raise ValueError("precondition a + b = c + d does not hold")
+    zero = LadderElem.zero()
+    if a.equal(c) and b.equal(d):
+        return ((a, zero), (zero, b))
+    if a.equal(d) and b.equal(c):
+        return ((zero, a), (b, zero))
+    n = max(e.level for e in (a, b, c, d))
+    while True:
+        raws = [e.raised(n) for e in (a, b, c, d)]
+        triples = [(m, i, j) if m == 0 else (m, i + j, 0) for m, i, j, _ in raws]
+        extra, mat = wild._refine_triples(*triples)
+        if extra == 0:
+            break
+        n += extra
+    kvecs = [r[3] for r in raws]
+    kmat = [[None, None], [None, None]]
+    for l in range(n):
+        z11, z12, z21, z22 = wild._min_refine(kvecs[0][l], kvecs[1][l], kvecs[2][l], kvecs[3][l])
+        for slot, val in zip(((0, 0), (0, 1), (1, 0), (1, 1)), (z11, z12, z21, z22)):
+            row, col = slot
+            cur = kmat[row][col] or ()
+            kmat[row][col] = cur + (val,)
+    entries = []
+    for s in range(4):
+        row, col = divmod(s, 2)
+        m, i, j = mat[s]
+        entries.append(LadderElem.make(n, m, i, j, kmat[row][col] or (0,) * n))
+    matrix = ((entries[0], entries[1]), (entries[2], entries[3]))
+    wild._verify_matrix(matrix, a, b, c, d)
+    return matrix
+
+
+def _ref_bar_refine(a, b, c, d):
+    """bar_refine as first written, before the shared refinement scheme."""
+    if not a.add(b).equal(c.add(d)):
+        raise ValueError("precondition a + b = c + d does not hold")
+    zero = BarElem.zero()
+    if a.equal(c) and b.equal(d):
+        return ((a, zero), (zero, b))
+    if a.equal(d) and b.equal(c):
+        return ((zero, a), (b, zero))
+    n = max(e.level for e in (a, b, c, d))
+    while True:
+        raised = [e.raised(n) for e in (a, b, c, d)]
+        triples = [(k, i, j) if k == 0 else (k, i + j, 0) for i, j, k in raised]
+        extra, mat = wild._refine_triples(*triples)
+        if extra == 0:
+            break
+        n += extra
+    entries = [BarElem.make(n, i, j, k) for k, i, j in mat]
+    matrix = ((entries[0], entries[1]), (entries[2], entries[3]))
+    wild._verify_matrix(matrix, a, b, c, d)
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "E, refine, reference",
+    [
+        (wild.enumerate_ladder(2, 4), wild.ladder_refine, _ref_ladder_refine),
+        (wild.enumerate_bar(3, 5), wild.bar_refine, _ref_bar_refine),
+    ],
+    ids=["ladder", "bar"],
+)
+def test_refine_matches_reference_on_seeded_equations(E, refine, reference):
+    """Seeded equations a + b = c + d, with d the complement of c <= a + b,
+    get the reference's matrix."""
+    rng = random.Random(29)
+    checked = 0
+    while checked < 1500:
+        a, b, c = rng.choice(E), rng.choice(E), rng.choice(E)
+        d = c.leq(a.add(b))
+        if d is None:
+            continue
+        checked += 1
+        assert refine(a, b, c, d) == reference(a, b, c, d), (a, b, c, d)
+
+
 def test_refine_random_totality():
     rng = random.Random(11)
     E = wild.enumerate_ladder(2, 4)
@@ -440,6 +520,25 @@ def test_certificates_separate_unequal_elements():
 def test_parse_format_roundtrip():
     for e in wild.enumerate_ladder(2, 3):
         assert wild.parse_elem(e.format()) == e
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3x", "bad term '3x'"),
+        ("x + y0", "generator 'x' needs a level index"),
+        ("ybar1", "ybar only exists at index 0"),
+        ("zbar2", "zbar only exists at index 0"),
+        ("a0", "rungs start at 1"),
+        ("q1", "unknown generator 'q1'"),
+        ("u1", "unknown generator 'u1'"),
+        ("x0 + xbar1", "cannot mix ladder and bar generators in one term"),
+    ],
+)
+def test_parse_elem_error_messages(text, message):
+    with pytest.raises(ValueError) as exc:
+        wild.parse_elem(text)
+    assert str(exc.value) == message
 
 
 def test_parse_elem_errors():
