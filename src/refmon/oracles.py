@@ -8,9 +8,9 @@ may.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import primitive, wild
 from .decisions import Decision, SearchBound
@@ -30,6 +30,11 @@ class MonoidOracle:
     Exact oracles have both where the mathematics gives them: the ladder
     monoid a state and (x-count, rung counts), the bar monoid only the xbar
     count, the free monoid degree and the exponent tuple itself.
+
+    `certified` maps a property id of the lab to the reason the oracle's own
+    mathematics proves it; the lab answers Holds with that reason as the note
+    and sweeps nothing.  The ladder, bar and free oracles certify
+    unperforation by their homogeneous order (proof in the lab docstring).
     """
 
     name: str
@@ -54,6 +59,7 @@ class MonoidOracle:
     extended_elements: Callable | None = None  # larger candidate pool for decompositions
     key: Callable | None = None  # canonical hash key (exact oracles only)
     fmt: Callable = str
+    certified: Mapping[str, str] = field(default_factory=dict)  # property id -> reason
 
     @property
     def exact(self) -> bool:
@@ -63,6 +69,10 @@ class MonoidOracle:
 
     def is_zero(self, x) -> Decision:
         return self.equal(x, self.zero)
+
+
+# m*x <= m*y iff x <= y, read off the closed-form order criterion
+_HOMOGENEOUS_ORDER = "homogeneous order certificate"
 
 
 def _exact_equal(eq):
@@ -113,6 +123,7 @@ def ladder_oracle(level: int) -> MonoidOracle:
         invariants=invariants,
         extended_elements=lambda d: wild.enumerate_ladder(level + 2, d),
         key=lambda e: e,
+        certified={"unperforated": _HOMOGENEOUS_ORDER},
     )
 
 
@@ -137,6 +148,7 @@ def bar_oracle(level: int) -> MonoidOracle:
         invariants=lambda e: (e.k,),
         extended_elements=lambda d: wild.enumerate_bar(level + 2, d),
         key=lambda e: e,
+        certified={"unperforated": _HOMOGENEOUS_ORDER},
     )
 
 
@@ -171,6 +183,7 @@ def free_oracle(rank: int) -> MonoidOracle:
         positive_state=lambda x: Fraction(sum(x)),
         invariants=lambda x: x,
         key=lambda e: e,
+        certified={"unperforated": _HOMOGENEOUS_ORDER},
     )
 
 

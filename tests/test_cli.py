@@ -135,6 +135,15 @@ def test_check_fails_sets_exit(capsys):
     assert "cancellative: fails" in out
 
 
+def test_check_json_shows_the_unperforation_certificate(capsys):
+    code, out, _ = run(capsys, "check", "ladder:2", "--prop", "unperforated", "--format", "json")
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert report["property"] == "unperforated"
+    assert report["decision"]["verdict"] == "holds"
+    assert report["decision"]["note"] == "homogeneous order certificate"
+
+
 def test_check_json_reports_bound(capsys):
     code, out, _ = run(
         capsys, "check", "free:1", "--prop", "conical", "--max-degree", "2", "--format", "json"

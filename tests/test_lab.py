@@ -540,8 +540,12 @@ def _report(o, prop, b):
     return rep.verdict, rep.witnesses
 
 
+def _uncertified(o):
+    return dataclasses.replace(o, certified={})
+
+
 def _stateless(o):
-    return dataclasses.replace(o, positive_state=None, invariants=None)
+    return dataclasses.replace(o, positive_state=None, invariants=None, certified={})
 
 
 def _degree_oracle(name, zero, add, elements, degree):
@@ -598,7 +602,7 @@ def _square():
 @pytest.mark.parametrize("b", [B, _B4])
 @pytest.mark.parametrize("prop", _PRUNED)
 def test_state_pruning_keeps_the_report(make, b, prop):
-    o = make()
+    o = _uncertified(make())
     got, want = _report(o, prop, b), _report(_stateless(o), prop, b)
     if prop == lab.ANTISYMMETRIC and o.positive_state is not None:
         # the state certifies antisymmetry; only the note differs from the sweep
@@ -648,7 +652,92 @@ def test_state_pruning_saves_leq_calls():
 
         return dataclasses.replace(o, leq=leq), calls
 
-    pruned, n_pruned = counted(ladder_oracle(2))
+    pruned, n_pruned = counted(_uncertified(ladder_oracle(2)))
     full, n_full = counted(_stateless(ladder_oracle(2)))
     assert _report(pruned, lab.UNPERFORATED, B) == _report(full, lab.UNPERFORATED, B)
     assert n_pruned[0] < n_full[0]
+
+
+# -- homogeneous order certificate: m*x <= m*y iff x <= y in the ladder, bar
+# and free monoids, so unperforation is certified without a sweep
+
+
+@pytest.mark.parametrize("make", [ladder_oracle, bar_oracle, free_oracle])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("deg", [3, 4, 5])
+def test_unperforation_certificate_matches_the_sweep(make, n, deg):
+    o, b = make(n), SearchBound(max_degree=deg, max_coefficient=5)
+    cert, sweep = _report(o, lab.UNPERFORATED, b), _report(_uncertified(o), lab.UNPERFORATED, b)
+    assert cert[0].note == "homogeneous order certificate"
+    assert sweep[0].note == "exhaustive at bound"
+    assert cert[0].verdict == sweep[0].verdict == "holds"
+    assert cert[1] == sweep[1] == []
+
+
+def test_builtin_certificates_name_lab_properties():
+    poset = validate_poset(["p", "q"], [("p", "q")])
+    oracles = [ladder_oracle(2), bar_oracle(2), free_oracle(2), primitive_oracle(poset)]
+    for o in oracles + [presentation_oracle(wild.m0_presentation(), B)]:
+        assert set(o.certified) <= set(lab.PROPERTIES), o.name
+
+
+# -- zero-key pruning in the conical and stably-finite sweeps: x + y = 0 and
+# x + y = x force the keys of the terms that must vanish to be zero
+
+
+def _absorbing():
+    """<a, b | a + b = a>, elements canonical pairs (p, q) for p*a + q*b.  It
+    has no state (b is nonzero and a + b = a), and the a-count is an additive
+    invariant."""
+
+    def canon(p, q):
+        return (p, 0) if p else (0, q)
+
+    def add(x, y):
+        return canon(x[0] + y[0], x[1] + y[1])
+
+    def elements(d):
+        return list(dict.fromkeys(canon(p, n - p) for n in range(d + 1) for p in range(n + 1)))
+
+    def leq(x, y):
+        c = next((c for c in elements(sum(y)) if add(x, c) == y), None)
+        return Decision.fails() if c is None else Decision.holds(witness=c)
+
+    return MonoidOracle(
+        name="<a,b|a+b=a>",
+        zero=(0, 0),
+        add=add,
+        equal=lambda x, y: Decision.holds() if x == y else Decision.fails(),
+        leq=leq,
+        elements=elements,
+        invariants=lambda x: (x[0],),
+        key=lambda e: e,
+    )
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("b", [B, _B4, SearchBound(max_degree=6, max_coefficient=5)])
+@pytest.mark.parametrize("prop", [lab.CONICAL, lab.STABLY_FINITE])
+def test_zero_key_pruning_keeps_the_report(level, b, prop):
+    o = bar_oracle(level)
+    assert _report(o, prop, b) == _report(dataclasses.replace(o, invariants=None), prop, b)
+
+
+def test_zero_key_pruning_leaves_the_zero_xbar_count():
+    o = bar_oracle(3)
+    E = o.elements(6)
+    zero_keyed = lab._zero_keyed(o, E)
+    assert (len(zero_keyed), len(E)) == (28, 85)
+    assert all(e.k == 0 for e in zero_keyed)
+
+
+def test_zero_key_pruning_keeps_small_counterexamples():
+    """In <a, b | a + b = a> the first x + y = x with y nonzero is x = a, y = b;
+    y must keep a zero a-count, x need not."""
+    o = _absorbing()
+    keyless = dataclasses.replace(o, invariants=None)
+    for b in (B, _B4):
+        rep = _report(o, lab.STABLY_FINITE, b)
+        assert rep[0].is_fails and rep[0].counterexample == ((1, 0), (0, 1))
+        assert rep == _report(keyless, lab.STABLY_FINITE, b)
+        assert _report(o, lab.CONICAL, b) == _report(keyless, lab.CONICAL, b)
