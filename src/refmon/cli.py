@@ -16,7 +16,6 @@ from . import graphs, lab, oracles, primitive, wild
 from .decisions import Decision, SearchBound
 from .presentation import Presentation, parse_presentation
 from .rewrite import decide_equal, decide_leq, find_refinement
-from .words import ParseError
 
 
 def _bound(args) -> SearchBound:
@@ -65,40 +64,33 @@ def _exit_code(decisions) -> int:
     return 0
 
 
-def _load_presentation(spec: str) -> Presentation:
-    """A builtin name (m0, ladder:N, bar:N, e0c0, ec:N, ebar:N) or a file path."""
+def _load_target(spec: str) -> tuple[Presentation, tuple]:
+    """A builtin name (m0, ladder:N, bar:N, e0c0, ec:N, ebar:N) or a file
+    path: its presentation and the separating certificates that come with it
+    (those of the ladder and bar truncations, none for the rest)."""
     low = spec.lower()
     name, _, arg = low.partition(":")
     if low == "m0":
-        return wild.m0_presentation()
+        return wild.m0_presentation(), ()
     if name in ("ladder", "bar") and arg:
-        return wild.truncation_presentation(int(arg), name)
+        n = int(arg)
+        return wild.truncation_presentation(n, name), tuple(wild.standard_certificates(n, name).values())
     if low == "e0c0":
-        return graphs.present_finitely_separated(graphs.builtin_graph("e0c0"))
+        return graphs.present_finitely_separated(graphs.builtin_graph("e0c0")), ()
     if name in ("ec", "ebar"):
-        return graphs.present_finitely_separated(graphs.builtin_graph(name, int(arg or 1)))
-    return parse_presentation(Path(spec).read_text())
+        return graphs.present_finitely_separated(graphs.builtin_graph(name, int(arg or 1))), ()
+    return parse_presentation(Path(spec).read_text()), ()
 
 
-def _certs_for(spec: str):
-    low = spec.lower()
-    name, _, arg = low.partition(":")
-    if name in ("ladder", "bar") and arg:
-        return tuple(wild.standard_certificates(int(arg), name).values())
-    return ()
+_EXACT_ORACLES = {"ladder": oracles.ladder_oracle, "bar": oracles.bar_oracle, "free": oracles.free_oracle}
 
 
 def _load_oracle(spec: str, bound: SearchBound) -> oracles.MonoidOracle:
-    low = spec.lower()
-    name, _, arg = low.partition(":")
-    if name == "ladder" and arg:
-        return oracles.ladder_oracle(int(arg))
-    if name == "bar" and arg:
-        return oracles.bar_oracle(int(arg))
-    if name == "free" and arg:
-        return oracles.free_oracle(int(arg))
-    p = _load_presentation(spec)
-    return oracles.presentation_oracle(p, bound, _certs_for(spec))
+    name, _, arg = spec.lower().partition(":")
+    if name in _EXACT_ORACLES and arg:
+        return _EXACT_ORACLES[name](int(arg))
+    p, certs = _load_target(spec)
+    return oracles.presentation_oracle(p, bound, certs)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -114,23 +106,23 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _cmd_parse(args) -> int:
-    p = _load_presentation(args.input)
+    p, _ = _load_target(args.input)
     sys.stdout.write(p.format())
     return 0
 
 
 def _cmd_eq(args) -> int:
-    p = _load_presentation(args.target)
+    p, certs = _load_target(args.target)
     b = _bound(args)
     u, v = p.word(args.lhs), p.word(args.rhs)
-    dec = decide_equal(p, u, v, b, _certs_for(args.target))
+    dec = decide_equal(p, u, v, b, certs)
     payload = {"monoid": p.name, "lhs": args.lhs, "rhs": args.rhs, "decision": _dec_json(dec)}
     _emit(args, payload, [f"{p.name}: {args.lhs} = {args.rhs}: {dec.verdict} ({dec.note or ''})"])
     return _exit_code([dec])
 
 
 def _cmd_leq(args) -> int:
-    p = _load_presentation(args.target)
+    p, _ = _load_target(args.target)
     b = _bound(args)
     u, v = p.word(args.lhs), p.word(args.rhs)
     dec = decide_leq(p, u, v, b)
@@ -141,10 +133,10 @@ def _cmd_leq(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    p = _load_presentation(args.target)
+    p, certs = _load_target(args.target)
     b = _bound(args)
     ws = [p.word(t) for t in (args.a, args.b, args.c, args.d)]
-    dec = find_refinement(p, *ws, b, _certs_for(args.target))
+    dec = find_refinement(p, *ws, b, certs)
     lines = [f"{p.name}: refine {args.a} + {args.b} = {args.c} + {args.d}: {dec.verdict}"]
     if dec.is_holds:
         (z11, z12), (z21, z22) = dec.witness
@@ -173,6 +165,9 @@ def _cmd_check(args) -> int:
     return _exit_code([r.verdict for r in reports])
 
 
+_WILD_ARITY = {"eq": 2, "leq": 2, "add": 2, "refine": 4, "q": 1}
+
+
 def _cmd_wild(args) -> int:
     decs = []
     lines = []
@@ -184,61 +179,53 @@ def _cmd_wild(args) -> int:
         raise ValueError("cannot mix ladder and bar terms")
     if named and isinstance(named[0], wild.BarElem):
         terms = [e if isinstance(e, wild.BarElem) else wild.BarElem.zero() for e in terms]
-
-    def need(n):
-        if len(terms) != n:
-            raise SystemExit(f"wild {args.op} needs {n} term(s)")
+    arity = _WILD_ARITY[args.op]
+    if len(terms) != arity:
+        raise ValueError(f"wild {args.op} needs {arity} term(s)")
 
     if args.op == "eq":
-        need(2)
         ok = terms[0].equal(terms[1])
         decs.append(Decision.holds() if ok else Decision.fails())
         lines.append(f"{terms[0]} = {terms[1]}: {ok}")
         payload.update(result=ok)
     elif args.op == "leq":
-        need(2)
         c = terms[0].leq(terms[1])
         decs.append(Decision.holds(witness=c) if c is not None else Decision.fails())
         lines.append(f"{terms[0]} <= {terms[1]}: {c is not None}" + (f", complement {c}" if c is not None else ""))
         payload.update(result=c is not None, complement=str(c) if c is not None else None)
     elif args.op == "add":
-        need(2)
         s = terms[0].add(terms[1])
         decs.append(Decision.holds())
         lines.append(f"{terms[0]} + {terms[1]} = {s}")
         payload.update(result=str(s))
     elif args.op == "refine":
-        need(4)
         refine = wild.bar_refine if isinstance(terms[0], wild.BarElem) else wild.ladder_refine
-        try:
-            (z11, z12), (z21, z22) = refine(*terms)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
+        (z11, z12), (z21, z22) = refine(*terms)
         decs.append(Decision.holds())
         lines += [f"[[{z11}, {z12}],", f" [{z21}, {z22}]]"]
         payload.update(matrix=[[str(z11), str(z12)], [str(z21), str(z22)]])
-    elif args.op == "q":
-        need(1)
+    else:  # q
         if isinstance(terms[0], wild.BarElem):
-            raise SystemExit("q maps ladder elements to bar elements")
+            raise ValueError("q maps ladder elements to bar elements")
         img = wild.to_bar(terms[0])
         decs.append(Decision.holds())
         lines.append(f"q({terms[0]}) = {img}")
         payload.update(result=str(img))
-    else:
-        raise SystemExit(f"unknown wild op {args.op!r}")
     _emit(args, payload, lines)
     return _exit_code(decs)
 
 
+def _tilde(gf: graphs.GraphFile) -> graphs.GraphFile:
+    """The emitter-chain transform of a parsed graph file, as a graph file."""
+    if not gf.emitters:
+        raise ValueError("graph file has no emitter lines")
+    return graphs.GraphFile(graphs.tilde_construction(gf.graph, {v: list(seq) for v, seq in gf.emitters}, gf.depth))
+
+
 def _cmd_graph_monoid(args) -> int:
     gf = graphs.parse_graph(Path(args.input).read_text())
-    g = gf.graph
     if args.tilde:
-        if not gf.emitters:
-            raise SystemExit("--tilde needs emitter lines in the graph file")
-        g = graphs.tilde_construction(g, {v: list(seq) for v, seq in gf.emitters}, gf.depth)
-        gf = graphs.GraphFile(g, None, (), None)
+        gf = _tilde(gf)
     sg = gf.separated()
     if args.triple:
         p = graphs.present_triple(graphs.complete_triple(sg), z_cap=args.zcap)
@@ -249,11 +236,8 @@ def _cmd_graph_monoid(args) -> int:
 
 
 def _cmd_tilde(args) -> int:
-    gf = graphs.parse_graph(Path(args.input).read_text())
-    if not gf.emitters:
-        raise SystemExit("graph file has no emitter lines")
-    g = graphs.tilde_construction(gf.graph, {v: list(seq) for v, seq in gf.emitters}, gf.depth)
-    sys.stdout.write(graphs.format_graph(graphs.GraphFile(g)))
+    gf = _tilde(graphs.parse_graph(Path(args.input).read_text()))
+    sys.stdout.write(graphs.format_graph(gf))
     return 0
 
 
@@ -355,7 +339,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,24 +10,21 @@ bound" (documented semantics, printed in the note).
 The archimedean property is special: enumeration can only refute it, so Holds
 is granted solely on a positive-state certificate.
 
-Order keys.  An oracle's `positive_state` s and its `invariants` inv are
-additive maps into ordered monoids (the rationals, and tuples of ints ordered
-componentwise).  For such a map f, x <= y (that is, y = x + c) forces f(x) <=
-f(y); m*x <= m*y forces m*f(x) <= m*f(y), hence f(x) <= f(y), for every m >=
-1; and 2x = x + y, and x <= y <= x, each force f(x) = f(y).  A sweep's key
-for x is (rank of s(x) among the states, *inv(x)), ranks standing in for the
-Fractions.  The unperforated sweep therefore skips a pair (x, y) unless
-key(x) <= key(y) componentwise, and the strongly-separative and
-antisymmetric sweeps skip a pair unless key(x) = key(y): the oracle would
-answer Fails to every hypothesis tested on a skipped pair, so it can never be
-a counterexample.  The loops keep their order, so the first counterexample,
-and with it the report, is the one the unpruned sweep finds.  For an oracle
-that has keys and also answers Unknown, the only possible difference is that
-an Unknown on a skipped pair is never asked, which can turn an Unknown report
-into Holds; no oracle has both today.
+Equal invariants.  An oracle's `invariants` inv is an additive map into
+tuples of nonnegative ints, so x <= y (that is, y = x + c) forces inv(x) <=
+inv(y) componentwise.  Hence 2x = x + y, and x <= y <= x, each force inv(x)
+= inv(y), and the strongly-separative and antisymmetric sweeps test a pair
+only when its invariants are equal: the oracle would answer Fails to every
+hypothesis tested on a skipped pair, so it can never be a counterexample.
+The loops keep their order, so the first counterexample, and with it the
+report, is the one the full sweep finds.  For an oracle that has invariants
+and also answers Unknown, the only possible difference is that an Unknown on
+a skipped pair is never asked, which can turn an Unknown report into Holds;
+no oracle has both today.
 
-A positive state (zero only on 0) also certifies antisymmetry outright: x <=
-y <= x gives y = x + c and x = y + d, so s(c) + s(d) = 0 and c = d = 0.
+A positive state s (additive, rational, zero only on 0) prunes no sweep: it
+is a certificate.  It certifies antisymmetry outright, since x <= y <= x
+gives y = x + c and x = y + d, so s(c) + s(d) = 0 and c = d = 0.
 
 Zero keys.  The invariants take nonnegative values, so x + y = 0 forces
 inv(x) = inv(y) = 0, and x + y = x forces inv(y) = 0.  The conical sweep
@@ -58,7 +55,6 @@ for (m*x, m*y) iff it holds for (x, y).  tests/test_acceptance.py's criterion
 """
 from __future__ import annotations
 
-import operator
 import random
 import time
 from bisect import bisect_right
@@ -169,39 +165,16 @@ def _elems(o: MonoidOracle, b: SearchBound):
     return o.elements(b.max_degree)
 
 
-def _order_keys(o: MonoidOracle, E):
-    """For each element of E, (rank of its state among the distinct state
-    values, *its invariants), leaving out what the oracle lacks; None when it
-    has neither.  See the module docstring for the pairs these keys refute."""
-    if o.positive_state is None and o.invariants is None:
-        return None
-    keys = [()] * len(E)
-    if o.positive_state is not None:
-        states = [o.positive_state(x) for x in E]
-        rank = {s: r for r, s in enumerate(sorted(set(states)))}
-        keys = [(rank[s],) for s in states]
-    if o.invariants is not None:
-        keys = [k + tuple(o.invariants(x)) for k, x in zip(keys, E)]
-    return keys
-
-
-def _partners(o: MonoidOracle, E, same: bool) -> list:
-    """For each index into E, the ascending indices of the elements whose key
-    equals its key (`same`) or is componentwise >= it; every index when the
-    oracle has no keys."""
-    keys = _order_keys(o, E)
-    if keys is None:
+def _partners(o: MonoidOracle, E) -> list:
+    """For each index into E, the ascending indices of the elements whose
+    invariants equal its own; every index when the oracle has none."""
+    if o.invariants is None:
         return [range(len(E))] * len(E)
-    if same:
-        groups: dict = {}
-        for iy, k in enumerate(keys):
-            groups.setdefault(k, []).append(iy)
-        return [groups[k] for k in keys]
-    above: dict = {}
-    for k in keys:
-        if k not in above:
-            above[k] = [iy for iy, ky in enumerate(keys) if all(map(operator.le, k, ky))]
-    return [above[k] for k in keys]
+    keys = [tuple(o.invariants(x)) for x in E]
+    groups: dict = {}
+    for iy, k in enumerate(keys):
+        groups.setdefault(k, []).append(iy)
+    return [groups[k] for k in keys]
 
 
 def _zero_keyed(o: MonoidOracle, E) -> list:
@@ -311,7 +284,7 @@ def _check_separative(o, b, samples):
 
 def _check_strongly_separative(o, b, samples):
     E = _elems(o, b)
-    partners = _partners(o, E, same=True)  # 2x = x + y gives key(x) = key(y)
+    partners = _partners(o, E)  # 2x = x + y gives inv(x) = inv(y)
     sw = _Sweep()
     for ix, x in enumerate(E):
         xx = o.add(x, x)
@@ -336,12 +309,10 @@ def _multiples(o, x, n: int) -> list:
 
 def _check_unperforated(o, b, samples):
     E = _elems(o, b)
-    partners = _partners(o, E, same=False)  # m*x <= m*y gives key(x) <= key(y)
     sw = _Sweep()
     multiples = [_multiples(o, x, b.max_coefficient) for x in E]
     for ix, x in enumerate(E):
-        for iy in partners[ix]:
-            y = E[iy]
+        for iy, y in enumerate(E):
             base = sw.definite(o.leq(x, y))
             if base or base is None:
                 continue
@@ -357,7 +328,7 @@ def _check_unperforated(o, b, samples):
 
 def _check_antisymmetric(o, b, samples):
     E = _elems(o, b)
-    partners = _partners(o, E, same=True)  # x <= y <= x gives key(x) = key(y)
+    partners = _partners(o, E)  # x <= y <= x gives inv(x) = inv(y)
     sw = _Sweep()
     for ix, x in enumerate(E):
         later = partners[ix]
@@ -442,10 +413,7 @@ def search_refine(o: MonoidOracle, a, bb, c, d, b: SearchBound) -> Decision:
 
     def closed(z11, z12, z21):
         for z22 in E:
-            if (
-                o.equal(o.add(z21, z22), bb).is_holds
-                and o.equal(o.add(z12, z22), d).is_holds
-            ):
+            if sw.definite(o.equal(o.add(z21, z22), bb)) and sw.definite(o.equal(o.add(z12, z22), d)):
                 return Decision.holds(witness=((z11, z12), (z21, z22)), note="searched refinement")
         return None
 

@@ -24,12 +24,13 @@ class MonoidOracle:
     """One monoid as the lab sees it: elements up to a degree, three-valued
     `equal` and `leq`, total `add`, and optional capabilities.
 
-    Two optional capabilities are additive maps into ordered monoids, and the
-    lab uses them as certificates and to skip pairs: `positive_state` (a
-    rational that is zero only on 0) and `invariants` (a vector of ints).
-    Exact oracles have both where the mathematics gives them: the ladder
-    monoid a state and (x-count, rung counts), the bar monoid only the xbar
-    count, the free monoid degree and the exponent tuple itself.
+    Two optional capabilities are additive maps into ordered monoids:
+    `positive_state` (a rational that is zero only on 0), which the lab reads
+    only as a certificate, and `invariants` (a vector of nonnegative ints),
+    which it uses to skip pairs.  Exact oracles have both where the
+    mathematics gives them: the ladder monoid a state and (x-count, rung
+    counts), the bar monoid only the xbar count, the free monoid degree and
+    the exponent tuple itself.
 
     `certified` maps a property id of the lab to the reason the oracle's own
     mathematics proves it; the lab answers Holds with that reason as the note
@@ -46,15 +47,13 @@ class MonoidOracle:
     # optional capabilities
     refine: Callable | None = None  # (a, b, c, d) -> Decision with matrix witness
     # element -> positive rational, additive (s(x + y) = s(x) + s(y)); None if
-    # no state.  Besides certifying conical, stably finite, antisymmetric and
-    # archimedean, it refutes order and equality: x <= y forces s(x) <= s(y),
-    # and x = y forces s(x) = s(y), which the lab's pairwise sweeps use to skip
-    # pairs.
+    # no state.  It certifies conical, stably finite, antisymmetric and
+    # archimedean; no sweep reads it.
     positive_state: Callable | None = None
     # element -> tuple of nonnegative ints, additive (inv(x + y) = inv(x) +
     # inv(y) componentwise); None if the oracle has none.  x <= y forces
-    # inv(x) <= inv(y) componentwise and x = y forces inv(x) = inv(y); the lab's
-    # pairwise sweeps skip the pairs this refutes, as they do with the state.
+    # inv(x) <= inv(y) componentwise and x = y forces inv(x) = inv(y); four of
+    # the lab's sweeps skip the pairs or elements this refutes.
     invariants: Callable | None = None
     extended_elements: Callable | None = None  # larger candidate pool for decompositions
     key: Callable | None = None  # canonical hash key (exact oracles only)

@@ -203,12 +203,16 @@ def test_wild_refine_json(capsys):
 
 
 def test_wild_arity_and_errors(capsys):
-    with pytest.raises(SystemExit):
-        main(["wild", "eq", "x0"])
-    with pytest.raises(SystemExit):
-        main(["wild", "q", "xbar0"])
-    with pytest.raises(SystemExit):
-        main(["wild", "refine", "x0", "x0", "y0", "y0"])  # precondition fails
+    for argv, message in (
+        (("eq", "x0"), "wild eq needs 2 term(s)"),
+        (("refine", "x0", "y0"), "wild refine needs 4 term(s)"),
+        (("q", "xbar0"), "q maps ladder elements to bar elements"),
+        (("refine", "x0", "x0", "y0", "y0"), "precondition a + b = c + d does not hold"),
+    ):
+        code, out, err = run(capsys, "wild", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_wild_zero_term_takes_the_other_terms_family(capsys):
@@ -267,8 +271,11 @@ def test_tilde_roundtrip(tmp_path, capsys):
 def test_tilde_requires_emitters(tmp_path, capsys):
     f = tmp_path / "g.txt"
     f.write_text(GRAPH_TEXT)
-    with pytest.raises(SystemExit, match="emitter"):
-        main(["tilde", str(f)])
+    for argv in (("tilde", str(f)), ("graph-monoid", str(f), "--tilde")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: graph file has no emitter lines\n"
 
 
 def test_poset_conversion(tmp_path, capsys):
@@ -322,6 +329,29 @@ def test_suite_manifest_mismatch(tmp_path, capsys):
     assert code == 1
     assert "MISMATCH" in out
     assert "1/2 passed" in out
+
+
+def test_suite_reports_input_errors_per_case(tmp_path, capsys):
+    """An input error ends its own case with exit 1, and the run goes on."""
+    f = tmp_path / "g.txt"
+    f.write_text(GRAPH_TEXT)
+    bad = [
+        ["wild", "eq", "x0"],
+        ["wild", "q", "xbar0"],
+        ["wild", "refine", "x0", "x0", "y0", "y0"],
+        ["tilde", str(f)],
+        ["graph-monoid", str(f), "--tilde"],
+        ["eq", str(tmp_path), "a", "b"],
+    ]
+    cases = [{"name": f"bad {i}", "command": c, "expect": "fails"} for i, c in enumerate(bad)]
+    cases.append({"name": "good", "command": ["wild", "eq", "y0", "y0"], "expect": "holds"})
+    m, r = tmp_path / "cases.json", tmp_path / "report.json"
+    m.write_text(json.dumps({"cases": cases}))
+    code, out, err = run(capsys, "suite", str(m), "--report", str(r))
+    assert code == 0, out
+    assert [c["exit"] for c in json.loads(r.read_text())["cases"]] == [1] * len(bad) + [0]
+    assert "suite: 7/7 passed" in out
+    assert err.count("error: ") == len(bad)
 
 
 def test_manifest_validation():

@@ -383,6 +383,30 @@ def test_search_refine_answers_unknown_at_the_bound():
     assert dec == Decision.unknown(_M0_B, note="refinement search inconclusive")
 
 
+def test_search_refine_counts_the_unknowns_of_its_witness_check():
+    """On (2*z0, x0, x0, y0 + z0) only the check that a z22 closes both sums
+    meets Unknowns, and they must make the search Unknown, not Fails; no
+    search over the equations a + b = c + d of degree <= 2 that met an
+    Unknown answers Fails."""
+    o, unknowns = _m0_recording()
+    w = wild.m0_presentation().word
+    dec = lab.search_refine(o, w("2*z0"), w("x0"), w("x0"), w("y0 + z0"), _M0_B)
+    assert dec == Decision.unknown(_M0_B, note="refinement search inconclusive")
+    E = o.elements(2)
+    answered = []
+    for a in E:
+        for bb in E:
+            for c in E:
+                below = o.leq(c, o.add(a, bb))
+                if not below.is_holds:
+                    continue
+                unknowns.clear()
+                dec = lab.search_refine(o, a, bb, c, below.witness, _M0_B)
+                answered.append(dec.verdict)
+                assert not (unknowns and dec.is_fails), (a, bb, c)
+    assert len(answered) == 563 and "unknown" in answered
+
+
 @pytest.mark.parametrize("degree, found", [(1, False), (2, True), (3, True)])
 def test_m0_irreducibles_unknown_below_the_degree_they_need(degree, found):
     """At degree 1 the scan cannot decide whether x0, y0 and z0 decompose, so
@@ -527,9 +551,9 @@ def test_search_refine_tries_every_z21():
     assert not o.equal(z21, o.leq(z11, c).witness).is_holds  # not the canonical complement
 
 
-# -- order keys in the pairwise sweeps: a pair whose state or invariants rule
-# out every tested hypothesis is skipped, so the report must be the unpruned
-# one
+# -- equal invariants in the pairwise sweeps: the strongly-separative and
+# antisymmetric sweeps skip a pair whose invariants differ, so the report must
+# be the unpruned one; the unperforated sweep prunes nothing
 
 _PRUNED = (lab.UNPERFORATED, lab.STRONGLY_SEPARATIVE, lab.ANTISYMMETRIC)
 _B4 = SearchBound(max_degree=4, max_coefficient=3)
@@ -621,9 +645,9 @@ def test_state_pruning_keeps_the_report(make, b, prop):
     ],
 )
 def test_state_pruning_keeps_small_counterexamples(make, prop, counterexample):
-    """Three exact monoids whose first counterexample sits on a pair the
-    pruning must keep: states differing the allowed way (2 <= 3 in <2, 3>),
-    or equal (a and b of degree 1)."""
+    """Three exact monoids whose first counterexample sits on a pair with
+    different states (2 <= 3 in <2, 3>), which the unperforated sweep must
+    visit, or with equal invariants (a and b of degree 1)."""
     o = make()
     rep = _report(o, prop, _B4)
     assert rep[0].is_fails and rep[0].counterexample == counterexample
@@ -642,20 +666,24 @@ def test_antisymmetric_state_certificate_matches_the_sweep(make, b):
     assert cert[0].verdict == sweep[0].verdict == "holds"
 
 
-def test_state_pruning_saves_leq_calls():
+@pytest.mark.parametrize("make", [lambda: ladder_oracle(2), lambda: bar_oracle(3)])
+@pytest.mark.parametrize("prop, op", [(lab.STRONGLY_SEPARATIVE, "equal"), (lab.ANTISYMMETRIC, "leq")])
+def test_equal_invariants_save_oracle_calls(make, prop, op):
     def counted(o):
         calls = [0]
+        inner = getattr(o, op)
 
-        def leq(x, y):
+        def f(x, y):
             calls[0] += 1
-            return o.leq(x, y)
+            return inner(x, y)
 
-        return dataclasses.replace(o, leq=leq), calls
+        return dataclasses.replace(o, **{op: f}), calls
 
-    pruned, n_pruned = counted(_uncertified(ladder_oracle(2)))
-    full, n_full = counted(_stateless(ladder_oracle(2)))
-    assert _report(pruned, lab.UNPERFORATED, B) == _report(full, lab.UNPERFORATED, B)
-    assert n_pruned[0] < n_full[0]
+    o = dataclasses.replace(make(), positive_state=None)  # no antisymmetry certificate
+    pruned, n_pruned = counted(o)
+    full, n_full = counted(dataclasses.replace(o, invariants=None))
+    assert _report(pruned, prop, B) == _report(full, prop, B)
+    assert 0 < n_pruned[0] < n_full[0]
 
 
 # -- homogeneous order certificate: m*x <= m*y iff x <= y in the ladder, bar

@@ -138,3 +138,18 @@ def test_no_unreferenced_public_definitions():
                 if all(i in own for i in seen.get(node.name, [])):
                     dead.append(f"{path.name} {node.name}")
     assert not dead
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_raise_system_exit(path):
+    """Commands report input errors as ValueError or OSError, which `cli.main`
+    turns into exit 1 and an `error:` line; a SystemExit carrying a message
+    would abort a whole `refmon suite` run instead."""
+    raised = [
+        f"{path.name}:{n.lineno}"
+        for n in ast.walk(_tree(path))
+        if isinstance(n, ast.Raise)
+        and n.exc is not None
+        and any(isinstance(c, ast.Name) and c.id == "SystemExit" for c in ast.walk(n.exc))
+    ]
+    assert not raised
