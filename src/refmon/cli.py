@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 = every decision Holds, 1 = some decision Fails, 2 = some
-decision Unknown with no Fails.  All bounds are explicit flags with the
+decision Unknown with no Fails, 3 = an input error (a bad term, target,
+file or option, usage errors included), so that a command that could not
+run never reads as a verdict.  All bounds are explicit flags with the
 defaults of SearchBound; reports always print the bound so a Holds can never
 be read as more than "no counterexample at this bound".
 """
@@ -32,7 +34,12 @@ def _add_bound_flags(sp) -> None:
     sp.add_argument("--max-class-size", type=int, default=20000)
 
 
+INPUT_ERROR = 3
+
+
 def _show(obj):
+    if isinstance(obj, (wild.LadderElem, wild.BarElem)):  # tuples, but shown as terms
+        return str(obj)
     if isinstance(obj, (list, tuple)):
         return [_show(x) for x in obj]
     if isinstance(obj, dict):
@@ -269,8 +276,18 @@ def _cmd_suite(args) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error prints the usage line and raises ValueError, so that
+    `main` reports it as an input error; argparse itself would exit 2, the
+    Unknown code.  Subparsers are built with the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="refmon", description="workbench for finitely presented commutative monoids")
+    ap = _Parser(prog="refmon", description="workbench for finitely presented commutative monoids")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("parse", help="parse and normalize a presentation (file or builtin)")
@@ -336,12 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         return args.fn(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from . import primitive, wild
@@ -43,7 +44,7 @@ class MonoidOracle:
     add: Callable
     equal: Callable  # (x, y) -> Decision
     leq: Callable  # (x, y) -> Decision; Holds witness is a complement
-    elements: Callable  # max_degree -> list
+    elements: Callable  # max_degree -> tuple, enumerated once per degree
     # optional capabilities
     refine: Callable | None = None  # (a, b, c, d) -> Decision with matrix witness
     # element -> positive rational, additive (s(x + y) = s(x) + s(y)); None if
@@ -72,6 +73,12 @@ class MonoidOracle:
 
 # m*x <= m*y iff x <= y, read off the closed-form order criterion
 _HOMOGENEOUS_ORDER = "homogeneous order certificate"
+
+
+def _per_degree(enumerate_elements):
+    """`enumerate_elements` as a tuple, computed once per degree: the lab's
+    checks on one oracle all sweep the same elements."""
+    return lru_cache(maxsize=None)(lambda d: tuple(enumerate_elements(d)))
 
 
 def _exact_equal(eq):
@@ -116,11 +123,11 @@ def ladder_oracle(level: int) -> MonoidOracle:
         add=wild.LadderElem.add,
         equal=_exact_equal(wild.LadderElem.equal),
         leq=_exact_leq(wild.LadderElem.leq),
-        elements=lambda d: wild.enumerate_ladder(level, d),
+        elements=_per_degree(lambda d: wild.enumerate_ladder(level, d)),
         refine=refine,
         positive_state=state,
         invariants=invariants,
-        extended_elements=lambda d: wild.enumerate_ladder(level + 2, d),
+        extended_elements=_per_degree(lambda d: wild.enumerate_ladder(level + 2, d)),
         key=lambda e: e,
         certified={"unperforated": _HOMOGENEOUS_ORDER},
     )
@@ -142,10 +149,10 @@ def bar_oracle(level: int) -> MonoidOracle:
         add=wild.BarElem.add,
         equal=_exact_equal(wild.BarElem.equal),
         leq=_exact_leq(wild.BarElem.leq),
-        elements=lambda d: wild.enumerate_bar(level, d),
+        elements=_per_degree(lambda d: wild.enumerate_bar(level, d)),
         refine=refine,
         invariants=lambda e: (e.k,),
-        extended_elements=lambda d: wild.enumerate_bar(level + 2, d),
+        extended_elements=_per_degree(lambda d: wild.enumerate_bar(level + 2, d)),
         key=lambda e: e,
         certified={"unperforated": _HOMOGENEOUS_ORDER},
     )
@@ -177,7 +184,7 @@ def free_oracle(rank: int) -> MonoidOracle:
         add=lambda x, y: tuple(a + b for a, b in zip(x, y)),
         equal=_exact_equal(lambda x, y: x == y),
         leq=_exact_leq(leq),
-        elements=lambda d: list(compositions(rank, d)),
+        elements=_per_degree(lambda d: compositions(rank, d)),
         refine=refine,
         positive_state=lambda x: Fraction(sum(x)),
         invariants=lambda x: x,
@@ -193,7 +200,7 @@ def primitive_oracle(poset: primitive.PrimePoset, name: str = "prim") -> MonoidO
         add=primitive.prim_add,
         equal=_exact_equal(primitive.prim_equal),
         leq=_exact_leq(primitive.prim_leq),
-        elements=lambda d: primitive.enumerate_elements(poset, d),
+        elements=_per_degree(lambda d: primitive.enumerate_elements(poset, d)),
         key=lambda e: e.coeffs,
     )
 
@@ -209,9 +216,7 @@ def presentation_oracle(
     cache = ClassCache(p, bound)
 
     def elements(max_degree: int):
-        return [
-            Word.of([(i, c) for i, c in enumerate(t) if c]) for t in compositions(len(p.gens), max_degree)
-        ]
+        return (Word.of([(i, c) for i, c in enumerate(t) if c]) for t in compositions(len(p.gens), max_degree))
 
     return MonoidOracle(
         name=p.name,
@@ -219,7 +224,7 @@ def presentation_oracle(
         add=lambda x, y: x.add(y),
         equal=lambda x, y: decide_equal(p, x, y, bound, certs, cache),
         leq=lambda x, y: decide_leq(p, x, y, bound, cache),
-        elements=elements,
+        elements=_per_degree(elements),
         refine=lambda a, b, c, d: find_refinement(p, a, b, c, d, bound, certs, cache),
         fmt=lambda w: w.format(p.gens),
     )

@@ -118,7 +118,7 @@ def normalize(poset: PrimePoset, raw) -> PrimElem:
 
 
 def prim_add(e1: PrimElem, e2: PrimElem) -> PrimElem:
-    if e1.poset != e2.poset:
+    if e1.poset is not e2.poset and e1.poset != e2.poset:
         raise ValueError("poset mismatch")
     acc = dict(e1.coeffs)
     for p, c in e2.coeffs:
@@ -127,7 +127,7 @@ def prim_add(e1: PrimElem, e2: PrimElem) -> PrimElem:
 
 
 def prim_equal(e1: PrimElem, e2: PrimElem) -> bool:
-    if e1.poset != e2.poset:
+    if e1.poset is not e2.poset and e1.poset != e2.poset:
         raise ValueError("poset mismatch")
     return e1.coeffs == e2.coeffs
 
@@ -138,7 +138,7 @@ def prim_leq(e1: PrimElem, e2: PrimElem) -> PrimElem | None:
     c1(q) on a non-idempotent q of supp(e2), 1 on an idempotent q of supp(e2)
     that e1 lacks, 0 elsewhere.  Being least in product order, c is also the
     first complement in lexicographic order over the primes."""
-    if e1.poset != e2.poset:
+    if e1.poset is not e2.poset and e1.poset != e2.poset:
         raise ValueError("poset mismatch")
     poset = e1.poset
     below = poset.below

@@ -9,13 +9,16 @@ Manifest JSON:
     ]}
 
 expect is one of holds / fails / unknown (mapped to exit codes 0 / 1 / 2) or
-an explicit integer exit code.
+an explicit integer exit code.  A case whose command exits with the input
+error code 3 when it expected something else gets status "error"; its
+stderr is kept in the report either way.
 """
 from __future__ import annotations
 
 import io
 import json
-from contextlib import redirect_stdout
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 
 _EXPECT_CODES = {"holds": 0, "fails": 1, "unknown": 2}
@@ -57,19 +60,21 @@ def load_manifest(text: str) -> SuiteManifest:
 def run_suite(manifest: SuiteManifest):
     """Run every case; returns (report dict, exit code). Exit code is 0 iff
     every case's exit matches its expectation."""
-    from .cli import main  # late import: cli imports this module
+    from .cli import INPUT_ERROR, main  # late import: cli imports this module
 
     results = []
     passed = 0
     for case in manifest.cases:
-        buf = io.StringIO()
+        buf, err = io.StringIO(), io.StringIO()
         try:
-            with redirect_stdout(buf):
+            with redirect_stdout(buf), redirect_stderr(err):
                 code = main(list(case.command))
         except SystemExit as exc:
             code = int(exc.code or 0)
+        sys.stderr.write(err.getvalue())
         ok = code == case.expect
         passed += ok
+        status = "pass" if ok else "error" if code == INPUT_ERROR else "MISMATCH"
         results.append(
             {
                 "name": case.name,
@@ -77,8 +82,9 @@ def run_suite(manifest: SuiteManifest):
                 "comment": case.comment,
                 "expected": case.expect,
                 "exit": code,
-                "status": "pass" if ok else "MISMATCH",
+                "status": status,
                 "output": buf.getvalue(),
+                "stderr": err.getvalue(),
             }
         )
     report = {"total": len(manifest.cases), "passed": passed, "cases": results}

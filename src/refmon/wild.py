@@ -30,6 +30,14 @@ settles it, and a complement is built only once the order holds.
 Everything here is validated against the bounded rewriting oracle on the
 truncated presentations (see tests); the order criterion and the congruence
 closed forms are derived, not taken on faith.
+
+The canonical form is stored as a tuple: LadderElem is (level, m, i, j,
+rungs) and BarElem is (level, i, j, k), tuple subclasses with named
+read-only fields.  The lab's sweeps hash and compare elements millions of
+times, and a tuple does both in C, with the hash a frozen dataclass of the
+same fields would give.  The kernels unpack their operands once and build
+every result through one canonicalizer per monoid (`_ladder`, `_bar`), which
+validates what it builds.
 """
 from __future__ import annotations
 
@@ -59,46 +67,42 @@ from .words import Word, compositions
 # ---------------------------------------------------------------------------
 # Ladder monoid elements
 
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class LadderElem:
-    """Canonical element of the ladder monoid.
+
+class LadderElem(tuple):
+    """Canonical element of the ladder monoid: the tuple (level, m, i, j, rungs).
 
     level: n of the representation; m, i, j: coefficients of x_n, y_n, z_n;
     rungs: coefficients of a_1..a_n.  Raw field equality of canonical forms
     coincides with monoid equality (checked exhaustively against the oracle).
+    Direct construction validates the fields; `make` also canonicalizes.
     """
 
-    level: int
-    m: int
-    i: int
-    j: int
-    rungs: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.level, self.m, self.i, self.j, *(self.rungs or (0,))) < 0:
-            raise ValueError("negative coefficient")
-        if len(self.rungs) != self.level:
-            raise ValueError("rung vector length must equal level")
+    level = property(operator.itemgetter(0))
+    m = property(operator.itemgetter(1))
+    i = property(operator.itemgetter(2))
+    j = property(operator.itemgetter(3))
+    rungs = property(operator.itemgetter(4))
+
+    def __new__(cls, level: int, m: int, i: int, j: int, rungs: tuple[int, ...] = ()) -> "LadderElem":
+        return _ladder_elem(level, m, i, j, tuple(rungs))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "LadderElem(level={!r}, m={!r}, i={!r}, j={!r}, rungs={!r})".format(*self)
 
     @staticmethod
     def make(level: int, m: int, i: int, j: int, rungs: tuple[int, ...] = ()) -> "LadderElem":
-        """Build and canonicalize."""
+        """Build and canonicalize; missing top rungs are zero."""
         rungs = tuple(rungs)
         if len(rungs) < level:
-            rungs = rungs + (0,) * (level - len(rungs))
-        if m > 0:
-            i, j = i + j, 0
-        while level >= 1:
-            top = rungs[-1]
-            if m > 0 and i == m + top:
-                i = top
-                level, rungs = level - 1, rungs[:-1]
-            elif m == 0 and top == i + j:
-                level, rungs = level - 1, rungs[:-1]
-            else:
-                break
-        return LadderElem(level, m, i, j, rungs)
+            rungs += (0,) * (level - len(rungs))
+        return _ladder(level, m, i, j, rungs)
 
     # -- constructors for the named generators
     @staticmethod
@@ -134,13 +138,15 @@ class LadderElem:
         One raising step: x_n = x_{n+1} + y_{n+1}, y_n = y_{n+1} + a_{n+1},
         z_n = z_{n+1} + a_{n+1}.
         """
-        if target < self.level:
+        level, m, i, j, rungs = self
+        if target < level:
             raise ValueError("target level below stored level")
-        i, rungs = _raise(self.m, self.i, self.j, self.rungs, target - self.level)
-        return self.m, i, self.j, rungs
+        i, rungs = _raise(m, i, j, rungs, target - level)
+        return m, i, j, rungs
 
     def degree(self) -> int:
-        return self.m + self.i + self.j + sum(self.rungs)
+        _, m, i, j, rungs = self
+        return m + i + j + sum(rungs)
 
     def is_zero(self) -> bool:
         return self.degree() == 0
@@ -151,33 +157,35 @@ class LadderElem:
         Raising never changes m, so it is compared first; then the lower-level
         operand's rungs are raised one level at a time against the other's.
         """
-        m = self.m
-        if m != other.m:
+        n1, m, i1, j1, k1 = self
+        n2, m2, i2, j2, k2 = other
+        if m != m2:
             return False
-        lo, hi = (self, other) if self.level <= other.level else (other, self)
-        n, k = lo.level, hi.rungs
-        if lo.rungs != k[:n]:
+        if n1 > n2:
+            n1, i1, j1, k1, n2, i2, j2, k2 = n2, i2, j2, k2, n1, i1, j1, k1
+        if k1 != k2[:n1]:
             return False
-        i, j = lo.i, lo.j
-        for l in range(n, hi.level):
-            if k[l] != i + j:
+        for l in range(n1, n2):
+            if k2[l] != i1 + j1:
                 return False
-            i += m
+            i1 += m
         if m == 0:
-            return i == hi.i and j == hi.j
-        return i + j == hi.i + hi.j
+            return i1 == i2 and j1 == j2
+        return i1 + j1 == i2 + j2
 
     def add(self, other: "LadderElem") -> "LadderElem":
-        lo, hi = (self, other) if self.level <= other.level else (other, self)
-        i, k = _raise(lo.m, lo.i, lo.j, lo.rungs, hi.level - lo.level)
-        return LadderElem.make(
-            hi.level, lo.m + hi.m, i + hi.i, lo.j + hi.j, tuple(map(operator.add, k, hi.rungs))
-        )
+        n1, m1, i1, j1, k1 = self
+        n2, m2, i2, j2, k2 = other
+        if n1 > n2:
+            n1, m1, i1, j1, k1, n2, m2, i2, j2, k2 = n2, m2, i2, j2, k2, n1, m1, i1, j1, k1
+        i1, k1 = _raise(m1, i1, j1, k1, n2 - n1)
+        return _ladder(n2, m1 + m2, i1 + i2, j1 + j2, tuple(map(operator.add, k1, k2)))
 
     def scale(self, c: int) -> "LadderElem":
         if c < 0:
             raise ValueError("negative multiplier")
-        return LadderElem.make(self.level, c * self.m, c * self.i, c * self.j, tuple(c * k for k in self.rungs))
+        level, m, i, j, rungs = self
+        return _ladder(level, c * m, c * i, c * j, tuple(c * k for k in rungs))
 
     def leq(self, other: "LadderElem") -> "LadderElem | None":
         """Algebraic order; returns a complement witness c with self + c = other,
@@ -190,40 +198,67 @@ class LadderElem:
         rungs are compared as the lower-level operand is raised, and the
         complement is built only when the answer is yes.
         """
-        m1, m2 = self.m, other.m
+        n1, m1, i1, j1, k1 = self
+        n2, m2, i2, j2, k2 = other
         if m1 > m2:
             return None
-        k1, k2 = self.rungs, other.rungs
         for p, q in zip(k1, k2):
             if p > q:
                 return None
-        i1, j1, i2, j2 = self.i, self.j, other.i, other.j
-        n1, n2 = self.level, other.level
+        r1, r2 = i1, i2  # the i coefficients at the common level
         for l in range(n1, n2):  # raise self
-            if i1 + j1 > k2[l]:
+            if r1 + j1 > k2[l]:
                 return None
-            i1 += m1
+            r1 += m1
         for l in range(n2, n1):  # raise other
-            if k1[l] > i2 + j2:
+            if k1[l] > r2 + j2:
                 return None
-            i2 += m2
+            r2 += m2
         if m2 == 0:
-            if m1 or i1 > i2 or j1 > j2:
+            if m1 or r1 > r2 or j1 > j2:
                 return None
-        elif i1 + j1 > i2 + j2:
+        elif r1 + j1 > r2 + j2:
             return None
-        _, k1 = _raise(m1, self.i, j1, k1, n2 - n1)
-        _, k2 = _raise(m2, other.i, j2, k2, n1 - n2)
+        _, k1 = _raise(m1, i1, j1, k1, n2 - n1)
+        _, k2 = _raise(m2, i2, j2, k2, n1 - n2)
         n, dk = max(n1, n2), tuple(map(operator.sub, k2, k1))
         if m2 == 0:
-            return LadderElem.make(n, 0, i2 - i1, j2 - j1, dk)
-        return LadderElem.make(n, m2 - m1, i2 + j2 - i1 - j1, 0, dk)
+            return _ladder(n, 0, r2 - r1, j2 - j1, dk)
+        return _ladder(n, m2 - m1, r2 + j2 - r1 - j1, 0, dk)
 
     def format(self) -> str:
-        return _format(self.level, self.m, self.i, self.j, self.rungs, names=("x", "y", "z", "a"))
+        return _format(*self, names=("x", "y", "z", "a"))
 
     def __str__(self) -> str:
         return self.format()
+
+
+def _ladder_elem(level: int, m: int, i: int, j: int, rungs: tuple[int, ...]) -> LadderElem:
+    """The LadderElem with exactly these fields, after validating them."""
+    if level < 0 or m < 0 or i < 0 or j < 0 or (rungs and min(rungs) < 0):
+        raise ValueError("negative coefficient")
+    if len(rungs) != level:
+        raise ValueError("rung vector length must equal level")
+    return _new(LadderElem, (level, m, i, j, rungs))
+
+
+def _ladder(level: int, m: int, i: int, j: int, rungs: tuple[int, ...]) -> LadderElem:
+    """The canonical LadderElem of m*x_n + i*y_n + j*z_n + rungs at level n:
+    j is folded into i when m > 0, and the level is lowered while the top rung
+    is the one a raising step would have appended (then, when m > 0, the
+    lowered i is that rung).  Every element the kernels build comes from here."""
+    if m > 0:
+        i += j
+        j = 0
+        while level > 0 and i == m + rungs[-1]:
+            i = rungs[-1]
+            level -= 1
+            rungs = rungs[:-1]
+    elif m == 0:
+        while level > 0 and rungs[-1] == i + j:
+            level -= 1
+            rungs = rungs[:-1]
+    return _ladder_elem(level, m, i, j, rungs)
 
 
 def _raise(m: int, i: int, j: int, rungs: tuple[int, ...], steps: int) -> tuple[int, tuple[int, ...]]:
@@ -251,33 +286,34 @@ class RawLadder:
 # Bar monoid elements
 
 
-@dataclass(frozen=True)
-class BarElem:
-    """Canonical element of the bar monoid.
+class BarElem(tuple):
+    """Canonical element of the bar monoid: the tuple (level, i, j, k).
 
     level: n; i, j: coefficients of ybar0, zbar0; k: coefficient of xbar_n.
     Canonical form: j folded into i when k > 0; level lowered while i >= k;
-    level 0 when k = 0.
+    level 0 when k = 0.  Direct construction validates the fields; `make`
+    also canonicalizes.
     """
 
-    level: int
-    i: int
-    j: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.level, self.i, self.j, self.k) < 0:
-            raise ValueError("negative coefficient")
+    level = property(operator.itemgetter(0))
+    i = property(operator.itemgetter(1))
+    j = property(operator.itemgetter(2))
+    k = property(operator.itemgetter(3))
+
+    def __new__(cls, level: int, i: int, j: int, k: int) -> "BarElem":
+        return _bar_elem(level, i, j, k)
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "BarElem(level={!r}, i={!r}, j={!r}, k={!r})".format(*self)
 
     @staticmethod
     def make(level: int, i: int, j: int, k: int) -> "BarElem":
-        if k == 0:
-            return BarElem(0, i, j, 0)
-        i, j = i + j, 0
-        while level >= 1 and i >= k:
-            i -= k
-            level -= 1
-        return BarElem(level, i, j, k)
+        return _bar(level, i, j, k)
 
     @staticmethod
     def zero() -> "BarElem":
@@ -297,38 +333,46 @@ class BarElem:
 
     def raised(self, target: int) -> tuple[int, int, int]:
         """(i, j) coefficients at `target`; raising uses xbar_n = xbar_{n+1} + ybar0."""
-        if target < self.level:
+        level, i, j, k = self
+        if target < level:
             raise ValueError("target level below stored level")
-        return self.i + self.k * (target - self.level), self.j, self.k
+        return i + k * (target - level), j, k
 
     def degree(self) -> int:
-        return self.i + self.j + self.k
+        _, i, j, k = self
+        return i + j + k
 
     def is_zero(self) -> bool:
         return self.degree() == 0
 
     def equal(self, other: "BarElem") -> bool:
-        k = self.k
-        if k != other.k:
+        n1, i1, j1, k = self
+        n2, i2, j2, k2 = other
+        if k != k2:
             return False
-        i1, i2 = self.i, other.i  # raise the lower-level operand's ybar count
-        if self.level < other.level:
-            i1 += k * (other.level - self.level)
+        if n1 < n2:  # raise the lower-level operand's ybar count
+            i1 += k * (n2 - n1)
         else:
-            i2 += k * (self.level - other.level)
+            i2 += k * (n1 - n2)
         if k == 0:
-            return i1 == i2 and self.j == other.j
-        return i1 + self.j == i2 + other.j
+            return i1 == i2 and j1 == j2
+        return i1 + j1 == i2 + j2
 
     def add(self, other: "BarElem") -> "BarElem":
-        lo, hi = (self, other) if self.level <= other.level else (other, self)
-        i = lo.i + lo.k * (hi.level - lo.level)
-        return BarElem.make(hi.level, i + hi.i, lo.j + hi.j, lo.k + hi.k)
+        n1, i1, j1, k1 = self
+        n2, i2, j2, k2 = other
+        if n1 < n2:
+            i1 += k1 * (n2 - n1)
+            n1 = n2
+        else:
+            i2 += k2 * (n1 - n2)
+        return _bar(n1, i1 + i2, j1 + j2, k1 + k2)
 
     def scale(self, c: int) -> "BarElem":
         if c < 0:
             raise ValueError("negative multiplier")
-        return BarElem.make(self.level, c * self.i, c * self.j, c * self.k)
+        level, i, j, k = self
+        return _bar(level, c * i, c * j, c * k)
 
     def leq(self, other: "BarElem") -> "BarElem | None":
         """Derived order criterion: with k = xbar coefficient, self <= other iff
@@ -336,34 +380,58 @@ class BarElem:
         or k1 = k2 = 0 with i1 <= i2 and j1 <= j2.  Raising never changes k,
         so k1 > k2 is settled before it; only the lower-level operand's ybar
         count is raised."""
-        k1, k2 = self.k, other.k
+        n1, i1, j1, k1 = self
+        n2, i2, j2, k2 = other
         if k1 > k2:
             return None
-        i1, j1, i2, j2 = self.i, self.j, other.i, other.j
-        n1, n2 = self.level, other.level
         if n1 < n2:
             i1 += k1 * (n2 - n1)
+            n1 = n2
         else:
             i2 += k2 * (n1 - n2)
         if k2 == 0:
             if i1 <= i2 and j1 <= j2:
-                return BarElem.make(0, i2 - i1, j2 - j1, 0)
+                return _bar(0, i2 - i1, j2 - j1, 0)
             return None
-        n = max(n1, n2)
         if k1 == k2:
             if i1 + j1 <= i2 + j2:
-                return BarElem.make(n, i2 + j2 - i1 - j1, 0, 0)
+                return _bar(n1, i2 + j2 - i1 - j1, 0, 0)
             return None
         # k1 < k2: raise t more levels, until the y/z budget of `other` catches up
         gap = (i1 + j1) - (i2 + j2)
         t = 0 if gap <= 0 else -(-gap // (k2 - k1))
-        return BarElem.make(n + t, (i2 + j2 - i1 - j1) + (k2 - k1) * t, 0, k2 - k1)
+        return _bar(n1 + t, (i2 + j2 - i1 - j1) + (k2 - k1) * t, 0, k2 - k1)
 
     def format(self) -> str:
-        return _format(self.level, self.k, self.i, self.j, None, names=("xbar", "ybar", "zbar", None))
+        level, i, j, k = self
+        return _format(level, k, i, j, None, names=("xbar", "ybar", "zbar", None))
 
     def __str__(self) -> str:
         return self.format()
+
+
+def _bar_elem(level: int, i: int, j: int, k: int) -> BarElem:
+    """The BarElem with exactly these fields, after validating them."""
+    if level < 0 or i < 0 or j < 0 or k < 0:
+        raise ValueError("negative coefficient")
+    return _new(BarElem, (level, i, j, k))
+
+
+def _bar(level: int, i: int, j: int, k: int) -> BarElem:
+    """The canonical BarElem of k*xbar_n + i*ybar0 + j*zbar0 at level n = `level`:
+    level 0 when k = 0; else j folded into i and the level lowered by t =
+    min(level, i // k) steps of xbar_{n-1} = xbar_n + ybar0, each taking k
+    from i.  Every element the kernels build comes from here."""
+    if k == 0:
+        level = 0
+    else:
+        i += j
+        j = 0
+        if level > 0 and i >= k:
+            t = min(level, i // k)
+            i -= t * k
+            level -= t
+    return _bar_elem(level, i, j, k)
 
 
 def _format(level, m, i, j, rungs, names) -> str:
@@ -569,7 +637,8 @@ def cong_mod_ideal(e1, e2, ideal: Ideal) -> bool:
 
 def to_bar(e: LadderElem) -> BarElem:
     """The quotient map: drop the rungs; x_n, y_n, z_n map to xbar_n, ybar0, zbar0."""
-    return BarElem.make(e.level, e.i, e.j, e.m)
+    level, m, i, j, _ = e
+    return _bar(level, i, j, m)
 
 
 # ---------------------------------------------------------------------------
@@ -715,12 +784,12 @@ def standard_certificates(n: int, kind: str = "ladder") -> dict[str, Certificate
 def enumerate_ladder(max_level: int, max_degree: int) -> list[LadderElem]:
     """All canonical ladder elements of level <= max_level and degree <= max_degree."""
     levels = range(max_level + 1)
-    elems = (LadderElem.make(n, t[0], t[1], t[2], t[3:]) for n in levels for t in compositions(3 + n, max_degree))
+    elems = (_ladder(n, t[0], t[1], t[2], t[3:]) for n in levels for t in compositions(3 + n, max_degree))
     return list(dict.fromkeys(elems))  # drops repeats, keeping first-seen order
 
 
 def enumerate_bar(max_level: int, max_degree: int) -> list[BarElem]:
-    elems = (BarElem.make(n, *t) for n in range(max_level + 1) for t in compositions(3, max_degree))
+    elems = (_bar(n, *t) for n in range(max_level + 1) for t in compositions(3, max_degree))
     return list(dict.fromkeys(elems))
 
 

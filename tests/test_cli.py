@@ -4,7 +4,7 @@ import json
 import pytest
 
 from refmon import suite
-from refmon.cli import main
+from refmon.cli import INPUT_ERROR, main
 
 POSET_TEXT = "poset P\nprimes p q\nbelow p p\nbelow p q\n"
 
@@ -89,13 +89,13 @@ def test_check_and_refine_agree_on_m0_refinement(capsys):
 
 def test_bad_words_are_reported(capsys):
     code, _, err = run(capsys, "eq", "m0", "x0 + nope", "x0")
-    assert code == 1
+    assert code == INPUT_ERROR
     assert "error:" in err
 
 
 def test_missing_file_is_reported(capsys):
     code, _, err = run(capsys, "parse", "/nonexistent/monoid.txt")
-    assert code == 1
+    assert code == INPUT_ERROR
     assert "error:" in err
 
 
@@ -166,14 +166,14 @@ def test_check_json_reports_bound(capsys):
 )
 def test_bad_oracle_target_rejected(capsys, command, spec, message):
     code, out, err = run(capsys, command, spec, "--max-degree", "2")
-    assert code == 1
+    assert code == INPUT_ERROR
     assert out == ""
     assert err == f"error: {message}\n"
 
 
 def test_check_unknown_property_rejected(capsys):
     code, _, err = run(capsys, "check", "free:1", "--prop", "frobnicate")
-    assert code == 1
+    assert code == INPUT_ERROR
     assert "unknown property id" in err
 
 
@@ -210,7 +210,7 @@ def test_wild_arity_and_errors(capsys):
         (("refine", "x0", "x0", "y0", "y0"), "precondition a + b = c + d does not hold"),
     ):
         code, out, err = run(capsys, "wild", *argv)
-        assert code == 1
+        assert code == INPUT_ERROR
         assert out == ""
         assert err == f"error: {message}\n"
 
@@ -230,7 +230,7 @@ def test_wild_zero_term_takes_the_other_terms_family(capsys):
 def test_wild_mixed_families_rejected(capsys):
     for argv in (("eq", "x0", "xbar0"), ("add", "ybar0", "y0"), ("refine", "x0", "0", "xbar0", "0")):
         code, _, err = run(capsys, "wild", *argv)
-        assert code == 1
+        assert code == INPUT_ERROR
         assert err.strip() == "error: cannot mix ladder and bar terms"
 
 
@@ -273,7 +273,7 @@ def test_tilde_requires_emitters(tmp_path, capsys):
     f.write_text(GRAPH_TEXT)
     for argv in (("tilde", str(f)), ("graph-monoid", str(f), "--tilde")):
         code, out, err = run(capsys, *argv)
-        assert code == 1
+        assert code == INPUT_ERROR
         assert out == ""
         assert err == "error: graph file has no emitter lines\n"
 
@@ -291,7 +291,7 @@ def test_poset_parse_error(tmp_path, capsys):
     f = tmp_path / "p.txt"
     f.write_text("primes p q\nbelow p q\nbelow q p\n")
     code, _, err = run(capsys, "poset", str(f))
-    assert code == 1
+    assert code == INPUT_ERROR
     assert "antisymmetry" in err
 
 
@@ -332,26 +332,53 @@ def test_suite_manifest_mismatch(tmp_path, capsys):
 
 
 def test_suite_reports_input_errors_per_case(tmp_path, capsys):
-    """An input error ends its own case with exit 1, and the run goes on."""
+    """An input error, usage errors included, ends its own case with exit 3
+    and status "error", whatever the case expected, keeps its stderr in the
+    report, and the run goes on."""
     f = tmp_path / "g.txt"
     f.write_text(GRAPH_TEXT)
     bad = [
-        ["wild", "eq", "x0"],
-        ["wild", "q", "xbar0"],
-        ["wild", "refine", "x0", "x0", "y0", "y0"],
-        ["tilde", str(f)],
-        ["graph-monoid", str(f), "--tilde"],
-        ["eq", str(tmp_path), "a", "b"],
+        (["wild", "eq", "x0"], "fails"),
+        (["wild", "q", "xbar0"], "fails"),
+        (["wild", "refine", "x0", "x0", "y0", "y0"], "fails"),
+        (["tilde", str(f)], "fails"),
+        (["graph-monoid", str(f), "--tilde"], "fails"),
+        (["eq", str(tmp_path), "a", "b"], "fails"),
+        (["eq", "m0", "x0 + nope", "x0"], "fails"),
+        (["check", "nosuchfile.txt"], "fails"),
+        (["eq", "m0", "x0"], "unknown"),  # usage error: rhs missing
     ]
-    cases = [{"name": f"bad {i}", "command": c, "expect": "fails"} for i, c in enumerate(bad)]
+    cases = [{"name": f"bad {i}", "command": c, "expect": e} for i, (c, e) in enumerate(bad)]
     cases.append({"name": "good", "command": ["wild", "eq", "y0", "y0"], "expect": "holds"})
     m, r = tmp_path / "cases.json", tmp_path / "report.json"
     m.write_text(json.dumps({"cases": cases}))
     code, out, err = run(capsys, "suite", str(m), "--report", str(r))
-    assert code == 0, out
-    assert [c["exit"] for c in json.loads(r.read_text())["cases"]] == [1] * len(bad) + [0]
-    assert "suite: 7/7 passed" in out
+    assert code == 1, out
+    report = json.loads(r.read_text())["cases"]
+    assert [c["exit"] for c in report] == [INPUT_ERROR] * len(bad) + [0]
+    assert [c["status"] for c in report] == ["error"] * len(bad) + ["pass"]
+    assert all(c["stderr"].count("error: ") == 1 for c in report[:-1]) and report[-1]["stderr"] == ""
+    assert "the following arguments are required: rhs" in report[-2]["stderr"]
+    assert f"suite: 1/{len(bad) + 1} passed" in out
     assert err.count("error: ") == len(bad)
+
+
+def test_usage_errors_exit_with_the_input_error_code(capsys):
+    for argv in (("eq", "m0", "x0"), ("eq", "m0", "x0", "y0", "--max-degree", "many"), ("frobnicate",)):
+        code, out, err = run(capsys, *argv)
+        assert code == INPUT_ERROR
+        assert out == ""
+        assert err.startswith("usage: refmon") and "\nerror: refmon" in err
+
+
+@pytest.mark.parametrize(
+    "target, counterexample", [("ladder:2", ["y0", "z0", "x0"]), ("bar:2", ["ybar0", "zbar0", "xbar0"])]
+)
+def test_check_json_shows_elements_as_terms(capsys, target, counterexample):
+    code, out, _ = run(capsys, "check", target, "--prop", "cancellative", "--max-degree", "3", "--format", "json")
+    assert code == 1
+    (report,) = json.loads(out)["reports"]
+    assert report["decision"]["counterexample"] == counterexample
 
 
 def test_manifest_validation():

@@ -1,5 +1,6 @@
 """Lint guard for the package sources, with the standard library's `ast` only."""
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,7 +144,7 @@ def test_no_unreferenced_public_definitions():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_raise_system_exit(path):
     """Commands report input errors as ValueError or OSError, which `cli.main`
-    turns into exit 1 and an `error:` line; a SystemExit carrying a message
+    turns into exit 3 and an `error:` line; a SystemExit carrying a message
     would abort a whole `refmon suite` run instead."""
     raised = [
         f"{path.name}:{n.lineno}"
@@ -153,3 +154,19 @@ def test_no_raise_system_exit(path):
         and any(isinstance(c, ast.Name) and c.id == "SystemExit" for c in ast.walk(n.exc))
     ]
     assert not raised
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_runtime_imports_only_the_standard_library(path):
+    """Every absolute import names a standard-library module: the runtime
+    stays stdlib-only."""
+    imported = []
+    for n in ast.walk(_tree(path)):
+        if isinstance(n, ast.Import):
+            imported += [(n.lineno, alias.name) for alias in n.names]
+        elif isinstance(n, ast.ImportFrom) and n.level == 0:
+            imported.append((n.lineno, n.module))
+    foreign = [
+        f"{path.name}:{line} {name}" for line, name in imported if name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert not foreign

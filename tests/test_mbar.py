@@ -373,3 +373,51 @@ def test_parse_format_roundtrip():
 def test_parse_mixed_families_rejected():
     with pytest.raises(ValueError):
         wild.parse_elem("xbar0 + y0")
+
+
+# -- the kernels build canonical, validated tuples
+
+
+def _assert_canonical_and_hashed(elems):
+    """Each element passes the validating constructor, is its own canonical
+    form, and hashes equal to every element it equals."""
+    for e in elems:
+        assert BarElem(*e) == e
+        assert BarElem.make(*e) == e
+    for e1 in elems:
+        for e2 in elems:
+            if e1.equal(e2):
+                assert e1 == e2 and hash(e1) == hash(e2), (e1, e2)
+
+
+def _raw(e, extra):
+    """e as a raw (non-canonical) representation `extra` levels up."""
+    return BarElem(e.level + extra, *e.raised(e.level + extra))
+
+
+@given(bar_elems(), bar_elems(), st.integers(0, 2), st.integers(0, 2), st.integers(0, 4))
+def test_kernel_results_are_canonical(e1, e2, up1, up2, c):
+    r1, r2 = _raw(e1, up1), _raw(e2, up2)
+    results = [r1.add(r2), r1.leq(r1.add(r2)), r1.scale(c), r2.scale(c)]
+    results += [x for x in (r1.leq(r2), r2.leq(r1)) if x is not None]
+    _assert_canonical_and_hashed(results + [e1, e2])
+
+
+@given(bar_elems(), bar_elems(), bar_elems(), bar_elems())
+def test_refine_entries_are_canonical(p, q, r, s):
+    (z11, z12), (z21, z22) = wild.bar_refine(p.add(q), r.add(s), p.add(r), q.add(s))
+    _assert_canonical_and_hashed([z11, z12, z21, z22, p, q, r, s])
+
+
+@pytest.mark.parametrize("fields", [(0, -1, 0, 0), (0, 0, -1, 0), (1, 0, 0, -1), (-1, 0, 0, 1), (2, -5, 0, 1)])
+def test_negative_coefficients_rejected(fields):
+    for build in (BarElem, BarElem.make):
+        with pytest.raises(ValueError, match="negative coefficient"):
+            build(*fields)
+
+
+def test_elements_are_tuples_with_named_fields():
+    e = wild.parse_elem("2*xbar2 + zbar0")
+    assert tuple(e) == (e.level, e.i, e.j, e.k) == (2, 1, 0, 2)
+    assert hash(e) == hash((2, 1, 0, 2))
+    assert repr(e) == "BarElem(level=2, i=1, j=0, k=2)"

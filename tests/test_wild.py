@@ -1,4 +1,6 @@
 """Exact ladder-monoid arithmetic, validated against the rewriting oracle."""
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -550,3 +552,72 @@ def test_parse_elem_errors():
         wild.parse_elem("x")
     assert wild.parse_elem("0").is_zero()
     assert wild.parse_elem("u") == U
+
+
+# -- the kernels build canonical, validated tuples
+
+
+def _assert_canonical_and_hashed(elems):
+    """Each element passes the validating constructor, is its own canonical
+    form, and hashes equal to every element it equals."""
+    for e in elems:
+        assert LadderElem(*e) == e
+        assert LadderElem.make(*e) == e
+    for e1 in elems:
+        for e2 in elems:
+            if e1.equal(e2):
+                assert e1 == e2 and hash(e1) == hash(e2), (e1, e2)
+
+
+def _raw(e, extra):
+    """e as a raw (non-canonical) representation `extra` levels up."""
+    return LadderElem(e.level + extra, *e.raised(e.level + extra))
+
+
+@given(ladder_elems(), ladder_elems(), st.integers(0, 2), st.integers(0, 2), st.integers(0, 4))
+def test_kernel_results_are_canonical(e1, e2, up1, up2, c):
+    r1, r2 = _raw(e1, up1), _raw(e2, up2)
+    results = [r1.add(r2), r1.leq(r1.add(r2)), r1.scale(c), r2.scale(c)]
+    results += [x for x in (r1.leq(r2), r2.leq(r1)) if x is not None]
+    _assert_canonical_and_hashed(results + [e1, e2])
+
+
+@given(ladder_elems(), ladder_elems(), ladder_elems(), ladder_elems())
+def test_refine_entries_are_canonical(p, q, r, s):
+    (z11, z12), (z21, z22) = wild.ladder_refine(p.add(q), r.add(s), p.add(r), q.add(s))
+    _assert_canonical_and_hashed([z11, z12, z21, z22, p, q, r, s])
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (-1, 0, 0, 0, ()),
+        (0, -1, 0, 0, ()),
+        (0, 0, -1, 0, ()),
+        (0, 0, 0, -1, ()),
+        (1, 0, 0, 0, (-1,)),
+        (2, 1, 0, 0, (-2, 0)),
+    ],
+)
+def test_negative_coefficients_rejected(fields):
+    for build in (LadderElem, LadderElem.make):
+        with pytest.raises(ValueError, match="negative coefficient"):
+            build(*fields)
+
+
+@pytest.mark.parametrize("fields", [(1, 0, 0, 0, ()), (0, 0, 0, 0, (1,)), (1, 0, 1, 0, (0, 0))])
+def test_wrong_rung_length_rejected(fields):
+    builds = (LadderElem, LadderElem.make) if len(fields[4]) > fields[0] else (LadderElem,)
+    for build in builds:  # make pads missing top rungs with zeros
+        with pytest.raises(ValueError, match="rung vector length must equal level"):
+            build(*fields)
+
+
+def test_elements_are_tuples_with_named_fields():
+    e = wild.parse_elem("x2 + 3*y2 + a1")
+    assert tuple(e) == (e.level, e.m, e.i, e.j, e.rungs) == (2, 1, 3, 0, (1, 0))
+    assert hash(e) == hash((2, 1, 3, 0, (1, 0)))
+    assert repr(e) == "LadderElem(level=2, m=1, i=3, j=0, rungs=(1, 0))"
+    assert pickle.loads(pickle.dumps(e)) == e and type(copy.copy(e)) is LadderElem
+    with pytest.raises(AttributeError):
+        e.m = 0
