@@ -24,13 +24,15 @@ def _bound(args) -> SearchBound:
     return SearchBound(
         max_degree=args.max_degree,
         max_class_size=args.max_class_size,
-        max_coefficient=args.max_coeff,
+        max_coefficient=getattr(args, "max_coeff", SearchBound.max_coefficient),
     )
 
 
-def _add_bound_flags(sp) -> None:
+def _add_bound_flags(sp, coefficients: bool = True) -> None:
+    """--max-coeff only for the lab's commands: rewriting reads no coefficient cap."""
     sp.add_argument("--max-degree", type=int, default=6)
-    sp.add_argument("--max-coeff", type=int, default=5)
+    if coefficients:
+        sp.add_argument("--max-coeff", type=int, default=5)
     sp.add_argument("--max-class-size", type=int, default=20000)
 
 
@@ -257,7 +259,7 @@ def _cmd_poset(args) -> int:
 def _cmd_wildness(args) -> int:
     b = _bound(args)
     o = _load_oracle(args.target, b)
-    rep = lab.wildness_certificate(o, b, samples=args.samples)
+    rep = lab.wildness_certificate(o, b)
     payload = {"monoid": o.name, "decision": _dec_json(rep.verdict)}
     _emit(args, payload, [rep.line(o.name)])
     return _exit_code([rep.verdict])
@@ -303,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("target", help="presentation file or builtin (m0, ladder:N, bar:N, e0c0, ec:N, ebar:N)")
         for t in extra:
             sp.add_argument(t)
-        _add_bound_flags(sp)
+        _add_bound_flags(sp, coefficients=False)
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.set_defaults(fn=fn)
 
@@ -338,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("wildness", help="wildness evidence for a monoid oracle")
     sp.add_argument("target")
-    sp.add_argument("--samples", type=int, default=200)
     _add_bound_flags(sp)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(fn=_cmd_wildness)

@@ -3,8 +3,13 @@
 Universal properties are instantiated over the oracle's elements of degree at
 most bound.max_degree, with multipliers up to bound.max_coefficient; a Holds
 verdict therefore always means "no counterexample at this bound" and the
-bound travels with the report.  Existential inner quantifiers are likewise
-bounded, so a Fails on a forall-exists property means "no witness within the
+bound travels with the report.
+
+Refinement is the oracle's own `refine`.  Riesz decomposition of x <= y1 +
+y2 reads x = z11 + z12 off the refinement of x + c = y1 + y2, c the
+complement, and searches x1 + x2 = x itself only where that is not Holds (m0
+is not a refinement monoid).  That search and the other existential inner
+quantifiers are bounded, so a Fails on them means "no witness within the
 bound" (documented semantics, printed in the note).
 
 The archimedean property is special: enumeration can only refute it, so Holds
@@ -391,61 +396,12 @@ def _sample_equations(o, E, rng, samples):
     return out
 
 
-def search_refine(o: MonoidOracle, a, bb, c, d, b: SearchBound) -> Decision:
-    """Generic bounded refinement search for oracles with no native refine.
-
-    For each bounded z11 below a and c, the first pass takes z12 and z21 to be
-    the complements the oracle returns and searches a z22 closing the two
-    remaining sums.  The canonical z21 may fail where another works (with p <
-    q in a primitive monoid, q + 2p = q + 0 needs z21 = 2p, not 0), so a second
-    pass tries every bounded z21 with z11 + z21 = c.
-    """
-    E = _elems(o, b)
-    sw = _Sweep()
-    cand11 = []
-    for z in E:
-        la = sw.definite(o.leq(z, a))
-        if not la:
-            continue
-        lc = sw.definite(o.leq(z, c))
-        if lc:
-            cand11.append(z)
-
-    def closed(z11, z12, z21):
-        for z22 in E:
-            if sw.definite(o.equal(o.add(z21, z22), bb)) and sw.definite(o.equal(o.add(z12, z22), d)):
-                return Decision.holds(witness=((z11, z12), (z21, z22)), note="searched refinement")
-        return None
-
-    for z11 in cand11:
-        dec = closed(z11, o.leq(z11, a).witness, o.leq(z11, c).witness)
-        if dec is not None:
-            return dec
-    for z11 in cand11:
-        z12 = o.leq(z11, a).witness
-        for z21 in E:
-            if sw.definite(o.equal(o.add(z11, z21), c)):
-                dec = closed(z11, z12, z21)
-                if dec is not None:
-                    return dec
-    return sw.exhausted(b, "no refinement with all four parts at bound", "refinement search inconclusive")
-
-
 def _check_refinement(o, b, samples):
-    E = _elems(o, b)
-    rng = random.Random(_SEED)
-    eqs = _sample_equations(o, E, rng, samples)
+    eqs = _sample_equations(o, _elems(o, b), random.Random(_SEED), samples)
     sw = _Sweep()
     for a, bb, c, d in eqs:
-        if o.refine is not None:
-            try:
-                dec = o.refine(a, bb, c, d)
-            except (AssertionError, ValueError) as exc:
-                return Decision.fails(counterexample=(a, bb, c, d), note=str(exc)), [a, bb, c, d]
-        else:
-            dec = search_refine(o, a, bb, c, d, b)
-        got = sw.definite(dec)
-        if got is False:
+        dec = o.refine(a, bb, c, d)
+        if sw.definite(dec) is False:
             return Decision.fails(counterexample=(a, bb, c, d), note=dec.note), [a, bb, c, d]
     return sw.close(b, f"{len(eqs)} sampled equations refined"), []
 
@@ -482,13 +438,12 @@ def _check_riesz_decomposition(o, b, samples):
         return (x, y1, y2) if definite(o.leq(x, o.add(y1, y2))) else None
 
     def found(x, y1, y2):
-        for x1 in (e for e in E if o.leq(e, y1).is_holds and o.leq(e, x).is_holds):
-            if o.leq(o.leq(x1, x).witness, y2).is_holds:
-                return True
-            # the canonical complement may fail where another works: search
-            if any(o.equal(o.add(x1, x2), x).is_holds and o.leq(x2, y2).is_holds for x2 in E):
-                return True
-        return False
+        # x + c = y1 + y2 refines as x = z11 + z12, z11 <= y1, z12 <= y2
+        c = o.leq(x, o.add(y1, y2)).witness
+        if o.refine(x, c, y1, y2).is_holds:
+            return True
+        below = (x1 for x1 in E if o.leq(x1, y1).is_holds and o.leq(x1, x).is_holds)
+        return any(o.equal(o.add(x1, x2), x).is_holds and o.leq(x2, y2).is_holds for x1 in below for x2 in E)
 
     return _sampled(b, samples, draw, found, "no bounded decomposition found", "{} sampled instances decomposed")
 

@@ -1,10 +1,10 @@
 """A uniform facade over the workbench's monoids for the property lab.
 
-Every oracle exposes elements up to a degree bound, three-valued equal/leq,
-total add, and zero.  Exact oracles (the ladder and bar monoids, free
-monoids, primitive monoids) have canonical hashable elements and never answer
-Unknown; presentation oracles delegate to the bounded rewriting engine and
-may.
+Every oracle exposes elements up to a degree bound, three-valued
+equal/leq/refine, total add, and zero.  Exact oracles (the ladder and bar
+monoids, free monoids, primitive monoids) have canonical hashable elements
+and never answer Unknown; presentation oracles delegate to the bounded
+rewriting engine and may.
 """
 from __future__ import annotations
 
@@ -17,13 +17,17 @@ from . import primitive, wild
 from .decisions import Decision, SearchBound
 from .presentation import Presentation
 from .rewrite import ClassCache, decide_equal, decide_leq, find_refinement
-from .words import Word, compositions
+from .words import Word, compositions, free_refine
 
 
 @dataclass
 class MonoidOracle:
     """One monoid as the lab sees it: elements up to a degree, three-valued
-    `equal` and `leq`, total `add`, and optional capabilities.
+    `equal`, `leq` and `refine`, total `add`, and optional capabilities.
+
+    Every oracle refines: an exact oracle in closed form, always Holds; a
+    presentation oracle by bounded search, which may answer Fails or Unknown.
+    A failed precondition a + b = c + d raises ValueError.
 
     Two optional capabilities are additive maps into ordered monoids:
     `positive_state` (a rational that is zero only on 0), which the lab reads
@@ -45,8 +49,8 @@ class MonoidOracle:
     equal: Callable  # (x, y) -> Decision
     leq: Callable  # (x, y) -> Decision; Holds witness is a complement
     elements: Callable  # max_degree -> tuple, enumerated once per degree
+    refine: Callable  # (a, b, c, d) -> Decision; Holds witness is ((z11, z12), (z21, z22))
     # optional capabilities
-    refine: Callable | None = None  # (a, b, c, d) -> Decision with matrix witness
     # element -> positive rational, additive (s(x + y) = s(x) + s(y)); None if
     # no state.  It certifies conical, stably finite, antisymmetric and
     # archimedean; no sweep reads it.
@@ -172,10 +176,7 @@ def free_oracle(rank: int) -> MonoidOracle:
     def refine(a, b, c, d):
         if tuple(p + q for p, q in zip(a, b)) != tuple(p + q for p, q in zip(c, d)):
             raise ValueError("precondition a + b = c + d does not hold")
-        z11 = tuple(min(p, q) for p, q in zip(a, c))
-        z12 = tuple(p - m for p, m in zip(a, z11))
-        z21 = tuple(q - m for q, m in zip(c, z11))
-        z22 = tuple(p - q for p, q in zip(b, z21))
+        z11, z12, z21, z22 = free_refine(a, b, c, d)
         return Decision.holds(witness=((z11, z12), (z21, z22)), note="free refinement")
 
     return MonoidOracle(
@@ -194,6 +195,11 @@ def free_oracle(rank: int) -> MonoidOracle:
 
 
 def primitive_oracle(poset: primitive.PrimePoset, name: str = "prim") -> MonoidOracle:
+    """Exact oracle for the primitive monoid of `poset`."""
+
+    def refine(a, b, c, d):
+        return Decision.holds(witness=primitive.prim_refine(a, b, c, d), note="exact refinement")
+
     return MonoidOracle(
         name=name,
         zero=primitive.normalize(poset, {}),
@@ -201,6 +207,7 @@ def primitive_oracle(poset: primitive.PrimePoset, name: str = "prim") -> MonoidO
         equal=_exact_equal(primitive.prim_equal),
         leq=_exact_leq(primitive.prim_leq),
         elements=_per_degree(lambda d: primitive.enumerate_elements(poset, d)),
+        refine=refine,
         key=lambda e: e.coeffs,
     )
 

@@ -40,7 +40,7 @@ from itertools import combinations
 
 from .presentation import Presentation, make_presentation
 from .targets import INF, CertificateHom, NonnegIntegersWithInfinity, build_certificate
-from .words import ParseError, Word, compositions
+from .words import ParseError, Word, compositions, free_refine
 
 
 @dataclass(frozen=True)
@@ -159,6 +159,41 @@ def prim_leq(e1: PrimElem, e2: PrimElem) -> PrimElem | None:
             if d:
                 comp.append((q, d))
     return PrimElem(poset, tuple(comp))
+
+
+def prim_refine(a: PrimElem, b: PrimElem, c: PrimElem, d: PrimElem):
+    """The matrix ((z11, z12), (z21, z22)) refining a + b = c + d, in closed
+    form.  Lift the elements to raw prime counts.  For each prime p whose raw
+    count differs between a + b and c + d, add the difference to the first
+    element on the smaller side that absorbs p: its support holds a q with (p,
+    q) in `below` (q above p, or q = p idempotent).  The raw sums are then
+    equal; refine them prime by prime in the free monoid, and normalize.
+
+    Such an element exists.  The support S of s = a + b is the set of maximal
+    primes of the raw support of either side.  A non-idempotent p in S has
+    count s(p) on both sides and needs no padding; an idempotent p in S lies
+    in the support of an element on each side; any other p that occurs lies
+    below a q in S, which lies in the support of an element on each side.
+    Padding changes no element: a padded prime is below a supported prime,
+    deleted by `normalize`, or an idempotent supported prime, capped back at
+    1.  `normalize` is the quotient map, so the entries sum to a, b, c and d;
+    all four sums are re-verified."""
+    if prim_add(a, b).coeffs != prim_add(c, d).coeffs:
+        raise ValueError("precondition a + b = c + d does not hold")
+    poset = a.poset
+    rows = [dict(e.coeffs) for e in (a, b, c, d)]
+    for p in poset.primes:
+        diff = sum(r.get(p, 0) for r in rows[:2]) - sum(r.get(p, 0) for r in rows[2:])
+        if diff:
+            row = next(r for r in (rows[2:] if diff > 0 else rows[:2]) if any((p, q) in poset.below for q in r))
+            row[p] = row.get(p, 0) + abs(diff)
+    parts = free_refine(*(tuple(r.get(p, 0) for p in poset.primes) for r in rows))
+    z11, z12, z21, z22 = (normalize(poset, zip(poset.primes, v)) for v in parts)
+    sums = {"row 1": (z11, z12, a), "row 2": (z21, z22, b), "column 1": (z11, z21, c), "column 2": (z12, z22, d)}
+    for label, (u, v, want) in sums.items():
+        if prim_add(u, v).coeffs != want.coeffs:
+            raise AssertionError(f"refinement {label} does not verify: {prim_add(u, v)} != {want}")
+    return (z11, z12), (z21, z22)
 
 
 def presentation_of(poset: PrimePoset) -> Presentation:

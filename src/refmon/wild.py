@@ -61,7 +61,7 @@ from .targets import (
     build_certificate,
     vec,
 )
-from .words import Word, compositions
+from .words import Word, compositions, free_refine
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +455,6 @@ def _format(level, m, i, j, rungs, names) -> str:
 # Refinement
 
 
-def _min_refine(u1: int, u2: int, v1: int, v2: int) -> tuple[int, int, int, int]:
-    """Refinement of u1 + u2 = v1 + v2 in the naturals."""
-    z11 = min(u1, v1)
-    return z11, u1 - z11, v1 - z11, u2 - (v1 - z11)
-
-
 def _refine_triples(p1, p2, q1, q2):
     """Refine (m, i, j) triples at a common level under the leveled equality law.
 
@@ -471,13 +465,9 @@ def _refine_triples(p1, p2, q1, q2):
     """
     triples = [p1, p2, q1, q2]
     if all(t[2] == 0 for t in triples):
-        mm = _min_refine(p1[0], p2[0], q1[0], q2[0])
-        ii = _min_refine(p1[1], p2[1], q1[1], q2[1])
-        return 0, tuple((mm[s], ii[s], 0) for s in range(4))
+        return 0, tuple((m, i, 0) for m, i in free_refine(*(t[:2] for t in triples)))
     if all(t[0] == 0 for t in triples):
-        ii = _min_refine(p1[1], p2[1], q1[1], q2[1])
-        jj = _min_refine(p1[2], p2[2], q1[2], q2[2])
-        return 0, tuple((0, ii[s], jj[s]) for s in range(4))
+        return 0, tuple((0, i, j) for i, j in free_refine(*(t[1:] for t in triples)))
 
     # mixed case: one side must hold a (m=0, j>0) element at slot 2 and an
     # (m>0) element at slot 1
@@ -546,8 +536,7 @@ def _refine(a, b, c, d, coeffs, build):
         if extra == 0:
             break
         n += extra
-    levels = zip(*(rungs for *_, rungs in raised))
-    parts = list(zip(*(_min_refine(*ks) for ks in levels))) or [()] * 4
+    parts = free_refine(*(rungs for *_, rungs in raised))
     entries = [build(n, *mat[s], parts[s]) for s in range(4)]
     matrix = ((entries[0], entries[1]), (entries[2], entries[3]))
     _verify_matrix(matrix, a, b, c, d)

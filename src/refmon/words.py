@@ -8,6 +8,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import sub
 from typing import Iterable, Iterator
 
 
@@ -133,6 +134,14 @@ def compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
     lexicographic order give tuples in lexicographic order."""
     for bars in combinations(range(n + d), n):
         yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
+
+
+def free_refine(a, b, c, d) -> tuple[tuple[int, ...], ...]:
+    """(z11, z12, z21, z22) refining a + b = c + d for count vectors:
+    z11 = min(a, c), z12 = a - z11, z21 = c - z11, z22 = b - z21."""
+    z11 = tuple(map(min, a, c))
+    z21 = tuple(map(sub, c, z11))
+    return z11, tuple(map(sub, a, z11)), z21, tuple(map(sub, b, z21))
 
 
 def parse_term(text: str, gens: GeneratorSet, line: int | None = None) -> Word:

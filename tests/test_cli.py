@@ -386,3 +386,41 @@ def test_manifest_validation():
         suite.load_manifest(json.dumps({"cases": [{"name": "x", "command": [], "expect": "maybe"}]}))
     m = suite.load_manifest(json.dumps({"cases": [{"name": "x", "command": ["parse", "m0"], "expect": 0}]}))
     assert m.cases[0].expect == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eq", "m0", "x0", "y0", "--max-coeff", "3"),
+        ("leq", "m0", "x0", "y0", "--max-coeff", "3"),
+        ("refine", "m0", "x0", "y0", "y0", "x0", "--max-coeff", "3"),
+        ("wildness", "bar:2", "--samples", "5"),
+    ],
+)
+def test_options_that_change_nothing_are_usage_errors(capsys, argv):
+    """The rewriting commands read no coefficient cap, and wildness runs only
+    exhaustive checks, so neither takes the option."""
+    code, out, err = run(capsys, *argv)
+    assert code == INPUT_ERROR and out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "ladder:1", "--prop", "refinement,riesz-decomposition"),
+        ("check", "ladder:2", "--prop", "refinement,riesz-decomposition", "--max-degree", "4"),
+    ],
+)
+def test_refinement_and_riesz_decomposition_agree_on_the_ladder(capsys, argv):
+    """Refinement implies Riesz decomposition, so one run never reports the
+    first holding and the second failing."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "\nrefinement: holds" in out and "\nriesz-decomposition: holds" in out
+
+
+def test_check_ladder_fails_only_cancellation(capsys):
+    code, out, _ = run(capsys, "check", "ladder:1")
+    assert code == 1
+    assert [line.split(":")[0] for line in out.splitlines() if ": fails" in line] == ["cancellative"]

@@ -170,3 +170,18 @@ def test_runtime_imports_only_the_standard_library(path):
         f"{path.name}:{line} {name}" for line, name in imported if name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert not foreign
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_except_assertion_error(path):
+    """A refinement or decomposition that does not verify raises
+    AssertionError: that is a bug, and catching it would report a verdict
+    with no checkable counterexample."""
+    caught = [
+        f"{path.name}:{n.lineno}"
+        for n in ast.walk(_tree(path))
+        if isinstance(n, ast.ExceptHandler)
+        and n.type is not None
+        and any(isinstance(c, ast.Name) and c.id == "AssertionError" for c in ast.walk(n.type))
+    ]
+    assert not caught

@@ -19,6 +19,7 @@ from refmon.primitive import (
     prim_add,
     prim_equal,
     prim_leq,
+    prim_refine,
     prime_certificates,
     validate_poset,
 )
@@ -126,6 +127,40 @@ def test_leq_examples():
     assert prim_leq(p1, q1) is not None  # p + q = q
     assert prim_leq(q1, p1) is None
     assert prim_leq(r1, q1) is None  # incomparable primes never absorb
+
+
+# -- closed-form refinement
+
+
+def test_refine_every_equation_on_every_small_poset():
+    """prim_refine answers, and verifies, every equation a + b = c + d among
+    the elements of degree <= 2 over every poset of one to three primes."""
+    equations = 0
+    for names in (["p"], ["p", "q"], ["p", "q", "r"]):
+        for poset in enumerate_posets(names):
+            E = enumerate_elements(poset, 2)
+            by_sum = {}
+            for a in E:
+                for b in E:
+                    by_sum.setdefault(prim_add(a, b).coeffs, []).append((a, b))
+            for pairs in by_sum.values():
+                for a, b in pairs:
+                    for c, d in pairs:
+                        prim_refine(a, b, c, d)  # raises unless all four sums verify
+                equations += len(pairs) ** 2
+    assert equations == 42025
+    # in the chain p < q < r, q + 2p = q + 0 refines only as ((q, 0), (2p, 0)):
+    # z21 = 2p is not the complement 0 of z11 = q <= q
+    chain = validate_poset(["p", "q", "r"], [("p", "q"), ("q", "r"), ("p", "r")])
+    p, q, zero = (normalize(chain, raw) for raw in ({"p": 1}, {"q": 1}, {}))
+    two_p = prim_add(p, p)
+    assert prim_refine(q, two_p, q, zero) == ((q, zero), (two_p, zero))
+
+
+def test_refine_precondition():
+    p, q = (normalize(CHAIN, {name: 1}) for name in "pq")
+    with pytest.raises(ValueError, match="precondition"):
+        prim_refine(p, p, q, q)
 
 
 # -- the closed-form order against the complement search it replaced

@@ -282,7 +282,9 @@ def _ref_ladder_refine(a, b, c, d):
     kvecs = [r[3] for r in raws]
     kmat = [[None, None], [None, None]]
     for l in range(n):
-        z11, z12, z21, z22 = wild._min_refine(kvecs[0][l], kvecs[1][l], kvecs[2][l], kvecs[3][l])
+        u1, u2, v1 = kvecs[0][l], kvecs[1][l], kvecs[2][l]
+        z11 = min(u1, v1)
+        z12, z21, z22 = u1 - z11, v1 - z11, u2 - (v1 - z11)
         for slot, val in zip(((0, 0), (0, 1), (1, 0), (1, 1)), (z11, z12, z21, z22)):
             row, col = slot
             cur = kmat[row][col] or ()
