@@ -12,8 +12,21 @@ is not a refinement monoid).  That search and the other existential inner
 quantifiers are bounded, so a Fails on them means "no witness within the
 bound" (documented semantics, printed in the note).
 
+The sampled checks test each drawn hypothesis once: Riesz decomposition
+refines with the complement its draw got for x <= y1 + y2, and Riesz
+interpolation looks for z only among the common lower bounds of y1 and y2
+that its draw listed, asking just x1 <= z and x2 <= z.
+
 The archimedean property is special: enumeration can only refute it, so Holds
 is granted solely on a positive-state certificate.
+
+Memo.  `check_property` keeps each report in its oracle's `reports`, under
+(property, bound, samples), and answers a repeated question with the first
+report, its first `elapsed` included.  `wildness_certificate` is a function
+of four such reports and asks for them through `check_property`, so after a
+sheet of property checks it sweeps nothing.  `dataclasses.replace` starts
+the copy with an empty memo, since a copy with other capabilities may
+answer differently.
 
 Equal invariants.  An oracle's `invariants` inv is an additive map into
 tuples of nonnegative ints, so x <= y (that is, y = x + c) forces inv(x) <=
@@ -157,13 +170,17 @@ def check_property(
 ) -> PropertyReport:
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property id {prop!r}")
-    t0 = time.monotonic()
-    note = _certificates(o).get(prop)
-    if note is not None:
-        verdict, witnesses = Decision.holds(note=note), []
-    else:
-        verdict, witnesses = _CHECKERS[prop](o, b, samples)
-    return PropertyReport(prop, verdict, witnesses, b, time.monotonic() - t0)
+    asked = (prop, b, samples)
+    rep = o.reports.get(asked)
+    if rep is None:
+        t0 = time.monotonic()
+        note = _certificates(o).get(prop)
+        if note is not None:
+            verdict, witnesses = Decision.holds(note=note), []
+        else:
+            verdict, witnesses = _CHECKERS[prop](o, b, samples)
+        rep = o.reports[asked] = PropertyReport(prop, verdict, witnesses, b, time.monotonic() - t0)
+    return rep
 
 
 def _elems(o: MonoidOracle, b: SearchBound):
@@ -409,22 +426,24 @@ def _check_refinement(o, b, samples):
 def _sampled(b, samples, draw, found, fail_note: str, held_note: str):
     """The loop shared by the sampled forall-exists checks.
 
-    `draw(definite)` draws one random instance and returns it if its
-    hypothesis holds, else None; it passes hypothesis verdicts through
-    `definite`, which counts the Unknowns.  `found(*instance)` is the bounded
-    witness search.  Up to samples // 4 instances are tried, in at most
-    samples * 10 draws; the first one without a witness is the counterexample.
+    `draw(definite)` draws one random instance and, if its hypothesis holds,
+    returns it together with what testing the hypothesis learned, else None;
+    it passes hypothesis verdicts through `definite`, which counts the
+    Unknowns.  `found(learned, *instance)` is the bounded witness search.  Up
+    to samples // 4 instances are tried, in at most samples * 10 draws; the
+    first one without a witness is the counterexample.
     """
     sw = _Sweep()
     tried = 0
     attempts = 0
     while tried < max(1, samples // 4) and attempts < samples * 10:
         attempts += 1
-        inst = draw(sw.definite)
-        if inst is None:
+        drawn = draw(sw.definite)
+        if drawn is None:
             continue
         tried += 1
-        if not found(*inst):
+        inst, learned = drawn
+        if not found(learned, *inst):
             return Decision.fails(counterexample=inst, note=fail_note), list(inst)
     return sw.close(b, held_note.format(tried)), []
 
@@ -435,11 +454,11 @@ def _check_riesz_decomposition(o, b, samples):
 
     def draw(definite):
         x, y1, y2 = rng.choice(E), rng.choice(E), rng.choice(E)
-        return (x, y1, y2) if definite(o.leq(x, o.add(y1, y2))) else None
+        dec = o.leq(x, o.add(y1, y2))
+        return ((x, y1, y2), dec.witness) if definite(dec) else None
 
-    def found(x, y1, y2):
+    def found(c, x, y1, y2):
         # x + c = y1 + y2 refines as x = z11 + z12, z11 <= y1, z12 <= y2
-        c = o.leq(x, o.add(y1, y2)).witness
         if o.refine(x, c, y1, y2).is_holds:
             return True
         below = (x1 for x1 in E if o.leq(x1, y1).is_holds and o.leq(x1, x).is_holds)
@@ -455,13 +474,11 @@ def _check_riesz_interpolation(o, b, samples):
     def draw(definite):
         y1, y2 = rng.choice(E), rng.choice(E)
         below = [e for e in E if o.leq(e, y1).is_holds and o.leq(e, y2).is_holds]
-        return (rng.choice(below), rng.choice(below), y1, y2) if below else None
+        return ((rng.choice(below), rng.choice(below), y1, y2), below) if below else None
 
-    def found(x1, x2, y1, y2):
-        return any(
-            o.leq(x1, z).is_holds and o.leq(x2, z).is_holds and o.leq(z, y1).is_holds and o.leq(z, y2).is_holds
-            for z in E
-        )
+    def found(below, x1, x2, y1, y2):
+        # the interpolants are the common lower bounds of y1, y2 above x1, x2
+        return any(o.leq(x1, z).is_holds and o.leq(x2, z).is_holds for z in below)
 
     return _sampled(b, samples, draw, found, "no bounded interpolant found", "{} sampled instances interpolated")
 
@@ -616,18 +633,18 @@ def further_tame_checks(o: MonoidOracle, b: SearchBound, samples: int = 200):
 
     def draw1(definite):
         a, bb, c = rng.choice(E), rng.choice(E), rng.choice(E)
-        return (a, bb, c) if definite(o.leq(o.add(a, c), o.add(bb, c))) else None
+        return ((a, bb, c), None) if definite(o.leq(o.add(a, c), o.add(bb, c))) else None
 
-    def found1(a, bb, c):
+    def found1(_, a, bb, c):
         return any(o.equal(o.add(a1, c), c).is_holds and o.leq(a, o.add(bb, a1)).is_holds for a1 in E)
 
     def draw2(definite):
         a, c, d1, d2 = (rng.choice(E) for _ in range(4))
         if definite(o.leq(a, o.add(c, d1))) and definite(o.leq(a, o.add(c, d2))):
-            return a, c, d1, d2
+            return (a, c, d1, d2), None
         return None
 
-    def found2(a, c, d1, d2):
+    def found2(_, a, c, d1, d2):
         return any(
             o.leq(a, o.add(c, d)).is_holds and o.leq(d, d1).is_holds and o.leq(d, d2).is_holds for d in E
         )

@@ -41,6 +41,12 @@ class MonoidOracle:
     mathematics proves it; the lab answers Holds with that reason as the note
     and sweeps nothing.  The ladder, bar and free oracles certify
     unperforation by their homogeneous order (proof in the lab docstring).
+
+    `reports` is the lab's memo: `check_property` keeps each report under
+    (property, bound, samples), and a repeated question gets the first
+    report back, its first `elapsed` included.  It is not an init field, so
+    `dataclasses.replace` starts the copy with an empty memo: a copy with
+    other capabilities may answer differently.
     """
 
     name: str
@@ -64,6 +70,7 @@ class MonoidOracle:
     key: Callable | None = None  # canonical hash key (exact oracles only)
     fmt: Callable = str
     certified: Mapping[str, str] = field(default_factory=dict)  # property id -> reason
+    reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def exact(self) -> bool:

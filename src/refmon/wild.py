@@ -196,12 +196,14 @@ class LadderElem(tuple):
         i1 + j1 <= i2 + j2 when m2 > 0, respectively i1 <= i2 and j1 <= j2 when
         m2 = 0.  Raising never changes m, so m1 > m2 is settled before it; the
         rungs are compared as the lower-level operand is raised, and the
-        complement is built only when the answer is yes.
+        complement is built only when the answer is yes.  The m test reads
+        the fields by index, before unpacking, which a tuple subclass pays
+        for in full.
         """
+        if self[1] > other[1]:
+            return None
         n1, m1, i1, j1, k1 = self
         n2, m2, i2, j2, k2 = other
-        if m1 > m2:
-            return None
         for p, q in zip(k1, k2):
             if p > q:
                 return None
@@ -378,12 +380,12 @@ class BarElem(tuple):
         """Derived order criterion: with k = xbar coefficient, self <= other iff
         k1 < k2, or k1 = k2 > 0 with i1 + j1 <= i2 + j2 (at a common level),
         or k1 = k2 = 0 with i1 <= i2 and j1 <= j2.  Raising never changes k,
-        so k1 > k2 is settled before it; only the lower-level operand's ybar
-        count is raised."""
+        so k1 > k2 is settled before it, by index and before unpacking; only
+        the lower-level operand's ybar count is raised."""
+        if self[3] > other[3]:
+            return None
         n1, i1, j1, k1 = self
         n2, i2, j2, k2 = other
-        if k1 > k2:
-            return None
         if n1 < n2:
             i1 += k1 * (n2 - n1)
             n1 = n2

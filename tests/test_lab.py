@@ -433,6 +433,36 @@ def test_sampled_checks_pinned(oracle, check, verdict, note, counterexample):
         assert rep.witnesses == ([dec.counterexample] if tame else list(dec.counterexample))
 
 
+# -- both Riesz checks at the lab sheet's bounds and 100 samples, where the
+# draws hand their hypothesis verdicts to the witness searches
+
+_LAB_SHEET = {  # oracle factory of the bound, bound
+    "ladder:2": (lambda b: ladder_oracle(2), SearchBound(max_degree=5, max_coefficient=5)),
+    "bar:3": (lambda b: bar_oracle(3), SearchBound(max_degree=6, max_coefficient=5)),
+    "m0": (lambda b: presentation_oracle(wild.m0_presentation(), b), SearchBound(max_degree=3, max_coefficient=5)),
+}
+
+_PINNED_LAB_SHEET = [
+    ("ladder:2", "riesz-decomposition", "holds", "25 sampled instances decomposed", None),
+    ("ladder:2", "riesz-interpolation", "fails", "no bounded interpolant found",
+     ("z2", "y1", "3*x2 + y2 + a2", "2*y1 + z1")),
+    ("bar:3", "riesz-decomposition", "holds", "25 sampled instances decomposed", None),
+    ("bar:3", "riesz-interpolation", "holds", "25 sampled instances interpolated", None),
+    ("m0", "riesz-decomposition", "fails", "no bounded decomposition found", ("2*y0", "y0 + z0", "x0")),
+    ("m0", "riesz-interpolation", "holds", "25 sampled instances interpolated", None),
+]
+
+
+@pytest.mark.parametrize("oracle, check, verdict, note, counterexample", _PINNED_LAB_SHEET)
+def test_riesz_checks_pinned_at_lab_sheet_bounds(oracle, check, verdict, note, counterexample):
+    make, b = _LAB_SHEET[oracle]
+    o = make(b)
+    dec = lab.check_property(o, check, b, samples=100).verdict
+    assert (dec.verdict, dec.note) == (verdict, note)
+    shown = None if dec.counterexample is None else tuple(o.fmt(x) for x in dec.counterexample)
+    assert shown == counterexample
+
+
 # -- the lab on primitive oracles: verdicts and counterexamples pinned at the
 # lab sheet's bounds (degree 2, coefficients up to 3, 100 samples).
 # prim_leq's complement feeds the sampled equations and both Riesz checks, so
@@ -712,3 +742,74 @@ def test_zero_key_pruning_keeps_small_counterexamples():
         assert rep[0].is_fails and rep[0].counterexample == ((1, 0), (0, 1))
         assert rep == _report(keyless, lab.STABLY_FINITE, b)
         assert _report(o, lab.CONICAL, b) == _report(keyless, lab.CONICAL, b)
+
+
+# -- the per-oracle report memo: wildness reads the four property reports the
+# sheet already asked for, and a copy made by `replace` asks afresh
+
+
+def _counting(o):
+    """A copy of `o` whose equal, leq and refine count their calls."""
+    calls = [0]
+
+    def counted(fn):
+        def f(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        return f
+
+    return dataclasses.replace(o, equal=counted(o.equal), leq=counted(o.leq), refine=counted(o.refine)), calls
+
+
+_WILDNESS_INPUTS = (lab.STABLY_FINITE, lab.CANCELLATIVE, lab.SEPARATIVE, lab.UNPERFORATED)
+_MEMO_CASES = [
+    (lambda: bar_oracle(3), B),
+    (lambda: presentation_oracle(wild.m0_presentation(), _M0_B), _M0_B),
+    (lambda: primitive_oracle(_POSETS["prim-chain"], "prim-chain"), SearchBound(max_degree=2, max_coefficient=3)),
+]
+
+
+def _sans_elapsed(rep):
+    return dataclasses.replace(rep, elapsed=0.0)
+
+
+@pytest.mark.parametrize("make, b", _MEMO_CASES)
+def test_wildness_reads_the_memoized_reports(make, b):
+    o, calls = _counting(make())
+    for prop in _WILDNESS_INPUTS:
+        lab.check_property(o, prop, b, samples=100)
+    assert calls[0] > 0
+    calls[0] = 0
+    rep = lab.wildness_certificate(o, b, samples=100)
+    assert calls[0] == 0
+    assert _sans_elapsed(rep) == _sans_elapsed(lab.wildness_certificate(make(), b, samples=100))
+
+
+def test_memo_returns_the_first_report():
+    o, calls = _counting(bar_oracle(3))
+    first = lab.check_property(o, lab.STABLY_FINITE, B, samples=100)
+    n = calls[0]
+    assert lab.check_property(o, lab.STABLY_FINITE, B, samples=100) is first
+    assert calls[0] == n
+
+
+@pytest.mark.parametrize("b, samples", [(B, 60), (_B4, 100), (SearchBound(max_degree=3, max_coefficient=4), 100)])
+def test_memo_asks_again_for_another_bound_or_sample_count(b, samples):
+    o, calls = _counting(bar_oracle(3))
+    first = lab.check_property(o, lab.STABLY_FINITE, B, samples=100)
+    calls[0] = 0
+    again = lab.check_property(o, lab.STABLY_FINITE, b, samples=samples)
+    assert calls[0] > 0 and again is not first
+    assert again.bound == b
+
+
+def test_replace_starts_an_empty_memo():
+    o, calls = _counting(bar_oracle(3))
+    lab.check_property(o, lab.STABLY_FINITE, B)
+    assert o.reports
+    copy = dataclasses.replace(o, certified={})
+    assert copy.reports == {}
+    calls[0] = 0
+    lab.check_property(copy, lab.STABLY_FINITE, B)
+    assert calls[0] > 0
