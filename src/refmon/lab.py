@@ -18,7 +18,7 @@ interpolation looks for z only among the common lower bounds of y1 and y2
 that its draw listed, asking just x1 <= z and x2 <= z.
 
 The archimedean property is special: enumeration can only refute it, so Holds
-is granted solely on a positive-state certificate.
+is granted solely on a certificate.
 
 Memo.  `check_property` keeps each report in its oracle's `reports`, under
 (property, bound, samples), and answers a repeated question with the first
@@ -30,35 +30,31 @@ answer differently.
 
 Equal invariants.  An oracle's `invariants` inv is an additive map into
 tuples of nonnegative ints, so x <= y (that is, y = x + c) forces inv(x) <=
-inv(y) componentwise.  Hence 2x = x + y, and x <= y <= x, each force inv(x)
-= inv(y), and the strongly-separative and antisymmetric sweeps test a pair
-only when its invariants are equal: the oracle would answer Fails to every
-hypothesis tested on a skipped pair, so it can never be a counterexample.
-The loops keep their order, so the first counterexample, and with it the
-report, is the one the full sweep finds.  For an oracle that has invariants
-and also answers Unknown, the only possible difference is that an Unknown on
-a skipped pair is never asked, which can turn an Unknown report into Holds;
-no oracle has both today.
+inv(y) componentwise.  Hence 2x = x + y forces inv(x) = inv(y), and the
+strongly-separative sweep tests a pair only when its invariants are equal:
+the oracle would answer Fails on a skipped pair, so it can never be a
+counterexample.  The loops keep their order, so the first counterexample,
+and with it the report, is the one the full sweep finds.  (For an oracle
+that also answered Unknown, an Unknown on a skipped pair would never be
+asked, which could turn an Unknown report into Holds; no oracle has both
+today.)
 
-A positive state s (additive, rational, zero only on 0) prunes no sweep: it
-is a certificate.  It certifies antisymmetry outright, since x <= y <= x
-gives y = x + c and x = y + d, so s(c) + s(d) = 0 and c = d = 0.
+Certificates.  When an oracle's `certified` names a property,
+`check_property` answers Holds with that note and sweeps nothing.  The
+ladder, bar and free oracles draw on three sources:
+  - a positive state s, additive and > 0 off 0: the ladder's validated
+    `wild.standard_certificates(n)["state"]`, or degree for free.  x + y = 0
+    or x + y = x forces s(y) = 0; x <= y <= x gives s(c) + s(d) = 0 for its
+    complements c, d; n*x <= y for every n forces s(x) = 0.  So it certifies
+    conical, stably finite, antisymmetric and archimedean.
+  - bar's validated `standard_certificates(n, "bar")["pair_state"]`, xbar_l
+    -> (1 - l, 1), ybar0, zbar0 -> (1, 0), into the pointed cone {q > 0} u
+    {q = 0, p >= 0} of Z^2, where a sum is 0 only if its terms are: the same
+    arguments certify all but archimedean (n*zbar0 <= xbar0 for every n).
+  - the homogeneous order, m*x <= m*y iff x <= y for every m >= 1, which
+    certifies unperforation.
 
-Zero keys.  The invariants take nonnegative values, so x + y = 0 forces
-inv(x) = inv(y) = 0, and x + y = x forces inv(y) = 0.  The conical sweep
-therefore runs both of its loops, and the stably-finite sweep its y loop,
-over the elements whose invariants are all zero (all elements, for an oracle
-with none); the loops keep their order, so the first counterexample is again
-the one the full sweep finds.  On bar(3) at degree 6 that leaves the 28
-elements of xbar count 0, of 85.  (A positive state would do the same, but
-it certifies both properties before any sweep.)
-
-Certificates.  `check_property` answers Holds without a sweep when the oracle
-proves the property: a positive state certifies conical, stably finite,
-antisymmetric and archimedean, and `MonoidOracle.certified` names what an
-oracle's own order proves.  The ladder, bar and free oracles certify
-unperforation, because their order is homogeneous: m*x <= m*y iff x <= y for
-every m >= 1.  Raising is linear, so at any level n at or above the levels
+Homogeneity.  Raising is linear, so at any level n at or above the levels
 of x and y, m times the coefficients of x and y at n represent m*x and m*y.
 The closed-form order criteria, read at such a common level, are
   ladder: m1 <= m2, the rungs componentwise <=, and i1 + j1 <= i2 + j2 when
@@ -75,7 +71,6 @@ from __future__ import annotations
 
 import random
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .decisions import HOLDS, UNKNOWN, Decision, SearchBound
@@ -150,18 +145,6 @@ class _Sweep:
         return Decision.fails(note=note)
 
 
-# Properties a positive state certifies outright (see the module docstring);
-# archimedean can be certified no other way.
-_STATE_CERTIFIED = {CONICAL, STABLY_FINITE, ANTISYMMETRIC, ARCHIMEDEAN}
-
-
-def _certificates(o: MonoidOracle) -> dict:
-    """Property id -> note, for every property the oracle proves outright:
-    what its positive state certifies, and its own `certified`."""
-    state = dict.fromkeys(_STATE_CERTIFIED, "positive state certificate") if o.positive_state is not None else {}
-    return {**state, **o.certified}
-
-
 def check_property(
     o: MonoidOracle,
     prop: str,
@@ -170,11 +153,13 @@ def check_property(
 ) -> PropertyReport:
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property id {prop!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     asked = (prop, b, samples)
     rep = o.reports.get(asked)
     if rep is None:
         t0 = time.monotonic()
-        note = _certificates(o).get(prop)
+        note = o.certified.get(prop)
         if note is not None:
             verdict, witnesses = Decision.holds(note=note), []
         else:
@@ -199,23 +184,14 @@ def _partners(o: MonoidOracle, E) -> list:
     return [groups[k] for k in keys]
 
 
-def _zero_keyed(o: MonoidOracle, E) -> list:
-    """The elements of E, in order, whose invariants are all zero; all of E
-    when the oracle has none.  See the module docstring for the sums this
-    refutes."""
-    if o.invariants is None:
-        return E
-    return [x for x in E if not any(o.invariants(x))]
-
-
 def _check_conical(o, b, samples):
-    Z = _zero_keyed(o, _elems(o, b))  # x + y = 0 gives inv(x) = inv(y) = 0
+    E = _elems(o, b)
     sw = _Sweep()
-    for x in Z:
+    for x in E:
         zx = sw.definite(o.is_zero(x))
         if zx:
             continue
-        for y in Z:
+        for y in E:
             s = o.add(x, y)
             got = sw.definite(o.is_zero(s))
             if got:
@@ -229,8 +205,8 @@ def _check_conical(o, b, samples):
 def _check_stably_finite(o, b, samples):
     E = _elems(o, b)
     sw = _Sweep()
-    # x + y = x gives inv(y) = 0; each candidate y is tested for zero once
-    nonzero = [y for y in _zero_keyed(o, E) if sw.definite(o.is_zero(y)) is False]
+    # each candidate y is tested for zero once
+    nonzero = [y for y in E if sw.definite(o.is_zero(y)) is False]
     for x in E:
         for y in nonzero:
             got = sw.definite(o.equal(o.add(x, y), x))
@@ -350,12 +326,9 @@ def _check_unperforated(o, b, samples):
 
 def _check_antisymmetric(o, b, samples):
     E = _elems(o, b)
-    partners = _partners(o, E)  # x <= y <= x gives inv(x) = inv(y)
     sw = _Sweep()
     for ix, x in enumerate(E):
-        later = partners[ix]
-        for iy in later[bisect_right(later, ix):]:
-            y = E[iy]
+        for y in E[ix + 1:]:
             d1 = sw.definite(o.leq(x, y))
             if not d1:
                 continue
@@ -507,13 +480,17 @@ def irreducibles(o: MonoidOracle, b: SearchBound):
 
     Uses the order: x is decomposable iff some nonzero a != x has a <= x (the
     complement witness is then nonzero in a stably finite monoid).  The
-    candidate pool is extended beyond the element bound when the oracle offers
-    it, so that decompositions through larger representations are seen.
+    candidates are the nonzero degree-1 elements, the generators, of the
+    extended pool when the oracle offers one (so that generators of deeper
+    levels are seen), else of its elements.  That loses no decomposition: an
+    element a <= x, a != x of a deeper pool is a sum of generators, each of
+    them <= x.  In an antisymmetric monoid at least one of them differs from
+    x: otherwise a = k*x with k >= 2, and k*x <= x <= 2x <= k*x forces 2x = x,
+    which the x + x = x test catches first.
     Returns (found, unknown) lists.
     """
     E = _elems(o, b)
-    pool_src = o.extended_elements if o.extended_elements is not None else o.elements
-    pool = [a for a in pool_src(b.max_degree) if not o.is_zero(a).is_holds]
+    pool = [a for a in (o.extended_elements or o.elements)(1) if not o.is_zero(a).is_holds]
     found, unknown = [], []
     for x in E:
         if o.is_zero(x).is_holds:
@@ -591,7 +568,7 @@ def max_cancel_equal(o: MonoidOracle, x, y, b: SearchBound) -> Decision:
 
 
 def wildness_certificate(o: MonoidOracle, b: SearchBound, samples: int = 200) -> PropertyReport:
-    """Evidence of wildness: stable finiteness (state or exhaustive) together
+    """Evidence of wildness: stable finiteness (certified or exhaustive) together
     with a cancellation counterexample, or a separativity/unperforation
     failure.  Never certifies tameness."""
     t0 = time.monotonic()

@@ -9,7 +9,6 @@ rewriting engine and may.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
@@ -29,18 +28,10 @@ class MonoidOracle:
     presentation oracle by bounded search, which may answer Fails or Unknown.
     A failed precondition a + b = c + d raises ValueError.
 
-    Two optional capabilities are additive maps into ordered monoids:
-    `positive_state` (a rational that is zero only on 0), which the lab reads
-    only as a certificate, and `invariants` (a vector of nonnegative ints),
-    which it uses to skip pairs.  Exact oracles have both where the
-    mathematics gives them: the ladder monoid a state and (x-count, rung
-    counts), the bar monoid only the xbar count, the free monoid degree and
-    the exponent tuple itself.
-
     `certified` maps a property id of the lab to the reason the oracle's own
     mathematics proves it; the lab answers Holds with that reason as the note
-    and sweeps nothing.  The ladder, bar and free oracles certify
-    unperforation by their homogeneous order (proof in the lab docstring).
+    and sweeps nothing.  The ladder, bar and free oracles certify what their
+    states and homogeneous order prove (witnesses in the lab docstring).
 
     `reports` is the lab's memo: `check_property` keeps each report under
     (property, bound, samples), and a repeated question gets the first
@@ -57,16 +48,13 @@ class MonoidOracle:
     elements: Callable  # max_degree -> tuple, enumerated once per degree
     refine: Callable  # (a, b, c, d) -> Decision; Holds witness is ((z11, z12), (z21, z22))
     # optional capabilities
-    # element -> positive rational, additive (s(x + y) = s(x) + s(y)); None if
-    # no state.  It certifies conical, stably finite, antisymmetric and
-    # archimedean; no sweep reads it.
-    positive_state: Callable | None = None
     # element -> tuple of nonnegative ints, additive (inv(x + y) = inv(x) +
-    # inv(y) componentwise); None if the oracle has none.  x <= y forces
-    # inv(x) <= inv(y) componentwise and x = y forces inv(x) = inv(y); four of
-    # the lab's sweeps skip the pairs or elements this refutes.
+    # inv(y) componentwise), such as the ladder's x-count and rung counts;
+    # None if the oracle has none.  x <= y forces inv(x) <= inv(y)
+    # componentwise and x = y forces inv(x) = inv(y); the lab's
+    # strongly-separative sweep skips the pairs this refutes.
     invariants: Callable | None = None
-    extended_elements: Callable | None = None  # larger candidate pool for decompositions
+    extended_elements: Callable | None = None  # deeper pool; irreducibles reads its generators
     key: Callable | None = None  # canonical hash key (exact oracles only)
     fmt: Callable = str
     certified: Mapping[str, str] = field(default_factory=dict)  # property id -> reason
@@ -84,6 +72,15 @@ class MonoidOracle:
 
 # m*x <= m*y iff x <= y, read off the closed-form order criterion
 _HOMOGENEOUS_ORDER = "homogeneous order certificate"
+# a faithful additive map into the nonnegative rationals: the ladder monoid's
+# wild.standard_certificates(n)["state"], the free monoid's degree
+_POSITIVE_STATE = dict.fromkeys(
+    ("conical", "stably-finite", "antisymmetric", "archimedean"), "positive state certificate"
+)
+# a faithful additive map into the pointed cone {q > 0} u {q = 0, p >= 0} of
+# Z^2: wild.standard_certificates(n, "bar")["pair_state"]; not archimedean,
+# since n*zbar0 <= xbar0 for every n
+_PAIR_STATE = dict.fromkeys(("conical", "stably-finite", "antisymmetric"), "pair state certificate")
 
 
 def _per_degree(enumerate_elements):
@@ -115,13 +112,6 @@ def ladder_oracle(level: int) -> MonoidOracle:
     def refine(a, b, c, d):
         return Decision.holds(witness=wild.ladder_refine(a, b, c, d), note="exact refinement")
 
-    def state(e: wild.LadderElem) -> Fraction:
-        m, i, j, rungs = e.raised(e.level)
-        total = Fraction(m + i + j, 2**e.level)
-        for l, k in enumerate(rungs, start=1):
-            total += Fraction(k, 2**l)
-        return total
-
     def invariants(e: wild.LadderElem) -> tuple[int, ...]:
         # the x-count and the rungs a_1..a_level; raising keeps the rungs it
         # finds and canonical lowering drops a top rung that raising restores
@@ -136,18 +126,17 @@ def ladder_oracle(level: int) -> MonoidOracle:
         leq=_exact_leq(wild.LadderElem.leq),
         elements=_per_degree(lambda d: wild.enumerate_ladder(level, d)),
         refine=refine,
-        positive_state=state,
         invariants=invariants,
         extended_elements=_per_degree(lambda d: wild.enumerate_ladder(level + 2, d)),
         key=lambda e: e,
-        certified={"unperforated": _HOMOGENEOUS_ORDER},
+        certified={**_POSITIVE_STATE, "unperforated": _HOMOGENEOUS_ORDER},
     )
 
 
 def bar_oracle(level: int) -> MonoidOracle:
-    """Exact oracle for the bar monoid.  Deliberately has no positive state:
-    the monoid is not archimedean, and stable finiteness is established by
-    exhaustive sweep instead.  Its one invariant is the xbar count."""
+    """Exact oracle for the bar monoid.  It has no positive state, since the
+    monoid is not archimedean; its pair state certifies the rest.  Its one
+    invariant is the xbar count."""
     if level < 1:
         raise ValueError("truncation level must be >= 1")
 
@@ -165,7 +154,7 @@ def bar_oracle(level: int) -> MonoidOracle:
         invariants=lambda e: (e.k,),
         extended_elements=_per_degree(lambda d: wild.enumerate_bar(level + 2, d)),
         key=lambda e: e,
-        certified={"unperforated": _HOMOGENEOUS_ORDER},
+        certified={**_PAIR_STATE, "unperforated": _HOMOGENEOUS_ORDER},
     )
 
 
@@ -194,10 +183,9 @@ def free_oracle(rank: int) -> MonoidOracle:
         leq=_exact_leq(leq),
         elements=_per_degree(lambda d: compositions(rank, d)),
         refine=refine,
-        positive_state=lambda x: Fraction(sum(x)),
         invariants=lambda x: x,
         key=lambda e: e,
-        certified={"unperforated": _HOMOGENEOUS_ORDER},
+        certified={**_POSITIVE_STATE, "unperforated": _HOMOGENEOUS_ORDER},
     )
 
 

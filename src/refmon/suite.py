@@ -39,18 +39,22 @@ class SuiteManifest:
 
 def load_manifest(text: str) -> SuiteManifest:
     data = json.loads(text)
+    if not isinstance(data, dict) or not isinstance(data.get("cases"), list):
+        raise ValueError("a suite manifest must be an object with a 'cases' list")
     cases = []
-    for raw in data.get("cases", []):
+    for raw in data["cases"]:
+        ok = isinstance(raw, dict) and isinstance(raw.get("name"), str) and isinstance(raw.get("command"), list)
+        if not ok or not all(isinstance(arg, str) for arg in raw["command"]):
+            raise ValueError(f"suite case {raw!r} needs a string 'name' and a list of strings as 'command'")
         expect = raw.get("expect", 0)
-        if isinstance(expect, str):
-            if expect not in _EXPECT_CODES:
-                raise ValueError(f"bad expect value {expect!r} in case {raw.get('name')!r}")
-            expect = _EXPECT_CODES[expect]
+        expect = _EXPECT_CODES.get(expect, expect) if isinstance(expect, str) else expect
+        if not isinstance(expect, int):
+            raise ValueError(f"bad expect value {expect!r} in case {raw['name']!r}")
         cases.append(
             SuiteCase(
                 name=raw["name"],
                 command=tuple(raw["command"]),
-                expect=int(expect),
+                expect=expect,
                 comment=raw.get("comment", ""),
             )
         )

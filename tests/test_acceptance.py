@@ -4,6 +4,7 @@ single PASS line with its pinned tolerance when it succeeds.
 Tolerances are stated inline and in the assert messages; every "exhaustive"
 sweep states its degree and multiplier bounds explicitly.
 """
+import dataclasses
 import random
 
 from refmon import graphs, lab, primitive, wild
@@ -324,7 +325,9 @@ def test_criterion_13_non_stably_finite_quotient():
     dec = lab.quotient_equal(o, member, xb.add(yb), xb, b)
     assert dec.is_holds
     sf = lab.check_property(o, lab.STABLY_FINITE, b)
-    assert sf.verdict.is_holds and "exhaustive" in sf.verdict.note
+    assert (sf.verdict.verdict, sf.verdict.note) == ("holds", "pair state certificate")
+    sf = lab.check_property(dataclasses.replace(o, certified={}), lab.STABLY_FINITE, b)
+    assert (sf.verdict.verdict, sf.verdict.note) == ("holds", "exhaustive at bound")
     _report(13, "bar mod z-ideal absorbs ybar0 while bar itself is stably finite")
 
 

@@ -382,10 +382,37 @@ def test_check_json_shows_elements_as_terms(capsys, target, counterexample):
 
 
 def test_manifest_validation():
-    with pytest.raises(ValueError, match="bad expect value"):
-        suite.load_manifest(json.dumps({"cases": [{"name": "x", "command": [], "expect": "maybe"}]}))
+    for expect in ("maybe", [0], 1.5):
+        with pytest.raises(ValueError, match="bad expect value"):
+            suite.load_manifest(json.dumps({"cases": [{"name": "x", "command": [], "expect": expect}]}))
     m = suite.load_manifest(json.dumps({"cases": [{"name": "x", "command": ["parse", "m0"], "expect": 0}]}))
     assert m.cases[0].expect == 0
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {"cases": [{"command": ["wild", "eq", "y0", "y0"]}]},  # no name
+        {"cases": [{"name": "x"}]},  # no command
+        [{"name": "x", "command": ["wild", "eq", "y0", "y0"]}],  # not an object
+        {"cases": [{"name": "x", "command": "wild eq y0 y0"}]},  # command not a list
+    ],
+)
+def test_malformed_manifest_is_an_input_error(tmp_path, capsys, manifest):
+    f = tmp_path / "cases.json"
+    f.write_text(json.dumps(manifest))
+    code, out, err = run(capsys, "suite", str(f))
+    assert code == INPUT_ERROR and out == ""
+    assert err.count("error: ") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_check_needs_a_sample(capsys, samples):
+    """No sampled equation proves nothing, so it is an input error, not
+    Holds."""
+    code, out, err = run(capsys, "check", "m0", "--prop", "refinement", "--samples", samples)
+    assert code == INPUT_ERROR and out == ""
+    assert err == f"error: samples must be >= 1, got {samples}\n"
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import operator
 
 import pytest
 
-from refmon import lab, wild
+from refmon import lab, primitive, wild
 from refmon.decisions import Decision, SearchBound
 from refmon.oracles import (
     MonoidOracle,
@@ -14,6 +14,7 @@ from refmon.oracles import (
     presentation_oracle,
     primitive_oracle,
 )
+from refmon.presentation import parse_presentation
 from refmon.primitive import validate_poset
 from refmon.wild import BarElem, Ideal, LadderElem
 from refmon.words import Word
@@ -72,15 +73,22 @@ def test_decisions_with_content_are_fresh():
     assert fresh[0].witness == 0 and fresh[3].counterexample == 0
 
 
-def test_ladder_state_is_additive_and_positive(ladder):
-    E = ladder.elements(3)
-    for x in E:
-        for y in E[:15]:
-            assert ladder.positive_state(ladder.add(x, y)) == ladder.positive_state(
-                x
-            ) + ladder.positive_state(y)
-        if not ladder.is_zero(x).is_holds:
-            assert ladder.positive_state(x) > 0
+def test_state_certificates_vanish_only_on_zero():
+    """The witnesses behind the ladder and bar oracles' state certificates:
+    the ladder's state is > 0 off 0, and bar's pair state is (0, 0) only on
+    0.  `build_certificate` has already checked each against every relation,
+    so both are additive."""
+    for n in (1, 2, 3):
+        certs = wild.standard_certificates(n)
+        for e in wild.enumerate_ladder(n, 4):
+            if not e.equal(LadderElem.zero()):
+                assert certs["state"].apply(wild.ladder_word(e, n)) > 0, e
+        pair_state = wild.standard_certificates(n, "bar")["pair_state"]
+        for e in wild.enumerate_bar(n, 5):
+            assert (pair_state.apply(wild.bar_word(e, n)) == (0, 0)) == e.equal(BarElem.zero()), e
+    assert ladder_oracle(2).certified[lab.ARCHIMEDEAN] == "positive state certificate"
+    assert bar_oracle(2).certified[lab.STABLY_FINITE] == "pair state certificate"
+    assert lab.ARCHIMEDEAN not in bar_oracle(2).certified
 
 
 @pytest.mark.parametrize("c", [1, 2, 3])
@@ -104,10 +112,6 @@ def test_invariants_are_additive_and_monotone(family, level, c):
             assert o.invariants(o.add(x, y)) == tuple(map(operator.add, ix, iy)), (x, y)
             if o.leq(x, y).is_holds:
                 assert all(map(operator.le, ix, iy)), (x, y)
-
-
-def test_bar_oracle_has_no_state(bar):
-    assert bar.positive_state is None
 
 
 def test_presentation_oracle_three_valued():
@@ -170,9 +174,11 @@ def test_ladder_separative_at_bound(ladder):
 
 
 def test_bar_stably_finite_by_sweep(bar):
+    # the pair state certifies it, and the sweep it replaces agrees
     rep = lab.check_property(bar, lab.STABLY_FINITE, B)
-    assert rep.verdict.is_holds
-    assert "exhaustive" in rep.verdict.note
+    assert (rep.verdict.verdict, rep.verdict.note) == ("holds", "pair state certificate")
+    rep = lab.check_property(dataclasses.replace(bar, certified={}), lab.STABLY_FINITE, B)
+    assert (rep.verdict.verdict, rep.verdict.note) == ("holds", "exhaustive at bound")
 
 
 def test_bar_not_archimedean(bar):
@@ -242,6 +248,67 @@ def test_bar_irreducibles(bar):
 def test_free_irreducibles(free2):
     found, _ = lab.irreducibles(free2, SearchBound(max_degree=2))
     assert set(found) == {(1, 0), (0, 1)}
+
+
+def _irreducibles_over_the_whole_pool(o, b):
+    """The irreducibles scan as it was before it read only the generators:
+    every nonzero element of the (extended) pool up to b.max_degree is a
+    candidate a <= x."""
+    pool_src = o.extended_elements if o.extended_elements is not None else o.elements
+    pool = [a for a in pool_src(b.max_degree) if not o.is_zero(a).is_holds]
+    found, unknown = [], []
+    for x in o.elements(b.max_degree):
+        if o.is_zero(x).is_holds:
+            continue
+        sw = lab._Sweep()
+        if sw.definite(o.equal(o.add(x, x), x)):
+            continue
+        for a in pool:
+            if sw.definite(o.leq(a, x)) and sw.definite(o.equal(a, x)) is False:
+                break
+        else:
+            if sw.exhausted(b, "").is_unknown:
+                unknown.append(x)
+            elif not any(o.equal(x, y).is_holds for y in found):
+                found.append(x)
+    return found, unknown
+
+
+def _relation(text):
+    return parse_presentation(f"monoid R\ngenerators x y\nrelation {text}\n")
+
+
+def _truncation_oracle(n, kind, b):
+    certs = tuple(wild.standard_certificates(n, kind).values())
+    return presentation_oracle(wild.truncation_presentation(n, kind), b, certs)
+
+
+_IRREDUCIBLE_ORACLES = {  # name -> (oracle factory of the bound, degrees)
+    **{f"ladder:{n}": (lambda b, n=n: ladder_oracle(n), range(2, 6)) for n in (1, 2, 3)},
+    **{f"bar:{n}": (lambda b, n=n: bar_oracle(n), range(2, 7)) for n in (1, 2, 3, 4)},
+    "free:3": (lambda b: free_oracle(3), range(1, 4)),
+    "m0": (lambda b: presentation_oracle(wild.m0_presentation(), b), range(1, 4)),
+    **{f"{kind}:1-presentation": (lambda b, kind=kind: _truncation_oracle(1, kind, b), range(2, 5))
+       for kind in ("ladder", "bar")},
+    **{f"relation {rel}": (lambda b, rel=rel: presentation_oracle(_relation(rel), b), range(1, 4))
+       for rel in ("x = 3*x", "x = 2*x + y")},
+}
+
+
+@pytest.mark.parametrize("name", _IRREDUCIBLE_ORACLES)
+def test_irreducibles_over_generators_match_the_whole_pool(name):
+    make, degrees = _IRREDUCIBLE_ORACLES[name]
+    for degree in degrees:
+        b = SearchBound(max_degree=degree)
+        assert lab.irreducibles(make(b), b) == _irreducibles_over_the_whole_pool(make(b), b), degree
+
+
+def test_irreducibles_over_generators_match_the_whole_pool_on_small_posets():
+    for poset in primitive.enumerate_posets(["p", "q", "r"]):
+        for degree in (1, 2, 3):
+            b = SearchBound(max_degree=degree)
+            got = lab.irreducibles(primitive_oracle(poset), b)
+            assert got == _irreducibles_over_the_whole_pool(primitive_oracle(poset), b), (poset, degree)
 
 
 # -- o-ideals and quotients
@@ -516,9 +583,9 @@ def test_primitive_lab_pinned(poset, check, verdict, note, counterexample):
     assert rep.witnesses == [x for x in dec.counterexample or () if not isinstance(x, int)]
 
 
-# -- equal invariants in the pairwise sweeps: the strongly-separative and
-# antisymmetric sweeps skip a pair whose invariants differ, so the report must
-# be the unpruned one; the unperforated sweep prunes nothing
+# -- equal invariants in the pairwise sweeps: the strongly-separative sweep
+# skips a pair whose invariants differ, so the report must be the unpruned
+# one; the unperforated and antisymmetric sweeps prune nothing
 
 _PRUNED = (lab.UNPERFORATED, lab.STRONGLY_SEPARATIVE, lab.ANTISYMMETRIC)
 _B4 = SearchBound(max_degree=4, max_coefficient=3)
@@ -534,7 +601,7 @@ def _uncertified(o):
 
 
 def _stateless(o):
-    return dataclasses.replace(o, positive_state=None, invariants=None, certified={})
+    return dataclasses.replace(o, invariants=None, certified={})
 
 
 def _unrefined(a, b, c, d):
@@ -544,9 +611,10 @@ def _unrefined(a, b, c, d):
 
 
 def _degree_oracle(name, zero, add, elements, degree):
-    """Exact oracle over canonical elements whose state and one invariant are
-    the degree; x <= y is decided by searching the complement among elements
-    of degree degree(y) - degree(x)."""
+    """Exact oracle over canonical elements whose positive state and one
+    invariant are the degree, with the state's certificates; x <= y is
+    decided by searching the complement among elements of degree degree(y) -
+    degree(x)."""
 
     def leq(x, y):
         d = degree(y) - degree(x)
@@ -561,9 +629,11 @@ def _degree_oracle(name, zero, add, elements, degree):
         leq=leq,
         elements=elements,
         refine=_unrefined,
-        positive_state=degree,
         invariants=lambda x: (degree(x),),
         key=lambda e: e,
+        certified=dict.fromkeys(
+            (lab.CONICAL, lab.STABLY_FINITE, lab.ANTISYMMETRIC, lab.ARCHIMEDEAN), "positive state certificate"
+        ),
     )
 
 
@@ -599,13 +669,7 @@ def _square():
 @pytest.mark.parametrize("prop", _PRUNED)
 def test_state_pruning_keeps_the_report(make, b, prop):
     o = _uncertified(make())
-    got, want = _report(o, prop, b), _report(_stateless(o), prop, b)
-    if prop == lab.ANTISYMMETRIC and o.positive_state is not None:
-        # the state certifies antisymmetry; only the note differs from the sweep
-        assert got[0].note == "positive state certificate"
-        assert (got[0].verdict, got[1]) == (want[0].verdict, want[1])
-    else:
-        assert got == want
+    assert _report(o, prop, b) == _report(_stateless(o), prop, b)
 
 
 @pytest.mark.parametrize(
@@ -639,7 +703,7 @@ def test_antisymmetric_state_certificate_matches_the_sweep(make, b):
 
 
 @pytest.mark.parametrize("make", [lambda: ladder_oracle(2), lambda: bar_oracle(3)])
-@pytest.mark.parametrize("prop, op", [(lab.STRONGLY_SEPARATIVE, "equal"), (lab.ANTISYMMETRIC, "leq")])
+@pytest.mark.parametrize("prop, op", [(lab.STRONGLY_SEPARATIVE, "equal")])
 def test_equal_invariants_save_oracle_calls(make, prop, op):
     def counted(o):
         calls = [0]
@@ -651,27 +715,30 @@ def test_equal_invariants_save_oracle_calls(make, prop, op):
 
         return dataclasses.replace(o, **{op: f}), calls
 
-    o = dataclasses.replace(make(), positive_state=None)  # no antisymmetry certificate
+    o = make()
     pruned, n_pruned = counted(o)
     full, n_full = counted(dataclasses.replace(o, invariants=None))
     assert _report(pruned, prop, B) == _report(full, prop, B)
     assert 0 < n_pruned[0] < n_full[0]
 
 
-# -- homogeneous order certificate: m*x <= m*y iff x <= y in the ladder, bar
-# and free monoids, so unperforation is certified without a sweep
+# -- the ladder, bar and free oracles' certificates: unperforation by the
+# homogeneous order (m*x <= m*y iff x <= y), the rest by a state.  The sweep
+# each certificate replaces never answers Fails; the state-certified ones are
+# swept two degrees lower, which keeps the test to a few seconds
 
 
 @pytest.mark.parametrize("make", [ladder_oracle, bar_oracle, free_oracle])
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("deg", [3, 4, 5])
 def test_unperforation_certificate_matches_the_sweep(make, n, deg):
-    o, b = make(n), SearchBound(max_degree=deg, max_coefficient=5)
-    cert, sweep = _report(o, lab.UNPERFORATED, b), _report(_uncertified(o), lab.UNPERFORATED, b)
-    assert cert[0].note == "homogeneous order certificate"
-    assert sweep[0].note == "exhaustive at bound"
-    assert cert[0].verdict == sweep[0].verdict == "holds"
-    assert cert[1] == sweep[1] == []
+    o, swept = make(n), _uncertified(make(n))
+    assert o.certified[lab.UNPERFORATED] == "homogeneous order certificate"
+    for prop, note in o.certified.items():
+        b = SearchBound(max_degree=deg if prop == lab.UNPERFORATED else deg - 2, max_coefficient=5)
+        cert, sweep = _report(o, prop, b), _report(swept, prop, b)
+        assert (cert[0].verdict, cert[0].note, cert[1]) == ("holds", note, [])
+        assert not sweep[0].is_fails, (prop, sweep[0].counterexample)
 
 
 def test_builtin_certificates_name_lab_properties():
@@ -681,8 +748,10 @@ def test_builtin_certificates_name_lab_properties():
         assert set(o.certified) <= set(lab.PROPERTIES), o.name
 
 
-# -- zero-key pruning in the conical and stably-finite sweeps: x + y = 0 and
-# x + y = x force the keys of the terms that must vanish to be zero
+# -- the conical and stably-finite sweeps run over all elements: the zero-key
+# pruning they once had (x + y = 0 and x + y = x force the invariants of the
+# terms that must vanish to be zero) is gone, and these tests, which keep
+# their names, check that its removal kept the reports
 
 
 def _absorbing():
@@ -720,21 +789,18 @@ def _absorbing():
 @pytest.mark.parametrize("b", [B, _B4, SearchBound(max_degree=6, max_coefficient=5)])
 @pytest.mark.parametrize("prop", [lab.CONICAL, lab.STABLY_FINITE])
 def test_zero_key_pruning_keeps_the_report(level, b, prop):
+    """Bar's pair state certifies the property, and the full sweep, with or
+    without invariants, holds at the bound."""
     o = bar_oracle(level)
-    assert _report(o, prop, b) == _report(dataclasses.replace(o, invariants=None), prop, b)
-
-
-def test_zero_key_pruning_leaves_the_zero_xbar_count():
-    o = bar_oracle(3)
-    E = o.elements(6)
-    zero_keyed = lab._zero_keyed(o, E)
-    assert (len(zero_keyed), len(E)) == (28, 85)
-    assert all(e.k == 0 for e in zero_keyed)
+    cert, swept = _report(o, prop, b), _report(_uncertified(o), prop, b)
+    assert (cert[0].verdict, cert[0].note) == ("holds", "pair state certificate")
+    assert (swept[0].verdict, swept[0].note, swept[1]) == ("holds", "exhaustive at bound", [])
+    assert swept == _report(_stateless(o), prop, b)
 
 
 def test_zero_key_pruning_keeps_small_counterexamples():
-    """In <a, b | a + b = a> the first x + y = x with y nonzero is x = a, y = b;
-    y must keep a zero a-count, x need not."""
+    """In <a, b | a + b = a> the first x + y = x with y nonzero is x = a, y =
+    b, with or without invariants."""
     o = _absorbing()
     keyless = dataclasses.replace(o, invariants=None)
     for b in (B, _B4):
@@ -749,7 +815,7 @@ def test_zero_key_pruning_keeps_small_counterexamples():
 
 
 def _counting(o):
-    """A copy of `o` whose equal, leq and refine count their calls."""
+    """A copy of `o` whose equal, leq, refine and add count their calls."""
     calls = [0]
 
     def counted(fn):
@@ -759,7 +825,8 @@ def _counting(o):
 
         return f
 
-    return dataclasses.replace(o, equal=counted(o.equal), leq=counted(o.leq), refine=counted(o.refine)), calls
+    counted_ops = {op: counted(getattr(o, op)) for op in ("equal", "leq", "refine", "add")}
+    return dataclasses.replace(o, **counted_ops), calls
 
 
 _WILDNESS_INPUTS = (lab.STABLY_FINITE, lab.CANCELLATIVE, lab.SEPARATIVE, lab.UNPERFORATED)
@@ -788,18 +855,18 @@ def test_wildness_reads_the_memoized_reports(make, b):
 
 def test_memo_returns_the_first_report():
     o, calls = _counting(bar_oracle(3))
-    first = lab.check_property(o, lab.STABLY_FINITE, B, samples=100)
+    first = lab.check_property(o, lab.CANCELLATIVE, B, samples=100)
     n = calls[0]
-    assert lab.check_property(o, lab.STABLY_FINITE, B, samples=100) is first
+    assert lab.check_property(o, lab.CANCELLATIVE, B, samples=100) is first
     assert calls[0] == n
 
 
 @pytest.mark.parametrize("b, samples", [(B, 60), (_B4, 100), (SearchBound(max_degree=3, max_coefficient=4), 100)])
 def test_memo_asks_again_for_another_bound_or_sample_count(b, samples):
     o, calls = _counting(bar_oracle(3))
-    first = lab.check_property(o, lab.STABLY_FINITE, B, samples=100)
+    first = lab.check_property(o, lab.CANCELLATIVE, B, samples=100)
     calls[0] = 0
-    again = lab.check_property(o, lab.STABLY_FINITE, b, samples=samples)
+    again = lab.check_property(o, lab.CANCELLATIVE, b, samples=samples)
     assert calls[0] > 0 and again is not first
     assert again.bound == b
 
