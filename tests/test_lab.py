@@ -73,20 +73,31 @@ def test_decisions_with_content_are_fresh():
     assert fresh[0].witness == 0 and fresh[3].counterexample == 0
 
 
-def test_state_certificates_vanish_only_on_zero():
-    """The witnesses behind the ladder and bar oracles' state certificates:
-    the ladder's state is > 0 off 0, and bar's pair state is (0, 0) only on
-    0.  `build_certificate` has already checked each against every relation,
-    so both are additive."""
+def test_ladder_state_is_additive_and_positive():
+    """The witness behind the ladder oracle's positive state certificate:
+    the "state" hom is > 0 off 0 and additive on the oracle's elements."""
     for n in (1, 2, 3):
-        certs = wild.standard_certificates(n)
+        state = wild.standard_certificates(n)["state"]
         for e in wild.enumerate_ladder(n, 4):
             if not e.equal(LadderElem.zero()):
-                assert certs["state"].apply(wild.ladder_word(e, n)) > 0, e
-        pair_state = wild.standard_certificates(n, "bar")["pair_state"]
-        for e in wild.enumerate_bar(n, 5):
-            assert (pair_state.apply(wild.bar_word(e, n)) == (0, 0)) == e.equal(BarElem.zero()), e
+                assert state.apply(wild.ladder_word(e, n)) > 0, e
+    o, state = ladder_oracle(2), wild.standard_certificates(2)["state"]
+    E = o.elements(3)
+    for x in E:
+        for y in E[:15]:
+            sx, sy = (state.apply(wild.ladder_word(e, 2)) for e in (x, y))
+            assert state.apply(wild.ladder_word(o.add(x, y), 2)) == sx + sy, (x, y)
     assert ladder_oracle(2).certified[lab.ARCHIMEDEAN] == "positive state certificate"
+
+
+def test_bar_oracle_has_no_state():
+    """bar has no positive state (it is not archimedean); its certificates
+    rest on the pair state, which is (0, 0) exactly on 0."""
+    for n in (1, 2, 3):
+        certs = wild.standard_certificates(n, "bar")
+        assert "state" not in certs
+        for e in wild.enumerate_bar(n, 5):
+            assert (certs["pair_state"].apply(wild.bar_word(e, n)) == (0, 0)) == e.equal(BarElem.zero()), e
     assert bar_oracle(2).certified[lab.STABLY_FINITE] == "pair state certificate"
     assert lab.ARCHIMEDEAN not in bar_oracle(2).certified
 
