@@ -20,6 +20,11 @@ that its draw listed, asking just x1 <= z and x2 <= z.
 The archimedean property is special: enumeration can only refute it, so Holds
 is granted solely on a certificate.
 
+Refutation.  Each universal check generates its refuting instances, the
+hypotheses filtered through `_Sweep.definite`, and `_Sweep.refute` reports
+the first: the counterexample is the first in loop order, and when none
+comes, every Unknown verdict met is counted in the note.
+
 Memo.  `check_property` keeps each report in its oracle's `reports`, under
 (property, bound, samples), and answers a repeated question with the first
 report, its first `elapsed` included.  `wildness_certificate` is a function
@@ -71,7 +76,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .decisions import HOLDS, UNKNOWN, Decision, SearchBound
 from .oracles import MonoidOracle
@@ -109,7 +114,6 @@ _SEED = 20260823
 class PropertyReport:
     property: str
     verdict: Decision
-    witnesses: list = field(default_factory=list)
     bound: SearchBound | None = None
     elapsed: float = 0.0
 
@@ -137,6 +141,14 @@ class _Sweep:
             return Decision.unknown(b, note=f"{note}; {self.unknowns} unknown oracle verdicts")
         return Decision.holds(note=note)
 
+    def refute(self, b: SearchBound, found, note: str, held: Decision | None = None) -> Decision:
+        """Fails with the first instance the generator `found` yields, with
+        `note`; if it yields none, `held` when given, else the exhaustive
+        close."""
+        for inst in found:
+            return Decision.fails(counterexample=inst, note=note)
+        return self.close(b, "exhaustive at bound") if held is None else held
+
     def exhausted(self, b: SearchBound, note: str, unknown_note: str = "") -> Decision:
         """Close an existential search that found no witness: Fails with
         `note` when no verdict was Unknown, else Unknown at the bound."""
@@ -160,11 +172,8 @@ def check_property(
     if rep is None:
         t0 = time.monotonic()
         note = o.certified.get(prop)
-        if note is not None:
-            verdict, witnesses = Decision.holds(note=note), []
-        else:
-            verdict, witnesses = _CHECKERS[prop](o, b, samples)
-        rep = o.reports[asked] = PropertyReport(prop, verdict, witnesses, b, time.monotonic() - t0)
+        verdict = _CHECKERS[prop](o, b, samples) if note is None else Decision.holds(note=note)
+        rep = o.reports[asked] = PropertyReport(prop, verdict, b, time.monotonic() - t0)
     return rep
 
 
@@ -173,128 +182,98 @@ def _elems(o: MonoidOracle, b: SearchBound):
 
 
 def _partners(o: MonoidOracle, E) -> list:
-    """For each index into E, the ascending indices of the elements whose
-    invariants equal its own; every index when the oracle has none."""
+    """For each element of E, the elements of E whose invariants equal its
+    own, in E's order; all of E when the oracle has none."""
     if o.invariants is None:
-        return [range(len(E))] * len(E)
+        return [E] * len(E)
     keys = [tuple(o.invariants(x)) for x in E]
     groups: dict = {}
-    for iy, k in enumerate(keys):
-        groups.setdefault(k, []).append(iy)
+    for y, k in zip(E, keys):
+        groups.setdefault(k, []).append(y)
     return [groups[k] for k in keys]
 
 
 def _check_conical(o, b, samples):
-    E = _elems(o, b)
-    sw = _Sweep()
-    for x in E:
-        zx = sw.definite(o.is_zero(x))
-        if zx:
-            continue
-        for y in E:
-            s = o.add(x, y)
-            got = sw.definite(o.is_zero(s))
-            if got:
-                return (
-                    Decision.fails(counterexample=(x, y), note="x + y = 0 with x nonzero"),
-                    [x, y],
-                )
-    return sw.close(b, "exhaustive at bound"), []
+    E, sw = _elems(o, b), _Sweep()
+    d = sw.definite
+    found = ((x, y) for x in E if not d(o.is_zero(x)) for y in E if d(o.is_zero(o.add(x, y))))
+    return sw.refute(b, found, "x + y = 0 with x nonzero")
 
 
 def _check_stably_finite(o, b, samples):
-    E = _elems(o, b)
-    sw = _Sweep()
+    E, sw = _elems(o, b), _Sweep()
+    d = sw.definite
     # each candidate y is tested for zero once
-    nonzero = [y for y in E if sw.definite(o.is_zero(y)) is False]
-    for x in E:
-        for y in nonzero:
-            got = sw.definite(o.equal(o.add(x, y), x))
-            if got:
-                return (
-                    Decision.fails(counterexample=(x, y), note="x + y = x with y nonzero"),
-                    [x, y],
-                )
-    return sw.close(b, "exhaustive at bound"), []
+    nonzero = [y for y in E if d(o.is_zero(y)) is False]
+    found = ((x, y) for x in E for y in nonzero if d(o.equal(o.add(x, y), x)))
+    return sw.refute(b, found, "x + y = x with y nonzero")
 
 
 def _check_cancellative(o, b, samples):
-    E = _elems(o, b)
+    E, sw = _elems(o, b), _Sweep()
+    d = sw.definite
     if o.exact:
-        for z in E:
-            groups: dict = {}
-            for x in E:
-                k = o.key(o.add(x, z))
-                if k in groups and o.key(groups[k]) != o.key(x):
-                    y = groups[k]
-                    return (
-                        Decision.fails(counterexample=(x, y, z), note="x + z = y + z with x != y"),
-                        [x, y, z],
-                    )
-                groups.setdefault(k, x)
-        return Decision.holds(note="exhaustive at bound"), []
-    sw = _Sweep()
-    for ix, x in enumerate(E):
-        for y in E[ix + 1:]:
-            eq = sw.definite(o.equal(x, y))
-            if eq or eq is None:
-                continue
+
+        def keyed():
             for z in E:
-                got = sw.definite(o.equal(o.add(x, z), o.add(y, z)))
-                if got:
-                    return (
-                        Decision.fails(counterexample=(x, y, z), note="x + z = y + z with x != y"),
-                        [x, y, z],
-                    )
-    return sw.close(b, "exhaustive at bound"), []
+                groups: dict = {}
+                for x in E:
+                    y = groups.setdefault(o.key(o.add(x, z)), x)
+                    if o.key(y) != o.key(x):
+                        yield x, y, z
+
+        found = keyed()
+    else:
+        found = (
+            (x, y, z)
+            for ix, x in enumerate(E)
+            for y in E[ix + 1:]
+            if d(o.equal(x, y)) is False
+            for z in E
+            if d(o.equal(o.add(x, z), o.add(y, z)))
+        )
+    return sw.refute(b, found, "x + z = y + z with x != y")
 
 
 def _check_separative(o, b, samples):
-    E = _elems(o, b)
+    E, sw = _elems(o, b), _Sweep()
+    d = sw.definite
     if o.exact:
         groups: dict = {}
         for x in E:
             groups.setdefault(o.key(o.add(x, x)), []).append(x)
-        for members in groups.values():
-            for i, x in enumerate(members):
-                for y in members[i + 1:]:
-                    # 2x = 2y by grouping; need 2x = x + y as well
-                    if o.key(o.add(x, y)) == o.key(o.add(x, x)) and not o.equal(x, y).is_holds:
-                        return (
-                            Decision.fails(counterexample=(x, y), note="2x = 2y = x + y with x != y"),
-                            [x, y],
-                        )
-        return Decision.holds(note="exhaustive at bound"), []
-    sw = _Sweep()
-    for ix, x in enumerate(E):
-        for y in E[ix + 1:]:
-            c1 = sw.definite(o.equal(o.add(x, x), o.add(y, y)))
-            if not c1:
-                continue
-            c2 = sw.definite(o.equal(o.add(x, x), o.add(x, y)))
-            if not c2:
-                continue
-            eq = sw.definite(o.equal(x, y))
-            if eq is False:
-                return Decision.fails(counterexample=(x, y), note="2x = 2y = x + y with x != y"), [x, y]
-    return sw.close(b, "exhaustive at bound"), []
+        # 2x = 2y by grouping; need 2x = x + y as well
+        found = (
+            (x, y)
+            for k, members in groups.items()
+            for i, x in enumerate(members)
+            for y in members[i + 1:]
+            if o.key(o.add(x, y)) == k and d(o.equal(x, y)) is False
+        )
+    else:
+        found = (
+            (x, y)
+            for ix, x in enumerate(E)
+            for y in E[ix + 1:]
+            if d(o.equal(o.add(x, x), o.add(y, y)))
+            and d(o.equal(o.add(x, x), o.add(x, y)))
+            and d(o.equal(x, y)) is False
+        )
+    return sw.refute(b, found, "2x = 2y = x + y with x != y")
 
 
 def _check_strongly_separative(o, b, samples):
-    E = _elems(o, b)
-    partners = _partners(o, E)  # 2x = x + y gives inv(x) = inv(y)
-    sw = _Sweep()
-    for ix, x in enumerate(E):
-        xx = o.add(x, x)
-        for iy in partners[ix]:
-            y = E[iy]
-            got = sw.definite(o.equal(xx, o.add(x, y)))
-            if not got:
-                continue
-            eq = sw.definite(o.equal(x, y))
-            if eq is False:
-                return Decision.fails(counterexample=(x, y), note="2x = x + y with x != y"), [x, y]
-    return sw.close(b, "exhaustive at bound"), []
+    E, sw = _elems(o, b), _Sweep()
+    d = sw.definite
+    # 2x = x + y gives inv(x) = inv(y)
+    doubled = ((x, o.add(x, x), ys) for x, ys in zip(E, _partners(o, E)))
+    found = (
+        (x, y)
+        for x, xx, ys in doubled
+        for y in ys
+        if d(o.equal(xx, o.add(x, y))) and d(o.equal(x, y)) is False
+    )
+    return sw.refute(b, found, "2x = x + y with x != y")
 
 
 def _multiples(o, x, n: int) -> list:
@@ -306,68 +285,42 @@ def _multiples(o, x, n: int) -> list:
 
 
 def _check_unperforated(o, b, samples):
-    E = _elems(o, b)
-    sw = _Sweep()
-    multiples = [_multiples(o, x, b.max_coefficient) for x in E]
-    for ix, x in enumerate(E):
-        for iy, y in enumerate(E):
-            base = sw.definite(o.leq(x, y))
-            if base or base is None:
-                continue
-            for m in range(2, b.max_coefficient + 1):
-                got = sw.definite(o.leq(multiples[ix][m], multiples[iy][m]))
-                if got:
-                    return (
-                        Decision.fails(counterexample=(x, y, m), note="m*x <= m*y but not x <= y"),
-                        [x, y, m],
-                    )
-    return sw.close(b, "exhaustive at bound"), []
+    E, sw = _elems(o, b), _Sweep()
+    d = sw.definite
+    multiples = list(zip(E, (_multiples(o, x, b.max_coefficient) for x in E)))
+    found = (
+        (x, y, m)
+        for x, xs in multiples
+        for y, ys in multiples
+        if d(o.leq(x, y)) is False
+        for m in range(2, b.max_coefficient + 1)
+        if d(o.leq(xs[m], ys[m]))
+    )
+    return sw.refute(b, found, "m*x <= m*y but not x <= y")
 
 
 def _check_antisymmetric(o, b, samples):
-    E = _elems(o, b)
-    sw = _Sweep()
-    for ix, x in enumerate(E):
-        for y in E[ix + 1:]:
-            d1 = sw.definite(o.leq(x, y))
-            if not d1:
-                continue
-            d2 = sw.definite(o.leq(y, x))
-            if not d2:
-                continue
-            eq = sw.definite(o.equal(x, y))
-            if eq is False:
-                return Decision.fails(counterexample=(x, y), note="x <= y <= x with x != y"), [x, y]
-    return sw.close(b, "exhaustive at bound"), []
+    E, sw = _elems(o, b), _Sweep()
+    d = sw.definite
+    found = (
+        (x, y)
+        for ix, x in enumerate(E)
+        for y in E[ix + 1:]
+        if d(o.leq(x, y)) and d(o.leq(y, x)) and d(o.equal(x, y)) is False
+    )
+    return sw.refute(b, found, "x <= y <= x with x != y")
 
 
 def _check_archimedean(o, b, samples):
-    E = _elems(o, b)
-    sw = _Sweep()
+    E, sw = _elems(o, b), _Sweep()
+    d = sw.definite
     # refutation needs n well past the degree bound, or small-y artifacts
     # like n*x <= degree_bound * x would masquerade as infinitesimals
     n_max = max(2, b.max_degree * b.max_coefficient)
-    for x in E:
-        zx = sw.definite(o.is_zero(x))
-        if zx or zx is None:
-            continue
-        xs = _multiples(o, x, n_max)
-        for y in E:
-            ok = True
-            for n in range(1, n_max + 1):
-                got = sw.definite(o.leq(xs[n], y))
-                if not got:
-                    ok = False
-                    break
-            if ok:
-                return (
-                    Decision.fails(
-                        counterexample=(x, y, n_max),
-                        note="n*x <= y for all tested n with x nonzero",
-                    ),
-                    [x, y],
-                )
-    return Decision.unknown(b, note="enumeration cannot certify archimedean; no state available"), []
+    nonzero = ((x, _multiples(o, x, n_max)) for x in E if d(o.is_zero(x)) is False)
+    found = ((x, y, n_max) for x, xs in nonzero for y in E if all(d(o.leq(xs[n], y)) for n in range(1, n_max + 1)))
+    held = Decision.unknown(b, note="enumeration cannot certify archimedean; no state available")
+    return sw.refute(b, found, "n*x <= y for all tested n with x nonzero", held)
 
 
 def _sample_equations(o, E, rng, samples):
@@ -392,8 +345,8 @@ def _check_refinement(o, b, samples):
     for a, bb, c, d in eqs:
         dec = o.refine(a, bb, c, d)
         if sw.definite(dec) is False:
-            return Decision.fails(counterexample=(a, bb, c, d), note=dec.note), [a, bb, c, d]
-    return sw.close(b, f"{len(eqs)} sampled equations refined"), []
+            return Decision.fails(counterexample=(a, bb, c, d), note=dec.note)
+    return sw.close(b, f"{len(eqs)} sampled equations refined")
 
 
 def _sampled(b, samples, draw, found, fail_note: str, held_note: str):
@@ -417,8 +370,8 @@ def _sampled(b, samples, draw, found, fail_note: str, held_note: str):
         tried += 1
         inst, learned = drawn
         if not found(learned, *inst):
-            return Decision.fails(counterexample=inst, note=fail_note), list(inst)
-    return sw.close(b, held_note.format(tried)), []
+            return Decision.fails(counterexample=inst, note=fail_note)
+    return sw.close(b, held_note.format(tried))
 
 
 def _check_riesz_decomposition(o, b, samples):
@@ -580,7 +533,7 @@ def wildness_certificate(o: MonoidOracle, b: SearchBound, samples: int = 200) ->
                 witness={"stably_finite": sf.verdict.note, "noncancellation": canc.verdict.counterexample},
                 note="stably finite but not cancellative",
             )
-            return PropertyReport("wildness", verdict, canc.witnesses, b, time.monotonic() - t0)
+            return PropertyReport("wildness", verdict, b, time.monotonic() - t0)
     for prop in (SEPARATIVE, UNPERFORATED):
         rep = check_property(o, prop, b, samples)
         if rep.verdict.is_fails:
@@ -588,11 +541,10 @@ def wildness_certificate(o: MonoidOracle, b: SearchBound, samples: int = 200) ->
                 witness={prop: rep.verdict.counterexample},
                 note=f"{prop} fails",
             )
-            return PropertyReport("wildness", verdict, rep.witnesses, b, time.monotonic() - t0)
+            return PropertyReport("wildness", verdict, b, time.monotonic() - t0)
     return PropertyReport(
         "wildness",
         Decision.unknown(b, note="no wildness evidence at bound (consistent with tame)"),
-        [],
         b,
         time.monotonic() - t0,
     )
@@ -605,6 +557,8 @@ def further_tame_checks(o: MonoidOracle, b: SearchBound, samples: int = 200):
     Clause 2: a <= c + d1 and a <= c + d2 imply some d with a <= c + d and
     d <= d1, d <= d2.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     E = _elems(o, b)
     rng = random.Random(_SEED + 3)
 
@@ -630,7 +584,6 @@ def further_tame_checks(o: MonoidOracle, b: SearchBound, samples: int = 200):
     for n, draw, found in ((1, draw1, found1), (2, draw2, found2)):
         t0 = time.monotonic()
         fail_note = f"clause {n} witness search failed at bound"
-        verdict, _ = _sampled(b, samples, draw, found, fail_note, f"clause {n} held on {{}} sampled instances")
-        fail = [verdict.counterexample] if verdict.is_fails else []
-        reports.append(PropertyReport(f"tame-consequence-{n}", verdict, fail, b, time.monotonic() - t0))
+        verdict = _sampled(b, samples, draw, found, fail_note, f"clause {n} held on {{}} sampled instances")
+        reports.append(PropertyReport(f"tame-consequence-{n}", verdict, b, time.monotonic() - t0))
     return tuple(reports)

@@ -104,13 +104,17 @@ def _exact_leq(leq):
     return f
 
 
+def _exact_refine(refine):
+    def f(a, b, c, d):
+        return Decision.holds(witness=refine(a, b, c, d), note="exact refinement")
+
+    return f
+
+
 def ladder_oracle(level: int) -> MonoidOracle:
     """Exact oracle for the ladder monoid, elements enumerated up to `level`."""
     if level < 1:
         raise ValueError("truncation level must be >= 1")
-
-    def refine(a, b, c, d):
-        return Decision.holds(witness=wild.ladder_refine(a, b, c, d), note="exact refinement")
 
     def invariants(e: wild.LadderElem) -> tuple[int, ...]:
         # the x-count and the rungs a_1..a_level; raising keeps the rungs it
@@ -125,7 +129,7 @@ def ladder_oracle(level: int) -> MonoidOracle:
         equal=_exact_equal(wild.LadderElem.equal),
         leq=_exact_leq(wild.LadderElem.leq),
         elements=_per_degree(lambda d: wild.enumerate_ladder(level, d)),
-        refine=refine,
+        refine=_exact_refine(wild.ladder_refine),
         invariants=invariants,
         extended_elements=_per_degree(lambda d: wild.enumerate_ladder(level + 2, d)),
         key=lambda e: e,
@@ -140,9 +144,6 @@ def bar_oracle(level: int) -> MonoidOracle:
     if level < 1:
         raise ValueError("truncation level must be >= 1")
 
-    def refine(a, b, c, d):
-        return Decision.holds(witness=wild.bar_refine(a, b, c, d), note="exact refinement")
-
     return MonoidOracle(
         name=f"bar(level={level})",
         zero=wild.BarElem.zero(),
@@ -150,7 +151,7 @@ def bar_oracle(level: int) -> MonoidOracle:
         equal=_exact_equal(wild.BarElem.equal),
         leq=_exact_leq(wild.BarElem.leq),
         elements=_per_degree(lambda d: wild.enumerate_bar(level, d)),
-        refine=refine,
+        refine=_exact_refine(wild.bar_refine),
         invariants=lambda e: (e.k,),
         extended_elements=_per_degree(lambda d: wild.enumerate_bar(level + 2, d)),
         key=lambda e: e,
@@ -191,10 +192,6 @@ def free_oracle(rank: int) -> MonoidOracle:
 
 def primitive_oracle(poset: primitive.PrimePoset, name: str = "prim") -> MonoidOracle:
     """Exact oracle for the primitive monoid of `poset`."""
-
-    def refine(a, b, c, d):
-        return Decision.holds(witness=primitive.prim_refine(a, b, c, d), note="exact refinement")
-
     return MonoidOracle(
         name=name,
         zero=primitive.normalize(poset, {}),
@@ -202,7 +199,7 @@ def primitive_oracle(poset: primitive.PrimePoset, name: str = "prim") -> MonoidO
         equal=_exact_equal(primitive.prim_equal),
         leq=_exact_leq(primitive.prim_leq),
         elements=_per_degree(lambda d: primitive.enumerate_elements(poset, d)),
-        refine=refine,
+        refine=_exact_refine(primitive.prim_refine),
         key=lambda e: e.coeffs,
     )
 

@@ -386,6 +386,13 @@ def test_further_tame_checks_on_free(free2):
     assert r2.property == "tame-consequence-2"
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_further_tame_checks_need_a_sample(free2, samples):
+    """No sample would test no instance and read as a vacuous Holds."""
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        lab.further_tame_checks(free2, B, samples=samples)
+
+
 # -- Unknown branches of the existential searches, on m0 at degree 3: the
 # inner oracle calls hit the degree cap, and no witness found must then read
 # Unknown at the bound, never Fails
@@ -490,8 +497,7 @@ _PINNED = [
 def test_sampled_checks_pinned(oracle, check, verdict, note, counterexample):
     make, degree = _SAMPLED[oracle]
     o, b = make(), SearchBound(max_degree=degree)
-    tame = check.startswith("tame-consequence")
-    if tame:
+    if check.startswith("tame-consequence"):
         rep = lab.further_tame_checks(o, b, samples=60)[int(check[-1]) - 1]
     else:
         rep = lab.check_property(o, check, b, samples=60)
@@ -504,11 +510,6 @@ def test_sampled_checks_pinned(oracle, check, verdict, note, counterexample):
         assert dec.note == note
     shown = None if dec.counterexample is None else tuple(o.fmt(x) for x in dec.counterexample)
     assert shown == counterexample
-    # check_property lists the counterexample's parts, further_tame_checks the whole tuple
-    if dec.counterexample is None:
-        assert rep.witnesses == []
-    else:
-        assert rep.witnesses == ([dec.counterexample] if tame else list(dec.counterexample))
 
 
 # -- both Riesz checks at the lab sheet's bounds and 100 samples, where the
@@ -590,8 +591,6 @@ def test_primitive_lab_pinned(poset, check, verdict, note, counterexample):
     assert (dec.verdict, dec.note) == (verdict, note)
     shown = None if dec.counterexample is None else tuple(o.fmt(x) for x in dec.counterexample)
     assert shown == counterexample
-    # the witnesses are the counterexample's elements (archimedean's also carries the tested n)
-    assert rep.witnesses == [x for x in dec.counterexample or () if not isinstance(x, int)]
 
 
 # -- equal invariants in the pairwise sweeps: the strongly-separative sweep
@@ -603,8 +602,7 @@ _B4 = SearchBound(max_degree=4, max_coefficient=3)
 
 
 def _report(o, prop, b):
-    rep = lab.check_property(o, prop, b)
-    return rep.verdict, rep.witnesses
+    return lab.check_property(o, prop, b).verdict
 
 
 def _uncertified(o):
@@ -697,7 +695,7 @@ def test_state_pruning_keeps_small_counterexamples(make, prop, counterexample):
     visit, or with equal invariants (a and b of degree 1)."""
     o = make()
     rep = _report(o, prop, _B4)
-    assert rep[0].is_fails and rep[0].counterexample == counterexample
+    assert rep.is_fails and rep.counterexample == counterexample
     assert rep == _report(_stateless(o), prop, _B4)
     for p in (lab.UNPERFORATED, lab.STRONGLY_SEPARATIVE):
         assert _report(o, p, _B4) == _report(_stateless(o), p, _B4)
@@ -708,9 +706,9 @@ def test_state_pruning_keeps_small_counterexamples(make, prop, counterexample):
 def test_antisymmetric_state_certificate_matches_the_sweep(make, b):
     o = make()
     cert, sweep = _report(o, lab.ANTISYMMETRIC, b), _report(_stateless(o), lab.ANTISYMMETRIC, b)
-    assert cert[0].note == "positive state certificate"
-    assert sweep[0].note == "exhaustive at bound"
-    assert cert[0].verdict == sweep[0].verdict == "holds"
+    assert cert.note == "positive state certificate"
+    assert sweep.note == "exhaustive at bound"
+    assert cert.verdict == sweep.verdict == "holds"
 
 
 @pytest.mark.parametrize("make", [lambda: ladder_oracle(2), lambda: bar_oracle(3)])
@@ -748,8 +746,8 @@ def test_unperforation_certificate_matches_the_sweep(make, n, deg):
     for prop, note in o.certified.items():
         b = SearchBound(max_degree=deg if prop == lab.UNPERFORATED else deg - 2, max_coefficient=5)
         cert, sweep = _report(o, prop, b), _report(swept, prop, b)
-        assert (cert[0].verdict, cert[0].note, cert[1]) == ("holds", note, [])
-        assert not sweep[0].is_fails, (prop, sweep[0].counterexample)
+        assert (cert.verdict, cert.note) == ("holds", note)
+        assert not sweep.is_fails, (prop, sweep.counterexample)
 
 
 def test_builtin_certificates_name_lab_properties():
@@ -804,8 +802,8 @@ def test_zero_key_pruning_keeps_the_report(level, b, prop):
     without invariants, holds at the bound."""
     o = bar_oracle(level)
     cert, swept = _report(o, prop, b), _report(_uncertified(o), prop, b)
-    assert (cert[0].verdict, cert[0].note) == ("holds", "pair state certificate")
-    assert (swept[0].verdict, swept[0].note, swept[1]) == ("holds", "exhaustive at bound", [])
+    assert (cert.verdict, cert.note) == ("holds", "pair state certificate")
+    assert (swept.verdict, swept.note) == ("holds", "exhaustive at bound")
     assert swept == _report(_stateless(o), prop, b)
 
 
@@ -816,9 +814,67 @@ def test_zero_key_pruning_keeps_small_counterexamples():
     keyless = dataclasses.replace(o, invariants=None)
     for b in (B, _B4):
         rep = _report(o, lab.STABLY_FINITE, b)
-        assert rep[0].is_fails and rep[0].counterexample == ((1, 0), (0, 1))
+        assert rep.is_fails and rep.counterexample == ((1, 0), (0, 1))
         assert rep == _report(keyless, lab.STABLY_FINITE, b)
         assert _report(o, lab.CONICAL, b) == _report(keyless, lab.CONICAL, b)
+
+
+# -- the eight universal checks, pinned with their Unknown counts: m0 answers
+# Unknown past its degree cap, and the certified oracles are swept uncertified
+
+_UNIVERSAL = {  # oracle factory, bound
+    "m0": (lambda: presentation_oracle(wild.m0_presentation(), B), B),
+    "ladder:2": (lambda: _uncertified(ladder_oracle(2)), B),
+    "bar:3": (lambda: _uncertified(bar_oracle(3)), _B4),
+    "free:2": (lambda: _uncertified(free_oracle(2)), B),
+}
+
+_PINNED_UNIVERSAL = [
+    ("m0", "conical", "unknown", "exhaustive at bound; 316 unknown oracle verdicts", None),
+    ("m0", "stably-finite", "unknown", "exhaustive at bound; 316 unknown oracle verdicts", None),
+    ("m0", "separative", "unknown", "exhaustive at bound; 184 unknown oracle verdicts", None),
+    ("m0", "strongly-separative", "unknown", "exhaustive at bound; 334 unknown oracle verdicts", None),
+    ("m0", "cancellative", "fails", "x + z = y + z with x != y", ("z0", "y0", "x0")),
+    ("m0", "unperforated", "unknown", "exhaustive at bound; 434 unknown oracle verdicts", None),
+    ("m0", "antisymmetric", "holds", "exhaustive at bound", None),
+    ("m0", "archimedean", "unknown", "enumeration cannot certify archimedean; no state available", None),
+    ("ladder:2", "conical", "holds", "exhaustive at bound", None),
+    ("ladder:2", "stably-finite", "holds", "exhaustive at bound", None),
+    ("ladder:2", "separative", "holds", "exhaustive at bound", None),
+    ("ladder:2", "strongly-separative", "holds", "exhaustive at bound", None),
+    ("ladder:2", "cancellative", "fails", "x + z = y + z with x != y", ("y0", "z0", "x0")),
+    ("ladder:2", "unperforated", "holds", "exhaustive at bound", None),
+    ("ladder:2", "antisymmetric", "holds", "exhaustive at bound", None),
+    ("ladder:2", "archimedean", "unknown", "enumeration cannot certify archimedean; no state available", None),
+    ("bar:3", "conical", "holds", "exhaustive at bound", None),
+    ("bar:3", "stably-finite", "holds", "exhaustive at bound", None),
+    ("bar:3", "separative", "holds", "exhaustive at bound", None),
+    ("bar:3", "strongly-separative", "holds", "exhaustive at bound", None),
+    ("bar:3", "cancellative", "fails", "x + z = y + z with x != y", ("ybar0", "zbar0", "xbar0")),
+    ("bar:3", "unperforated", "holds", "exhaustive at bound", None),
+    ("bar:3", "antisymmetric", "holds", "exhaustive at bound", None),
+    ("bar:3", "archimedean", "fails", "n*x <= y for all tested n with x nonzero", ("zbar0", "xbar0", 12)),
+    ("free:2", "conical", "holds", "exhaustive at bound", None),
+    ("free:2", "stably-finite", "holds", "exhaustive at bound", None),
+    ("free:2", "separative", "holds", "exhaustive at bound", None),
+    ("free:2", "strongly-separative", "holds", "exhaustive at bound", None),
+    ("free:2", "cancellative", "holds", "exhaustive at bound", None),
+    ("free:2", "unperforated", "holds", "exhaustive at bound", None),
+    ("free:2", "antisymmetric", "holds", "exhaustive at bound", None),
+    ("free:2", "archimedean", "unknown", "enumeration cannot certify archimedean; no state available", None),
+]
+
+
+@pytest.mark.parametrize("oracle, check, verdict, note, counterexample", _PINNED_UNIVERSAL)
+def test_universal_checks_pinned(oracle, check, verdict, note, counterexample):
+    make, b = _UNIVERSAL[oracle]
+    o = make()
+    dec = lab.check_property(o, check, b).verdict
+    assert (dec.verdict, dec.note) == (verdict, note)
+    shown = None if dec.counterexample is None else tuple(
+        x if isinstance(x, int) else o.fmt(x) for x in dec.counterexample
+    )
+    assert shown == counterexample
 
 
 # -- the per-oracle report memo: wildness reads the four property reports the
