@@ -18,6 +18,7 @@ from . import graphs, lab, oracles, primitive, wild
 from .decisions import Decision, SearchBound
 from .presentation import Presentation, parse_presentation
 from .rewrite import decide_equal, decide_leq, find_refinement
+from .words import Word
 
 
 def _bound(args) -> SearchBound:
@@ -39,26 +40,29 @@ def _add_bound_flags(sp, coefficients: bool = True) -> None:
 INPUT_ERROR = 3
 
 
-def _show(obj):
+def _show(obj, fmt):
+    """`obj` as JSON data, with each word rendered as a term by `fmt`."""
     if isinstance(obj, (wild.LadderElem, wild.BarElem)):  # tuples, but shown as terms
         return str(obj)
+    if isinstance(obj, Word):
+        return fmt(obj)
     if isinstance(obj, (list, tuple)):
-        return [_show(x) for x in obj]
+        return [_show(x, fmt) for x in obj]
     if isinstance(obj, dict):
-        return {str(k): _show(v) for k, v in obj.items()}
+        return {str(k): _show(v, fmt) for k, v in obj.items()}
     if obj is None or isinstance(obj, (str, int, float, bool)):
         return obj
     return str(obj)
 
 
-def _dec_json(d: Decision) -> dict:
+def _dec_json(d: Decision, fmt) -> dict:
     out = {"verdict": d.verdict}
     if d.note:
         out["note"] = d.note
     if d.witness is not None:
-        out["witness"] = _show(d.witness)
+        out["witness"] = _show(d.witness, fmt)
     if d.counterexample is not None:
-        out["counterexample"] = _show(d.counterexample)
+        out["counterexample"] = _show(d.counterexample, fmt)
     if d.bound is not None:
         out["bound"] = d.bound.as_dict()
     return out
@@ -125,7 +129,8 @@ def _cmd_eq(args) -> int:
     b = _bound(args)
     u, v = p.word(args.lhs), p.word(args.rhs)
     dec = decide_equal(p, u, v, b, certs)
-    payload = {"monoid": p.name, "lhs": args.lhs, "rhs": args.rhs, "decision": _dec_json(dec)}
+    decision = _dec_json(dec, lambda w: w.format(p.gens))
+    payload = {"monoid": p.name, "lhs": args.lhs, "rhs": args.rhs, "decision": decision}
     _emit(args, payload, [f"{p.name}: {args.lhs} = {args.rhs}: {dec.verdict} ({dec.note or ''})"])
     return _exit_code([dec])
 
@@ -136,7 +141,8 @@ def _cmd_leq(args) -> int:
     u, v = p.word(args.lhs), p.word(args.rhs)
     dec = decide_leq(p, u, v, b)
     extra = f", complement {dec.witness.format(p.gens)}" if dec.is_holds else ""
-    payload = {"monoid": p.name, "lhs": args.lhs, "rhs": args.rhs, "decision": _dec_json(dec)}
+    decision = _dec_json(dec, lambda w: w.format(p.gens))
+    payload = {"monoid": p.name, "lhs": args.lhs, "rhs": args.rhs, "decision": decision}
     _emit(args, payload, [f"{p.name}: {args.lhs} <= {args.rhs}: {dec.verdict}{extra}"])
     return _exit_code([dec])
 
@@ -151,7 +157,7 @@ def _cmd_refine(args) -> int:
         (z11, z12), (z21, z22) = dec.witness
         lines.append(f"  [[{z11.format(p.gens)}, {z12.format(p.gens)}],")
         lines.append(f"   [{z21.format(p.gens)}, {z22.format(p.gens)}]]")
-    payload = {"monoid": p.name, "decision": _dec_json(dec)}
+    payload = {"monoid": p.name, "decision": _dec_json(dec, lambda w: w.format(p.gens))}
     _emit(args, payload, lines)
     return _exit_code([dec])
 
@@ -165,7 +171,7 @@ def _cmd_check(args) -> int:
         "monoid": o.name,
         "bound": b.as_dict(),
         "reports": [
-            {"property": r.property, "decision": _dec_json(r.verdict), "elapsed_s": round(r.elapsed, 3)}
+            {"property": r.property, "decision": _dec_json(r.verdict, o.fmt), "elapsed_s": round(r.elapsed, 3)}
             for r in reports
         ],
     }
@@ -260,7 +266,7 @@ def _cmd_wildness(args) -> int:
     b = _bound(args)
     o = _load_oracle(args.target, b)
     rep = lab.wildness_certificate(o, b)
-    payload = {"monoid": o.name, "decision": _dec_json(rep.verdict)}
+    payload = {"monoid": o.name, "decision": _dec_json(rep.verdict, o.fmt)}
     _emit(args, payload, [rep.line(o.name)])
     return _exit_code([rep.verdict])
 

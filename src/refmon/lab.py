@@ -149,11 +149,11 @@ class _Sweep:
             return Decision.fails(counterexample=inst, note=note)
         return self.close(b, "exhaustive at bound") if held is None else held
 
-    def exhausted(self, b: SearchBound, note: str, unknown_note: str = "") -> Decision:
+    def exhausted(self, b: SearchBound, note: str) -> Decision:
         """Close an existential search that found no witness: Fails with
         `note` when no verdict was Unknown, else Unknown at the bound."""
         if self.unknowns:
-            return Decision.unknown(b, note=unknown_note)
+            return Decision.unknown(b)
         return Decision.fails(note=note)
 
 
@@ -425,7 +425,7 @@ _CHECKERS = {
 
 
 # ---------------------------------------------------------------------------
-# Irreducibles, pedestal, o-ideals, quotients
+# Irreducibles, o-ideals, quotients, wildness
 
 
 def irreducibles(o: MonoidOracle, b: SearchBound):
@@ -433,17 +433,18 @@ def irreducibles(o: MonoidOracle, b: SearchBound):
 
     Uses the order: x is decomposable iff some nonzero a != x has a <= x (the
     complement witness is then nonzero in a stably finite monoid).  The
-    candidates are the nonzero degree-1 elements, the generators, of the
-    extended pool when the oracle offers one (so that generators of deeper
-    levels are seen), else of its elements.  That loses no decomposition: an
-    element a <= x, a != x of a deeper pool is a sum of generators, each of
-    them <= x.  In an antisymmetric monoid at least one of them differs from
-    x: otherwise a = k*x with k >= 2, and k*x <= x <= 2x <= k*x forces 2x = x,
-    which the x + x = x test catches first.
+    candidates are the nonzero elements of the oracle's `generators` when it
+    lists them (the ladder and bar oracles list those of two levels deeper,
+    so that generators of deeper levels are seen), else of its degree-1
+    elements.  That loses no decomposition: an element a <= x, a != x of a
+    deeper level is a sum of generators, each of them <= x.  In an
+    antisymmetric monoid at least one of them differs from x: otherwise a =
+    k*x with k >= 2, and k*x <= x <= 2x <= k*x forces 2x = x, which the
+    x + x = x test catches first.
     Returns (found, unknown) lists.
     """
     E = _elems(o, b)
-    pool = [a for a in (o.extended_elements or o.elements)(1) if not o.is_zero(a).is_holds]
+    pool = [a for a in o.generators or o.elements(1) if not o.is_zero(a).is_holds]
     found, unknown = [], []
     for x in E:
         if o.is_zero(x).is_holds:
@@ -456,16 +457,11 @@ def irreducibles(o: MonoidOracle, b: SearchBound):
             if sw.definite(o.leq(a, x)) and sw.definite(o.equal(a, x)) is False:
                 break  # x = a + complement
         else:
-            if sw.exhausted(b, "no decomposition at bound").is_unknown:
+            if sw.unknowns:
                 unknown.append(x)
             elif not any(o.equal(x, y).is_holds for y in found):
                 found.append(x)
     return found, unknown
-
-
-def pedestal(o: MonoidOracle, b: SearchBound):
-    """Generating set of the o-ideal generated by the irreducibles."""
-    return irreducibles(o, b)[0]
 
 
 def o_ideal_closure(o: MonoidOracle, gens, b: SearchBound):
@@ -500,26 +496,6 @@ def quotient_equal(o: MonoidOracle, member, x, y, b: SearchBound) -> Decision:
     return sw.exhausted(b, "no ideal shift at bound")
 
 
-def max_antisym_equal(o: MonoidOracle, x, y, b: SearchBound) -> Decision:
-    """Congruence of the maximal antisymmetric quotient: x == y iff x <= y <= x."""
-    d1, d2 = o.leq(x, y), o.leq(y, x)
-    if d1.is_holds and d2.is_holds:
-        return Decision.holds(witness=(d1.witness, d2.witness))
-    if d1.is_fails or d2.is_fails:
-        return Decision.fails(note="order separates the pair")
-    return Decision.unknown(b)
-
-
-def max_cancel_equal(o: MonoidOracle, x, y, b: SearchBound) -> Decision:
-    """Congruence of the maximal cancellative quotient: x ~ y iff x+z = y+z
-    for some z (bounded search)."""
-    sw = _Sweep()
-    for z in _elems(o, b):
-        if sw.definite(o.equal(o.add(x, z), o.add(y, z))):
-            return Decision.holds(witness=z)
-    return sw.exhausted(b, "no cancelling element at bound")
-
-
 def wildness_certificate(o: MonoidOracle, b: SearchBound, samples: int = 200) -> PropertyReport:
     """Evidence of wildness: stable finiteness (certified or exhaustive) together
     with a cancellation counterexample, or a separativity/unperforation
@@ -549,41 +525,3 @@ def wildness_certificate(o: MonoidOracle, b: SearchBound, samples: int = 200) ->
         time.monotonic() - t0,
     )
 
-
-def further_tame_checks(o: MonoidOracle, b: SearchBound, samples: int = 200):
-    """Two consequences of tameness, checked on sampled instances.
-
-    Clause 1: a + c <= b + c implies some a1 with a1 + c = c and a <= b + a1.
-    Clause 2: a <= c + d1 and a <= c + d2 imply some d with a <= c + d and
-    d <= d1, d <= d2.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    E = _elems(o, b)
-    rng = random.Random(_SEED + 3)
-
-    def draw1(definite):
-        a, bb, c = rng.choice(E), rng.choice(E), rng.choice(E)
-        return ((a, bb, c), None) if definite(o.leq(o.add(a, c), o.add(bb, c))) else None
-
-    def found1(_, a, bb, c):
-        return any(o.equal(o.add(a1, c), c).is_holds and o.leq(a, o.add(bb, a1)).is_holds for a1 in E)
-
-    def draw2(definite):
-        a, c, d1, d2 = (rng.choice(E) for _ in range(4))
-        if definite(o.leq(a, o.add(c, d1))) and definite(o.leq(a, o.add(c, d2))):
-            return (a, c, d1, d2), None
-        return None
-
-    def found2(_, a, c, d1, d2):
-        return any(
-            o.leq(a, o.add(c, d)).is_holds and o.leq(d, d1).is_holds and o.leq(d, d2).is_holds for d in E
-        )
-
-    reports = []
-    for n, draw, found in ((1, draw1, found1), (2, draw2, found2)):
-        t0 = time.monotonic()
-        fail_note = f"clause {n} witness search failed at bound"
-        verdict = _sampled(b, samples, draw, found, fail_note, f"clause {n} held on {{}} sampled instances")
-        reports.append(PropertyReport(f"tame-consequence-{n}", verdict, b, time.monotonic() - t0))
-    return tuple(reports)

@@ -54,7 +54,7 @@ class MonoidOracle:
     # componentwise and x = y forces inv(x) = inv(y); the lab's
     # strongly-separative sweep skips the pairs this refutes.
     invariants: Callable | None = None
-    extended_elements: Callable | None = None  # deeper pool; irreducibles reads its generators
+    generators: tuple = ()  # deeper generators for irreducibles; empty: the degree-1 elements
     key: Callable | None = None  # canonical hash key (exact oracles only)
     fmt: Callable = str
     certified: Mapping[str, str] = field(default_factory=dict)  # property id -> reason
@@ -131,7 +131,7 @@ def ladder_oracle(level: int) -> MonoidOracle:
         elements=_per_degree(lambda d: wild.enumerate_ladder(level, d)),
         refine=_exact_refine(wild.ladder_refine),
         invariants=invariants,
-        extended_elements=_per_degree(lambda d: wild.enumerate_ladder(level + 2, d)),
+        generators=tuple(wild.enumerate_ladder(level + 2, 1)),
         key=lambda e: e,
         certified={**_POSITIVE_STATE, "unperforated": _HOMOGENEOUS_ORDER},
     )
@@ -153,7 +153,7 @@ def bar_oracle(level: int) -> MonoidOracle:
         elements=_per_degree(lambda d: wild.enumerate_bar(level, d)),
         refine=_exact_refine(wild.bar_refine),
         invariants=lambda e: (e.k,),
-        extended_elements=_per_degree(lambda d: wild.enumerate_bar(level + 2, d)),
+        generators=tuple(wild.enumerate_bar(level + 2, 1)),
         key=lambda e: e,
         certified={**_PAIR_STATE, "unperforated": _HOMOGENEOUS_ORDER},
     )

@@ -82,12 +82,6 @@ class PrimElem:
     poset: PrimePoset
     coeffs: tuple[tuple[str, int], ...]
 
-    def coeff(self, p: str) -> int:
-        for q, c in self.coeffs:
-            if q == p:
-                return c
-        return 0
-
     def degree(self) -> int:
         return sum(c for _, c in self.coeffs)
 

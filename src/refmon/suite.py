@@ -9,7 +9,7 @@ Manifest JSON:
     ]}
 
 expect is one of holds / fails / unknown (mapped to exit codes 0 / 1 / 2) or
-an explicit integer exit code.  A case whose command exits with the input
+an integer exit code from 0 to 3.  A case whose command exits with the input
 error code 3 when it expected something else gets status "error"; its
 stderr is kept in the report either way.
 """
@@ -47,14 +47,15 @@ def load_manifest(text: str) -> SuiteManifest:
         if not ok or not all(isinstance(arg, str) for arg in raw["command"]):
             raise ValueError(f"suite case {raw!r} needs a string 'name' and a list of strings as 'command'")
         expect = raw.get("expect", 0)
-        expect = _EXPECT_CODES.get(expect, expect) if isinstance(expect, str) else expect
-        if not isinstance(expect, int):
+        code = _EXPECT_CODES.get(expect) if isinstance(expect, str) else expect
+        # a bool is an int to Python, but names no exit code
+        if type(code) is not int or not 0 <= code <= 3:
             raise ValueError(f"bad expect value {expect!r} in case {raw['name']!r}")
         cases.append(
             SuiteCase(
                 name=raw["name"],
                 command=tuple(raw["command"]),
-                expect=expect,
+                expect=code,
                 comment=raw.get("comment", ""),
             )
         )

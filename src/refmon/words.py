@@ -72,12 +72,6 @@ class Word:
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
 
-    def exponent(self, idx: int) -> int:
-        for i, e in self.exps:
-            if i == idx:
-                return e
-        return 0
-
     def add(self, other: "Word") -> "Word":
         return Word.of(list(self.exps) + list(other.exps))
 

@@ -52,6 +52,27 @@ def test_eq_json_format(capsys):
     payload = json.loads(out)
     assert payload["decision"]["verdict"] == "holds"
     assert payload["monoid"] == "M0"
+    assert payload["decision"]["witness"] == ["x0 + y0", "x0 + z0"]
+
+
+@pytest.mark.parametrize(
+    "argv, path, terms",
+    [
+        (("leq", "m0", "x0", "x0 + z0"), ("decision", "witness"), "y0"),
+        (("refine", "m0", "x0", "y0", "y0", "x0"), ("decision", "witness"), [["0", "x0"], ["y0", "0"]]),
+        (
+            ("check", "m0", "--prop", "cancellative", "--max-degree", "3"),
+            ("reports", 0, "decision", "counterexample"),
+            ["z0", "y0", "x0"],
+        ),
+    ],
+)
+def test_json_format_prints_words_as_terms(capsys, argv, path, terms):
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    got = json.loads(out)
+    for step in path:
+        got = got[step]
+    assert got == terms
 
 
 def test_leq_prints_complement(capsys):
@@ -382,7 +403,7 @@ def test_check_json_shows_elements_as_terms(capsys, target, counterexample):
 
 
 def test_manifest_validation():
-    for expect in ("maybe", [0], 1.5):
+    for expect in ("maybe", [0], 1.5, True, False, 7, -1):
         with pytest.raises(ValueError, match="bad expect value"):
             suite.load_manifest(json.dumps({"cases": [{"name": "x", "command": [], "expect": expect}]}))
     m = suite.load_manifest(json.dumps({"cases": [{"name": "x", "command": ["parse", "m0"], "expect": 0}]}))

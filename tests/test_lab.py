@@ -240,14 +240,13 @@ def test_property_implications(make):
         assert not reps[lab.ANTISYMMETRIC].is_fails
 
 
-# -- irreducibles and pedestal
+# -- irreducibles
 
 
 def test_ladder_irreducibles_are_deep_rungs(ladder):
     found, unknown = lab.irreducibles(ladder, SearchBound(max_degree=2))
     assert not unknown
     assert set(found) == {LadderElem.a(1), LadderElem.a(2)}
-    assert lab.pedestal(ladder, SearchBound(max_degree=2)) == found
 
 
 def test_bar_irreducibles(bar):
@@ -261,12 +260,11 @@ def test_free_irreducibles(free2):
     assert set(found) == {(1, 0), (0, 1)}
 
 
-def _irreducibles_over_the_whole_pool(o, b):
+def _irreducibles_over_the_whole_pool(o, b, pool=None):
     """The irreducibles scan as it was before it read only the generators:
-    every nonzero element of the (extended) pool up to b.max_degree is a
-    candidate a <= x."""
-    pool_src = o.extended_elements if o.extended_elements is not None else o.elements
-    pool = [a for a in pool_src(b.max_degree) if not o.is_zero(a).is_holds]
+    every nonzero element of `pool(b.max_degree)`, the oracle's elements by
+    default, is a candidate a <= x."""
+    pool = [a for a in (pool or o.elements)(b.max_degree) if not o.is_zero(a).is_holds]
     found, unknown = [], []
     for x in o.elements(b.max_degree):
         if o.is_zero(x).is_holds:
@@ -278,7 +276,7 @@ def _irreducibles_over_the_whole_pool(o, b):
             if sw.definite(o.leq(a, x)) and sw.definite(o.equal(a, x)) is False:
                 break
         else:
-            if sw.exhausted(b, "").is_unknown:
+            if sw.unknowns:
                 unknown.append(x)
             elif not any(o.equal(x, y).is_holds for y in found):
                 found.append(x)
@@ -294,24 +292,29 @@ def _truncation_oracle(n, kind, b):
     return presentation_oracle(wild.truncation_presentation(n, kind), b, certs)
 
 
-_IRREDUCIBLE_ORACLES = {  # name -> (oracle factory of the bound, degrees)
-    **{f"ladder:{n}": (lambda b, n=n: ladder_oracle(n), range(2, 6)) for n in (1, 2, 3)},
-    **{f"bar:{n}": (lambda b, n=n: bar_oracle(n), range(2, 7)) for n in (1, 2, 3, 4)},
-    "free:3": (lambda b: free_oracle(3), range(1, 4)),
-    "m0": (lambda b: presentation_oracle(wild.m0_presentation(), b), range(1, 4)),
-    **{f"{kind}:1-presentation": (lambda b, kind=kind: _truncation_oracle(1, kind, b), range(2, 5))
+# name -> (oracle factory of the bound, the whole pool by degree or None for
+# the oracle's elements, degrees); the ladder and bar pools reach two levels
+# deeper than the oracle's elements
+_IRREDUCIBLE_ORACLES = {
+    **{f"ladder:{n}": (lambda b, n=n: ladder_oracle(n), lambda d, n=n: wild.enumerate_ladder(n + 2, d), range(2, 6))
+       for n in (1, 2, 3)},
+    **{f"bar:{n}": (lambda b, n=n: bar_oracle(n), lambda d, n=n: wild.enumerate_bar(n + 2, d), range(2, 7))
+       for n in (1, 2, 3, 4)},
+    "free:3": (lambda b: free_oracle(3), None, range(1, 4)),
+    "m0": (lambda b: presentation_oracle(wild.m0_presentation(), b), None, range(1, 4)),
+    **{f"{kind}:1-presentation": (lambda b, kind=kind: _truncation_oracle(1, kind, b), None, range(2, 5))
        for kind in ("ladder", "bar")},
-    **{f"relation {rel}": (lambda b, rel=rel: presentation_oracle(_relation(rel), b), range(1, 4))
+    **{f"relation {rel}": (lambda b, rel=rel: presentation_oracle(_relation(rel), b), None, range(1, 4))
        for rel in ("x = 3*x", "x = 2*x + y")},
 }
 
 
 @pytest.mark.parametrize("name", _IRREDUCIBLE_ORACLES)
 def test_irreducibles_over_generators_match_the_whole_pool(name):
-    make, degrees = _IRREDUCIBLE_ORACLES[name]
+    make, pool, degrees = _IRREDUCIBLE_ORACLES[name]
     for degree in degrees:
         b = SearchBound(max_degree=degree)
-        assert lab.irreducibles(make(b), b) == _irreducibles_over_the_whole_pool(make(b), b), degree
+        assert lab.irreducibles(make(b), b) == _irreducibles_over_the_whole_pool(make(b), b, pool), degree
 
 
 def test_irreducibles_over_generators_match_the_whole_pool_on_small_posets():
@@ -352,19 +355,7 @@ def test_quotient_equal_bar_z_ideal(bar):
     assert lab.quotient_equal(bar, member, yb, BarElem.zero(), b).is_fails
 
 
-def test_max_antisym_and_max_cancel(ladder, free2):
-    b = SearchBound(max_degree=3)
-    y0, z0 = LadderElem.y(0), LadderElem.z(0)
-    # the order does not separate y0 and z0... but they are not mutually below
-    assert lab.max_antisym_equal(ladder, y0, z0, b).is_fails
-    # one x0 cancels the y0/z0 difference
-    dec = lab.max_cancel_equal(ladder, y0, z0, b)
-    assert dec.is_holds
-    assert ladder.equal(ladder.add(y0, dec.witness), ladder.add(z0, dec.witness)).is_holds
-    assert lab.max_cancel_equal(free2, (1, 0), (0, 1), b).is_fails
-
-
-# -- wildness certificates and tame consequences
+# -- wildness certificates
 
 
 def test_wildness_certificates(ladder, bar, free2):
@@ -376,21 +367,6 @@ def test_wildness_certificates(ladder, bar, free2):
     rep3 = lab.wildness_certificate(free2, B, samples=60)
     assert rep3.verdict.is_unknown
     assert "consistent with tame" in rep3.verdict.note
-
-
-def test_further_tame_checks_on_free(free2):
-    r1, r2 = lab.further_tame_checks(free2, B, samples=60)
-    assert r1.verdict.is_holds
-    assert r2.verdict.is_holds
-    assert r1.property == "tame-consequence-1"
-    assert r2.property == "tame-consequence-2"
-
-
-@pytest.mark.parametrize("samples", [0, -1])
-def test_further_tame_checks_need_a_sample(free2, samples):
-    """No sample would test no instance and read as a vacuous Holds."""
-    with pytest.raises(ValueError, match="samples must be >= 1"):
-        lab.further_tame_checks(free2, B, samples=samples)
 
 
 # -- Unknown branches of the existential searches, on m0 at degree 3: the
@@ -425,7 +401,6 @@ def test_existential_searches_answer_unknown_at_the_bound():
     pairs = [(x, y) for x in o.elements(2) for y in o.elements(2)]
     calls = [lambda x=x: member(x) for x in o.elements(3)]
     calls += [lambda x=x, y=y: lab.quotient_equal(o, member, x, y, _M0_B) for x, y in pairs]
-    calls += [lambda x=x, y=y: lab.max_cancel_equal(o, x, y, _M0_B) for x, y in pairs]
     answered = []
     for call in calls:
         unknowns.clear()
@@ -439,7 +414,6 @@ def test_existential_searches_answer_unknown_at_the_bound():
     for dec in (
         member(w("z0")),
         lab.quotient_equal(o, member, w("z0"), Word(), _M0_B),
-        lab.max_cancel_equal(o, Word(), w("z0"), _M0_B),
     ):
         assert dec == Decision.unknown(_M0_B)
 
@@ -472,24 +446,13 @@ _PINNED = [
     ("ladder", "riesz-interpolation", "holds", "15 sampled instances interpolated", None),
     ("ladder-deg4", "riesz-interpolation", "fails", "no bounded interpolant found",
      ("4*z2", "2*y2 + z2 + a2", "x0 + 2*y0", "3*x1 + y1")),
-    ("ladder", "tame-consequence-1", "fails", "clause 1 witness search failed at bound",
-     ("y2 + z2", "3*y2", "2*x2")),
-    ("ladder", "tame-consequence-2", "fails", "clause 2 witness search failed at bound",
-     ("2*y2 + a2", "2*z1 + a1", "2*y0", "3*x2")),
     ("bar", "riesz-decomposition", "holds", "15 sampled instances decomposed", None),
     ("bar", "riesz-interpolation", "holds", "15 sampled instances interpolated", None),
-    ("bar", "tame-consequence-1", "fails", "clause 1 witness search failed at bound",
-     ("2*zbar0", "2*ybar0 + zbar0", "3*xbar3")),
-    ("bar", "tame-consequence-2", "holds", "clause 2 held on 15 sampled instances", None),
     ("free", "riesz-decomposition", "holds", "15 sampled instances decomposed", None),
     ("free", "riesz-interpolation", "holds", "15 sampled instances interpolated", None),
-    ("free", "tame-consequence-1", "holds", "clause 1 held on 15 sampled instances", None),
-    ("free", "tame-consequence-2", "holds", "clause 2 held on 15 sampled instances", None),
     # Unknown notes end in the count of unknown hypothesis verdicts
     ("m0", "riesz-decomposition", "unknown", "15 sampled instances decomposed; 9 unknown", None),
     ("m0", "riesz-interpolation", "holds", "15 sampled instances interpolated", None),
-    ("m0", "tame-consequence-1", "unknown", "clause 1 held on 15 sampled instances; 61 unknown", None),
-    ("m0", "tame-consequence-2", "unknown", "clause 2 held on 15 sampled instances; 26 unknown", None),
 ]
 
 
@@ -497,10 +460,7 @@ _PINNED = [
 def test_sampled_checks_pinned(oracle, check, verdict, note, counterexample):
     make, degree = _SAMPLED[oracle]
     o, b = make(), SearchBound(max_degree=degree)
-    if check.startswith("tame-consequence"):
-        rep = lab.further_tame_checks(o, b, samples=60)[int(check[-1]) - 1]
-    else:
-        rep = lab.check_property(o, check, b, samples=60)
+    rep = lab.check_property(o, check, b, samples=60)
     dec = rep.verdict
     assert rep.property == check
     assert dec.verdict == verdict

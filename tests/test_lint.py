@@ -141,6 +141,34 @@ def test_no_unreferenced_public_definitions():
     assert not dead
 
 
+def _named(tree):
+    """Every name the tree uses: by name, as an attribute or in an import."""
+    return {
+        getattr(n, "id", None) or getattr(n, "attr", None) or n.name
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    }
+
+
+def test_lab_api_is_reached_outside_the_tests():
+    """Every public module-level function of lab.py and oracles.py is named
+    in another module of the package or under perfbench, so that no lab
+    function is called by tests alone.  o_ideal_closure and quotient_equal
+    are exempt: acceptance criteria 12 and 13 compare the exact quotients
+    against them as independent references."""
+    exempt = {"o_ideal_closure", "quotient_equal"}
+    for module in ("lab.py", "oracles.py"):
+        others = [p for p in SOURCES if p.name != module] + sorted((ROOT / "perfbench").rglob("*.py"))
+        reached = set().union(*(_named(_tree(p)) for p in others))
+        public = [
+            n.name
+            for n in _tree(ROOT / "src" / "refmon" / module).body
+            if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
+        ]
+        unreached = [f"{module} {name}" for name in public if name not in reached | exempt]
+        assert not unreached
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_raise_system_exit(path):
     """Commands report input errors as ValueError or OSError, which `cli.main`

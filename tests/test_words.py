@@ -24,7 +24,7 @@ def test_of_merges_and_drops_zeros():
 def test_degree_and_exponent():
     w = Word.of([(0, 2), (1, 1)])
     assert w.degree() == 3
-    assert w.exponent(0) == 2 and w.exponent(2) == 0
+    assert w.exps == ((0, 2), (1, 1))
 
 
 def test_contains_sub_roundtrip():
