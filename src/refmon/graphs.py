@@ -44,15 +44,12 @@ class DirectedGraph:
             if s not in vs or r not in vs:
                 raise ValueError(f"arrow {a!r} references unknown vertex")
 
-    def src(self, arrow: str) -> str:
-        return self._by_name[arrow][1]
-
     def rng(self, arrow: str) -> str:
-        return self._by_name[arrow][2]
+        return self._range[arrow]
 
     @cached_property
-    def _by_name(self) -> dict:
-        return {a: (a, s, r) for a, s, r in self.arrows}
+    def _range(self) -> dict:
+        return {a: r for a, _, r in self.arrows}
 
     def out_arrows(self, v: str) -> tuple[str, ...]:
         return tuple(a for a, s, _ in self.arrows if s == v)

@@ -55,16 +55,10 @@ class MonoidOracle:
     # strongly-separative sweep skips the pairs this refutes.
     invariants: Callable | None = None
     generators: tuple = ()  # deeper generators for irreducibles; empty: the degree-1 elements
-    key: Callable | None = None  # canonical hash key (exact oracles only)
+    exact: bool = False  # canonical hashable elements, equality `==`, never Unknown
     fmt: Callable = str
     certified: Mapping[str, str] = field(default_factory=dict)  # property id -> reason
     reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def exact(self) -> bool:
-        """Canonical hashable elements, decisions never Unknown: the oracles
-        that have a key."""
-        return self.key is not None
 
     def is_zero(self, x) -> Decision:
         return self.equal(x, self.zero)
@@ -89,26 +83,26 @@ def _per_degree(enumerate_elements):
     return lru_cache(maxsize=None)(lambda d: tuple(enumerate_elements(d)))
 
 
-def _exact_equal(eq):
-    def f(x, y):
-        return Decision.holds() if eq(x, y) else Decision.fails()
+def _exact(name, zero, add, leq, refine, enumerate_elements, **capabilities) -> MonoidOracle:
+    """The oracle of a monoid with canonical elements: equality is `==`;
+    `leq` returns a complement or None, and `refine` the matrix of a + b =
+    c + d (raising ValueError when that fails); neither is ever Unknown."""
 
-    return f
-
-
-def _exact_leq(leq):
-    def f(x, y):
+    def exact_leq(x, y):
         c = leq(x, y)
         return Decision.holds(witness=c) if c is not None else Decision.fails()
 
-    return f
-
-
-def _exact_refine(refine):
-    def f(a, b, c, d):
-        return Decision.holds(witness=refine(a, b, c, d), note="exact refinement")
-
-    return f
+    return MonoidOracle(
+        name=name,
+        zero=zero,
+        add=add,
+        equal=lambda x, y: Decision.holds() if x == y else Decision.fails(),
+        leq=exact_leq,
+        elements=_per_degree(enumerate_elements),
+        refine=lambda a, b, c, d: Decision.holds(witness=refine(a, b, c, d), note="exact refinement"),
+        exact=True,
+        **capabilities,
+    )
 
 
 def ladder_oracle(level: int) -> MonoidOracle:
@@ -122,17 +116,15 @@ def ladder_oracle(level: int) -> MonoidOracle:
         m, _, _, rungs = e.raised(max(level, e.level))
         return (m, *rungs[:level])
 
-    return MonoidOracle(
-        name=f"ladder(level={level})",
-        zero=wild.LadderElem.zero(),
-        add=wild.LadderElem.add,
-        equal=_exact_equal(wild.LadderElem.equal),
-        leq=_exact_leq(wild.LadderElem.leq),
-        elements=_per_degree(lambda d: wild.enumerate_ladder(level, d)),
-        refine=_exact_refine(wild.ladder_refine),
+    return _exact(
+        f"ladder(level={level})",
+        wild.LadderElem.zero(),
+        wild.LadderElem.add,
+        wild.LadderElem.leq,
+        wild.ladder_refine,
+        lambda d: wild.enumerate_ladder(level, d),
         invariants=invariants,
         generators=tuple(wild.enumerate_ladder(level + 2, 1)),
-        key=lambda e: e,
         certified={**_POSITIVE_STATE, "unperforated": _HOMOGENEOUS_ORDER},
     )
 
@@ -144,17 +136,15 @@ def bar_oracle(level: int) -> MonoidOracle:
     if level < 1:
         raise ValueError("truncation level must be >= 1")
 
-    return MonoidOracle(
-        name=f"bar(level={level})",
-        zero=wild.BarElem.zero(),
-        add=wild.BarElem.add,
-        equal=_exact_equal(wild.BarElem.equal),
-        leq=_exact_leq(wild.BarElem.leq),
-        elements=_per_degree(lambda d: wild.enumerate_bar(level, d)),
-        refine=_exact_refine(wild.bar_refine),
+    return _exact(
+        f"bar(level={level})",
+        wild.BarElem.zero(),
+        wild.BarElem.add,
+        wild.BarElem.leq,
+        wild.bar_refine,
+        lambda d: wild.enumerate_bar(level, d),
         invariants=lambda e: (e.k,),
         generators=tuple(wild.enumerate_bar(level + 2, 1)),
-        key=lambda e: e,
         certified={**_PAIR_STATE, "unperforated": _HOMOGENEOUS_ORDER},
     )
 
@@ -163,7 +153,9 @@ def free_oracle(rank: int) -> MonoidOracle:
     """The free commutative monoid of the given rank, as integer tuples."""
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    zero = (0,) * rank
+
+    def add(x, y):
+        return tuple(a + b for a, b in zip(x, y))
 
     def leq(x, y):
         if all(a <= b for a, b in zip(x, y)):
@@ -171,36 +163,32 @@ def free_oracle(rank: int) -> MonoidOracle:
         return None
 
     def refine(a, b, c, d):
-        if tuple(p + q for p, q in zip(a, b)) != tuple(p + q for p, q in zip(c, d)):
+        if add(a, b) != add(c, d):
             raise ValueError("precondition a + b = c + d does not hold")
         z11, z12, z21, z22 = free_refine(a, b, c, d)
-        return Decision.holds(witness=((z11, z12), (z21, z22)), note="free refinement")
+        return (z11, z12), (z21, z22)
 
-    return MonoidOracle(
-        name=f"free({rank})",
-        zero=zero,
-        add=lambda x, y: tuple(a + b for a, b in zip(x, y)),
-        equal=_exact_equal(lambda x, y: x == y),
-        leq=_exact_leq(leq),
-        elements=_per_degree(lambda d: compositions(rank, d)),
-        refine=refine,
+    return _exact(
+        f"free({rank})",
+        (0,) * rank,
+        add,
+        leq,
+        refine,
+        lambda d: compositions(rank, d),
         invariants=lambda x: x,
-        key=lambda e: e,
         certified={**_POSITIVE_STATE, "unperforated": _HOMOGENEOUS_ORDER},
     )
 
 
 def primitive_oracle(poset: primitive.PrimePoset, name: str = "prim") -> MonoidOracle:
     """Exact oracle for the primitive monoid of `poset`."""
-    return MonoidOracle(
-        name=name,
-        zero=primitive.normalize(poset, {}),
-        add=primitive.prim_add,
-        equal=_exact_equal(primitive.prim_equal),
-        leq=_exact_leq(primitive.prim_leq),
-        elements=_per_degree(lambda d: primitive.enumerate_elements(poset, d)),
-        refine=_exact_refine(primitive.prim_refine),
-        key=lambda e: e.coeffs,
+    return _exact(
+        name,
+        primitive.normalize(poset, {}),
+        primitive.prim_add,
+        primitive.prim_leq,
+        primitive.prim_refine,
+        lambda d: primitive.enumerate_elements(poset, d),
     )
 
 

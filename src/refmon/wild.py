@@ -22,10 +22,10 @@ and two such representations at the same level denote the same element iff
 We store the unique canonical representative: j is folded into i whenever
 m > 0, and the level is lowered greedily by inverting the raising rules.
 
-Order, equality and addition work at the higher of the two operands'
-levels.  Raising never changes m (in the bar monoid, the xbar count k), so
-that is compared first; then only the lower-level operand is raised, inline
-and one rung at a time, so that a comparison can stop at the first rung that
+Order and addition work at the higher of the two operands' levels.
+Raising never changes m (in the bar monoid, the xbar count k), so that is
+compared first; then only the lower-level operand is raised, inline and
+one rung at a time, so that a comparison can stop at the first rung that
 settles it, and a complement is built only once the order holds.
 Everything here is validated against the bounded rewriting oracle on the
 truncated presentations (see tests); the order criterion and the congruence
@@ -35,9 +35,10 @@ The canonical form is stored as a tuple: LadderElem is (level, m, i, j,
 rungs) and BarElem is (level, i, j, k), tuple subclasses with named
 read-only fields.  The lab's sweeps hash and compare elements millions of
 times, and a tuple does both in C, with the hash a frozen dataclass of the
-same fields would give.  The kernels unpack their operands once and build
-every result through one canonicalizer per monoid (`_ladder`, `_bar`), which
-validates what it builds.
+same fields would give.  Every element, built by a kernel or by
+`LadderElem(...)` and `BarElem(...)`, comes from one validating
+canonicalizer per monoid (`_ladder`, `_bar`), so monoid equality is `==`,
+with equal hashes.  The kernels unpack their operands once.
 """
 from __future__ import annotations
 
@@ -74,9 +75,10 @@ class LadderElem(tuple):
     """Canonical element of the ladder monoid: the tuple (level, m, i, j, rungs).
 
     level: n of the representation; m, i, j: coefficients of x_n, y_n, z_n;
-    rungs: coefficients of a_1..a_n.  Raw field equality of canonical forms
+    rungs: coefficients of a_1..a_n.  Construction validates the fields and
+    returns the canonical element of any representation; `make` also pads
+    missing top rungs with zeros.  Field equality of canonical forms
     coincides with monoid equality (checked exhaustively against the oracle).
-    Direct construction validates the fields; `make` also canonicalizes.
     """
 
     __slots__ = ()
@@ -88,7 +90,8 @@ class LadderElem(tuple):
     rungs = property(operator.itemgetter(4))
 
     def __new__(cls, level: int, m: int, i: int, j: int, rungs: tuple[int, ...] = ()) -> "LadderElem":
-        return _ladder_elem(level, m, i, j, tuple(rungs))
+        # validate before lowering, which reads the top rung
+        return _ladder(*_ladder_elem(level, m, i, j, tuple(rungs)))
 
     def __getnewargs__(self) -> tuple:
         return tuple(self)
@@ -152,26 +155,8 @@ class LadderElem(tuple):
         return self.degree() == 0
 
     def equal(self, other: "LadderElem") -> bool:
-        """Raise-and-compare equality (agrees with canonical-form identity).
-
-        Raising never changes m, so it is compared first; then the lower-level
-        operand's rungs are raised one level at a time against the other's.
-        """
-        n1, m, i1, j1, k1 = self
-        n2, m2, i2, j2, k2 = other
-        if m != m2:
-            return False
-        if n1 > n2:
-            n1, i1, j1, k1, n2, i2, j2, k2 = n2, i2, j2, k2, n1, i1, j1, k1
-        if k1 != k2[:n1]:
-            return False
-        for l in range(n1, n2):
-            if k2[l] != i1 + j1:
-                return False
-            i1 += m
-        if m == 0:
-            return i1 == i2 and j1 == j2
-        return i1 + j1 == i2 + j2
+        """Monoid equality, which is `==`: both operands are canonical."""
+        return self == other
 
     def add(self, other: "LadderElem") -> "LadderElem":
         n1, m1, i1, j1, k1 = self
@@ -293,8 +278,8 @@ class BarElem(tuple):
 
     level: n; i, j: coefficients of ybar0, zbar0; k: coefficient of xbar_n.
     Canonical form: j folded into i when k > 0; level lowered while i >= k;
-    level 0 when k = 0.  Direct construction validates the fields; `make`
-    also canonicalizes.
+    level 0 when k = 0.  Construction validates the fields and returns the
+    canonical element, as `make` does.
     """
 
     __slots__ = ()
@@ -305,7 +290,7 @@ class BarElem(tuple):
     k = property(operator.itemgetter(3))
 
     def __new__(cls, level: int, i: int, j: int, k: int) -> "BarElem":
-        return _bar_elem(level, i, j, k)
+        return _bar(*_bar_elem(level, i, j, k))
 
     def __getnewargs__(self) -> tuple:
         return tuple(self)
@@ -348,17 +333,8 @@ class BarElem(tuple):
         return self.degree() == 0
 
     def equal(self, other: "BarElem") -> bool:
-        n1, i1, j1, k = self
-        n2, i2, j2, k2 = other
-        if k != k2:
-            return False
-        if n1 < n2:  # raise the lower-level operand's ybar count
-            i1 += k * (n2 - n1)
-        else:
-            i2 += k * (n1 - n2)
-        if k == 0:
-            return i1 == i2 and j1 == j2
-        return i1 + j1 == i2 + j2
+        """Monoid equality, which is `==`: both operands are canonical."""
+        return self == other
 
     def add(self, other: "BarElem") -> "BarElem":
         n1, i1, j1, k1 = self
@@ -523,12 +499,12 @@ def _refine(a, b, c, d, coeffs, build):
     mixed-case formulas apply, and emit the matrix.  All four sums are
     re-verified.
     """
-    if not a.add(b).equal(c.add(d)):
+    if a.add(b) != c.add(d):
         raise ValueError("precondition a + b = c + d does not hold")
     zero = type(a).zero()
-    if a.equal(c) and b.equal(d):
+    if a == c and b == d:
         return ((a, zero), (zero, b))
-    if a.equal(d) and b.equal(c):
+    if a == d and b == c:
         return ((zero, a), (b, zero))
     n = max(e.level for e in (a, b, c, d))
     while True:
@@ -570,7 +546,7 @@ def _verify_matrix(matrix, a, b, c, d) -> None:
         (z12.add(z22), d, "column 2"),
     ]
     for got, want, label in checks:
-        if not got.equal(want):
+        if got != want:
             raise AssertionError(f"refinement {label} does not verify: {got} != {want}")
 
 
@@ -615,7 +591,7 @@ def cong_mod_ideal(e1, e2, ideal: Ideal) -> bool:
         if not (isinstance(e1, LadderElem) and isinstance(e2, LadderElem)):
             raise TypeError(f"{ideal.value} lives in the ladder monoid")
         if ideal is Ideal.RUNGS:
-            return to_bar(e1).equal(to_bar(e2))
+            return to_bar(e1) == to_bar(e2)
         return e1.m == e2.m
     if not (isinstance(e1, BarElem) and isinstance(e2, BarElem)):
         raise TypeError(f"{ideal.value} lives in the bar monoid")

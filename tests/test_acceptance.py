@@ -472,7 +472,7 @@ def _irreducible_cancellation(o, b):
     for a in found:
         sums: dict = {}
         for x in E:
-            k = o.key(o.add(a, x))
+            k = o.add(a, x)
             if k in sums:
                 assert o.equal(sums[k], x).is_holds, (a, sums[k], x)
             else:

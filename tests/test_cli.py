@@ -472,3 +472,23 @@ def test_check_ladder_fails_only_cancellation(capsys):
     code, out, _ = run(capsys, "check", "ladder:1")
     assert code == 1
     assert [line.split(":")[0] for line in out.splitlines() if ": fails" in line] == ["cancellative"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="m0 riesz-interpolation reads holds at --max-degree 3 and fails at 4 (ROADMAP items 1 and 10)",
+)
+def test_raising_the_degree_bound_never_swaps_holds_and_fails(capsys):
+    """Raising a bound never flips Holds to Fails or Fails to Holds.  The
+    sampled Riesz interpolation check on m0 breaks this today: its Holds at
+    degree 3 is wrong (ROADMAP item 1 refutes it by a complete search), and
+    its Fails at degree 4 only means no interpolant among the sampled lower
+    bounds.  Once item 1 makes that check answer by proof, this test passes
+    and the marker must go; item 10 generalizes it to every bound and
+    target."""
+    verdicts = set()
+    for degree in ("3", "4"):
+        _, out, _ = run(capsys, "check", "m0", "--prop", "riesz-interpolation", "--max-degree", degree)
+        verdicts.add(out.splitlines()[-1].split(": ")[1].split()[0])
+    assert verdicts != {"holds", "fails"}

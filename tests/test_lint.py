@@ -213,3 +213,36 @@ def test_no_except_assertion_error(path):
         and any(isinstance(c, ast.Name) and c.id == "AssertionError" for c in ast.walk(n.type))
     ]
     assert not caught
+
+
+def _scoped(node, scope=""):
+    """(scope, node) for every node under `node`, with scope the dotted path
+    of the classes and functions that enclose it ("" at module level)."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield scope, child
+        yield from _scoped(child, inner)
+
+
+def test_only_the_canonicalizers_build_exact_elements():
+    """In wild.py, the raw tuple builders `_new`, `_ladder_elem` and `_bar_elem`
+    are named only in the canonicalizers `_ladder` and `_bar`, in the two
+    constructors and in the builders' own definitions.  Equality of exact
+    elements is `==`, which is monoid equality only on canonical forms, so a
+    kernel that built its tuple directly could return a raw one that `==`
+    misjudges."""
+    builders = {"_new", "_ladder_elem", "_bar_elem"}
+    allowed = {"_ladder", "_bar", "_ladder_elem", "_bar_elem", "LadderElem.__new__", "BarElem.__new__"}
+    tree = _tree(ROOT / "src" / "refmon" / "wild.py")
+    named = [
+        (scope, n)
+        for scope, n in _scoped(tree)
+        if (getattr(n, "id", None) or getattr(n, "attr", None)) in builders
+        # the module-level assignment that defines `_new`
+        and not (scope == "" and isinstance(getattr(n, "ctx", None), ast.Store))
+    ]
+    assert named, "the builders are gone; update this test"
+    outside = [f"wild.py:{n.lineno} in {scope or 'module'}" for scope, n in named if scope not in allowed]
+    assert not outside

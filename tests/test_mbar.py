@@ -176,11 +176,14 @@ def _ref_add(e1, e2):
 
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_kernels_match_reference_with_raw_operands(c):
-    """Every pair of the c-fold multiples of enumerate_bar(3, 5), each also as a
-    raw representation at level 4, gets the reference's equality, order and
-    sum, so the raising of either operand is exercised."""
-    E = [e.scale(c) for e in wild.enumerate_bar(3, 5)]
-    E += [BarElem(4, *e.raised(4)) for e in E]
+    """The c-fold multiples of enumerate_bar(4, 6), each given by its raw
+    fields at level 5, construct to their canonical forms, at levels 0 to 4.
+    Every pair of them gets the reference's equality, order and sum, so `==`
+    is checked against raise-and-compare and the raising of either operand
+    is exercised."""
+    canonical = [e.scale(c) for e in wild.enumerate_bar(4, 6)]
+    E = [BarElem(5, *e.raised(5)) for e in canonical]
+    assert E == canonical and {e.level for e in E} == {0, 1, 2, 3, 4}
     for e1 in E:
         for e2 in E:
             assert e1.equal(e2) == _ref_equal(e1, e2), (e1, e2)
@@ -375,31 +378,32 @@ def test_parse_mixed_families_rejected():
         wild.parse_elem("xbar0 + y0")
 
 
-# -- the kernels build canonical, validated tuples
+# -- every element is its canonical form: built by a kernel or a constructor
 
 
 def _assert_canonical_and_hashed(elems):
     """Each element passes the validating constructor, is its own canonical
-    form, and hashes equal to every element it equals."""
+    form, and equals, with the same hash, every element that raise-and-compare
+    finds equal to it."""
     for e in elems:
         assert BarElem(*e) == e
         assert BarElem.make(*e) == e
     for e1 in elems:
         for e2 in elems:
-            if e1.equal(e2):
+            if _ref_equal(e1, e2):
                 assert e1 == e2 and hash(e1) == hash(e2), (e1, e2)
 
 
-def _raw(e, extra):
-    """e as a raw (non-canonical) representation `extra` levels up."""
-    return BarElem(e.level + extra, *e.raised(e.level + extra))
+@given(bar_elems(), st.integers(0, 2))
+def test_construction_from_raised_fields_is_canonical(e, k):
+    assert BarElem(e.level + k, *e.raised(e.level + k)) == e
 
 
-@given(bar_elems(), bar_elems(), st.integers(0, 2), st.integers(0, 2), st.integers(0, 4))
-def test_kernel_results_are_canonical(e1, e2, up1, up2, c):
-    r1, r2 = _raw(e1, up1), _raw(e2, up2)
-    results = [r1.add(r2), r1.leq(r1.add(r2)), r1.scale(c), r2.scale(c)]
-    results += [x for x in (r1.leq(r2), r2.leq(r1)) if x is not None]
+@given(bar_elems(), bar_elems(), st.integers(0, 4))
+def test_kernel_results_are_canonical(e1, e2, c):
+    """Sums, complements and multiples of operands at mixed levels."""
+    results = [e1.add(e2), e1.leq(e1.add(e2)), e1.scale(c), e2.scale(c)]
+    results += [x for x in (e1.leq(e2), e2.leq(e1)) if x is not None]
     _assert_canonical_and_hashed(results + [e1, e2])
 
 
