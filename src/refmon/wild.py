@@ -300,7 +300,8 @@ class BarElem(tuple):
 
     @staticmethod
     def make(level: int, i: int, j: int, k: int) -> "BarElem":
-        return _bar(level, i, j, k)
+        # validate first: canonicalizing sets the level to 0 when k = 0, hiding a negative one
+        return BarElem(level, i, j, k)
 
     @staticmethod
     def zero() -> "BarElem":

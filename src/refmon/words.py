@@ -6,7 +6,7 @@ monoid equality, which is decided by the rewriting oracle (rewrite.decide_equal)
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from operator import sub
 from typing import Iterable, Iterator
@@ -21,32 +21,36 @@ class ParseError(ValueError):
 
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_SPACED = re.compile(r"^(\d+)\s+(\S+)$")  # the `k name` summand
 
 
 @dataclass(frozen=True)
 class GeneratorSet:
     names: tuple[str, ...]
+    # name -> index, built once: `index`, `in` and parse_term read it
+    _table: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen = set()
-        for name in self.names:
+        table: dict[str, int] = {}
+        for idx, name in enumerate(self.names):
             if not _IDENT.match(name):
                 raise ParseError(f"invalid generator name {name!r}")
-            if name in seen:
+            if name in table:
                 raise ParseError(f"duplicate generator {name!r}")
-            seen.add(name)
+            table[name] = idx
+        object.__setattr__(self, "_table", table)
 
     def __len__(self) -> int:
         return len(self.names)
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._table[name]
+        except KeyError:
             raise ParseError(f"unknown generator {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
-        return name in self.names
+        return name in self._table
 
 
 @dataclass(frozen=True)
@@ -143,7 +147,8 @@ def parse_term(text: str, gens: GeneratorSet, line: int | None = None) -> Word:
     text = text.strip()
     if text == "0" or text == "":
         return Word()
-    pairs: list[tuple[int, int]] = []
+    table = gens._table
+    acc: dict[int, int] = {}
     for chunk in text.split("+"):
         chunk = chunk.strip()
         if not chunk:
@@ -158,12 +163,11 @@ def parse_term(text: str, gens: GeneratorSet, line: int | None = None) -> Word:
                 raise ParseError("negative coefficient", line)
             name = name.strip()
         else:
-            m = re.match(r"^(\d+)\s+(\S+)$", chunk)
-            if m:
-                coeff, name = int(m.group(1)), m.group(2)
-            else:
-                coeff, name = 1, chunk
-        if name not in gens:
+            m = _SPACED.match(chunk)
+            coeff, name = (int(m[1]), m[2]) if m else (1, chunk)
+        idx = table.get(name)
+        if idx is None:
             raise ParseError(f"unknown generator {name!r}", line)
-        pairs.append((gens.index(name), coeff))
-    return Word.of(pairs)
+        if coeff:
+            acc[idx] = acc.get(idx, 0) + coeff
+    return Word(tuple(sorted(acc.items())))

@@ -111,7 +111,10 @@ def test_check_and_refine_agree_on_m0_refinement(capsys):
 def test_bad_words_are_reported(capsys):
     code, _, err = run(capsys, "eq", "m0", "x0 + nope", "x0")
     assert code == INPUT_ERROR
-    assert "error:" in err
+    assert err == "error: unknown generator 'nope'\n"
+    code, _, err = run(capsys, "eq", "m0", "x0 +", "x0")
+    assert code == INPUT_ERROR
+    assert err == "error: empty summand in term\n"
 
 
 def test_missing_file_is_reported(capsys):

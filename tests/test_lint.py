@@ -246,3 +246,47 @@ def test_only_the_canonicalizers_build_exact_elements():
     assert named, "the builders are gone; update this test"
     outside = [f"wild.py:{n.lineno} in {scope or 'module'}" for scope, n in named if scope not in allowed]
     assert not outside
+
+
+_RE_FUNCTIONS = {"compile", "match", "search", "fullmatch", "findall", "finditer", "sub", "split"}
+
+
+def _patterns_built_per_call(tree):
+    """Lines of `re.<fn>(<literal pattern>, ...)` calls inside a function:
+    each call looks its pattern up in `re`'s cache again."""
+    lines = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for n in ast.walk(fn):
+            if not (
+                isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute)
+                and isinstance(n.func.value, ast.Name)
+                and n.func.value.id == "re"
+                and n.func.attr in _RE_FUNCTIONS
+            ):
+                continue
+            patterns = n.args[:1] + [k.value for k in n.keywords if k.arg == "pattern"]
+            if any(isinstance(p, (ast.Constant, ast.JoinedStr)) for p in patterns):
+                lines.add(n.lineno)
+    return sorted(lines)
+
+
+def test_per_call_pattern_lint_flags_a_literal_in_a_function():
+    source = (
+        "import re\n"
+        "_OK = re.compile(r'^x$')\n"
+        "def parse(chunk, pat):\n"
+        "    re.match(pat, chunk)\n"
+        "    return re.match(r'^(\\d+)\\s+(\\S+)$', chunk) or re.split(pattern='a', string=chunk)\n"
+    )
+    assert _patterns_built_per_call(ast.parse(source)) == [5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_patterns_compiled_at_module_level(path):
+    """A regular expression with a literal pattern is compiled once, into a
+    module-level name, rather than passed to `re` on every call."""
+    per_call = [f"{path.name}:{line}" for line in _patterns_built_per_call(_tree(path))]
+    assert not per_call

@@ -413,7 +413,7 @@ def test_refine_entries_are_canonical(p, q, r, s):
     _assert_canonical_and_hashed([z11, z12, z21, z22, p, q, r, s])
 
 
-@pytest.mark.parametrize("fields", [(0, -1, 0, 0), (0, 0, -1, 0), (1, 0, 0, -1), (-1, 0, 0, 1), (2, -5, 0, 1)])
+@pytest.mark.parametrize("fields", [(0, -1, 0, 0), (0, 0, -1, 0), (1, 0, 0, -1), (-1, 0, 0, 1), (2, -5, 0, 1), (-1, 0, 2, 0)])
 def test_negative_coefficients_rejected(fields):
     for build in (BarElem, BarElem.make):
         with pytest.raises(ValueError, match="negative coefficient"):

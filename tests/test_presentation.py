@@ -34,8 +34,14 @@ def test_trivial_relations_dropped():
 
 
 def test_errors_carry_line_numbers():
-    with pytest.raises(ParseError, match="line 3"):
+    with pytest.raises(ParseError, match=r"^line 3: unknown generator 'q'$") as err:
         parse_presentation("monoid X\ngenerators a\nrelation a = q\n")
+    assert err.value.line == 3
+    # comments and blank lines count; a bad term on either side names its line
+    with pytest.raises(ParseError, match=r"^line 5: negative coefficient$"):
+        parse_presentation("# c\n\nmonoid X\ngenerators a b\nrelation a + -1*b = b\n")
+    with pytest.raises(ParseError, match=r"^line 4: empty summand in term$"):
+        parse_presentation("monoid X\ngenerators a b\nrelation a = b\nrelation a = b +\n")
     with pytest.raises(ParseError):
         parse_presentation("relation a = a\n")
     with pytest.raises(ParseError, match="unknown directive"):

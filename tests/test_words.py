@@ -1,3 +1,4 @@
+import re
 from math import comb
 
 import pytest
@@ -75,12 +76,92 @@ def test_parse_term():
 
 
 def test_parse_term_errors():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^unknown generator 'd'$"):
         parse_term("2*d", GENS)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^empty summand in term$"):
         parse_term("a + + b", GENS)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^bad coefficient 'a'$"):
+        parse_term("a*b", GENS)
+    with pytest.raises(ParseError, match=r"^negative coefficient$"):
         parse_term("-1*a", GENS)
+    with pytest.raises(ParseError, match=r"^line 4: unknown generator '2x'$") as err:
+        parse_term("a + 2x", GENS, 4)
+    assert err.value.line == 4
+
+
+def _parse_by_split(text, gens, line=None):
+    """Reference: the two-pass parser that scanned `gens.names` for each
+    summand, collected (index, coefficient) pairs and merged them with
+    Word.of."""
+    text = text.strip()
+    if text == "0" or text == "":
+        return Word()
+    pairs = []
+    for chunk in text.split("+"):
+        chunk = chunk.strip()
+        if not chunk:
+            raise ParseError("empty summand in term", line)
+        if "*" in chunk:
+            coeff_s, _, name = chunk.partition("*")
+            try:
+                coeff = int(coeff_s.strip())
+            except ValueError:
+                raise ParseError(f"bad coefficient {coeff_s.strip()!r}", line) from None
+            if coeff < 0:
+                raise ParseError("negative coefficient", line)
+            name = name.strip()
+        else:
+            m = re.match(r"^(\d+)\s+(\S+)$", chunk)
+            if m:
+                coeff, name = int(m.group(1)), m.group(2)
+            else:
+                coeff, name = 1, chunk
+        if name not in gens.names:
+            raise ParseError(f"unknown generator {name!r}", line)
+        pairs.append((gens.names.index(name), coeff))
+    return Word.of(pairs)
+
+
+_WS = st.text(" \t", max_size=2)
+_NAMES = st.sampled_from(GENS.names)
+_COEFFS = st.integers(0, 12).map(str)
+
+
+def _spaced(*parts):
+    """Join the strategies' texts with random spaces and tabs around each."""
+    return st.tuples(*(x for part in parts for x in (_WS, part)), _WS).map("".join)
+
+
+_SUMMANDS = st.one_of(
+    _spaced(_NAMES),
+    _spaced(_COEFFS, st.just("*"), _NAMES),
+    _spaced(st.just("0*"), _NAMES),
+    st.tuples(_WS, _COEFFS, st.text(" \t", min_size=1, max_size=2), _NAMES, _WS).map("".join),
+)
+_BAD_SUMMANDS = st.one_of(
+    _WS,  # an empty summand
+    st.just("2x"),
+    _spaced(st.just("-1*"), _NAMES),
+    _spaced(st.sampled_from(["a", "", "1.5"]), st.just("*"), _NAMES),  # a*b: a bad coefficient
+    _spaced(st.sampled_from(["d", "x0", "A", "3 d", "2*e", "1 a b"])),
+)
+_TERMS = st.one_of(
+    st.lists(_SUMMANDS, min_size=1, max_size=5).map("+".join),
+    st.lists(st.one_of(_SUMMANDS, _BAD_SUMMANDS), min_size=1, max_size=5).map("+".join),
+    _spaced(st.sampled_from(["0", ""])),
+)
+
+
+@given(_TERMS, st.none() | st.integers(1, 50))
+def test_parse_term_matches_the_split_parser(text, line):
+    try:
+        want = _parse_by_split(text, GENS, line)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_term(text, GENS, line)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+    else:
+        assert parse_term(text, GENS, line) == want
 
 
 def test_generator_set_validation():
@@ -88,6 +169,17 @@ def test_generator_set_validation():
         GeneratorSet(("x", "x"))
     with pytest.raises(ParseError):
         GeneratorSet(("1bad",))
+
+
+def test_generator_set_lookups_and_identity():
+    assert [GENS.index(n) for n in ("a", "b", "c")] == [0, 1, 2]
+    assert "b" in GENS and "d" not in GENS
+    with pytest.raises(ParseError, match=r"^unknown generator 'd'$"):
+        GENS.index("d")
+    # the name table is not part of equality, hashing or repr
+    same = GeneratorSet(("a", "b", "c"))
+    assert same == GENS and hash(same) == hash(GENS)
+    assert repr(GENS) == "GeneratorSet(names=('a', 'b', 'c'))"
 
 
 def test_format_roundtrip():
