@@ -243,7 +243,7 @@ def _cmd_graph_monoid(args) -> int:
         gf = _tilde(gf)
     sg = gf.separated()
     if args.triple:
-        p = graphs.present_triple(graphs.complete_triple(sg), z_cap=args.zcap)
+        p = graphs.present_triple(sg, z_cap=args.zcap)
     else:
         p = graphs.present_finitely_separated(sg)
     sys.stdout.write(p.format())

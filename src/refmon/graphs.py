@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .presentation import Presentation, make_presentation
-from .words import ParseError, Word
+from .words import ParseError, Word, directives
 
 
 @dataclass(frozen=True)
@@ -106,19 +106,6 @@ class SeparatedGraph:
         return out
 
 
-@dataclass(frozen=True)
-class SSTriple:
-    sep: SeparatedGraph
-    # chosen subset of the (finite) separation classes, as (vertex, class) pairs
-    chosen: tuple[tuple[str, tuple[str, ...]], ...] = ()
-
-    def __post_init__(self) -> None:
-        classes = set(self.sep.all_classes())
-        for pair in self.chosen:
-            if pair not in classes:
-                raise ValueError(f"chosen class {pair!r} is not a separation class")
-
-
 def unseparation(g: DirectedGraph) -> SeparatedGraph:
     """C_v = {s^-1(v)} for every non-sink v."""
     sep = tuple((v, (g.out_arrows(v),)) for v in g.vertices if not g.is_sink(v))
@@ -141,27 +128,25 @@ def _q_name(z: tuple[str, ...]) -> str:
     return "q_" + "_".join(sorted(z))
 
 
-def present_triple(t: SSTriple, z_cap: int = 3) -> Presentation:
-    """The (E, C, S) presentation with q_Z generators for nonempty Z inside a
-    separation class, |Z| <= z_cap (full classes in S always get a generator).
+def present_triple(sg: SeparatedGraph, z_cap: int = 3) -> Presentation:
+    """The (E, C, S) presentation with S = every separation class (C_fin for
+    a finite graph): q_Z generators for nonempty Z inside a separation class,
+    |Z| <= z_cap or Z the whole class.
 
     Relations: v = q_Z + sum r(e) over Z; q_Z1 = q_Z2 + sum over Z2 \\ Z1 for
-    Z1 subset of Z2; q_X = 0 for every chosen class X.
+    Z1 subset of Z2; q_X = 0 for every class X.
     """
     if z_cap < 1:
         raise ValueError("z_cap must be >= 1")
-    g = t.sep.graph
-    chosen = set(t.chosen)
+    g = sg.graph
     subsets_by_class: list[tuple[str, tuple[str, ...], list[tuple[str, ...]]]] = []
     qnames: list[str] = []
-    for v, cls in t.sep.all_classes():
-        subs = []
+    for v, cls in sg.all_classes():
         members = tuple(sorted(cls))
-        for size in range(1, len(members) + 1):
-            if size > z_cap and not (size == len(members) and (v, cls) in chosen):
-                continue
-            for z in combinations(members, size):
-                subs.append(z)
+        subs = [
+            z for size in range(1, len(members) + 1) if size <= z_cap or size == len(members)
+            for z in combinations(members, size)
+        ]
         subsets_by_class.append((v, cls, subs))
         for z in subs:
             nm = _q_name(z)
@@ -183,15 +168,8 @@ def present_triple(t: SSTriple, z_cap: int = 3) -> Presentation:
                         [(gi[_q_name(z2)], 1)] + [(gi[g.rng(a)], 1) for a in z2 if a not in z1]
                     )
                     rels.append((lhs, rhs))
-        if (v, cls) in chosen:
-            full = tuple(sorted(cls))
-            rels.append((Word.single(gi[_q_name(full)]), Word()))
+        rels.append((Word.single(gi[_q_name(cls)]), Word()))
     return make_presentation(g.name + "_triple", names, rels)
-
-
-def complete_triple(sg: SeparatedGraph) -> SSTriple:
-    """S = all separation classes (C_fin for finite graphs)."""
-    return SSTriple(sg, tuple(sg.all_classes()))
 
 
 def tilde_construction(
@@ -241,39 +219,33 @@ def tilde_construction(
 # Built-in graphs
 
 
+def _top(x: str, y: str, z: str) -> tuple[list, list]:
+    """Arrows and separation of the top vertex u: two classes, u -> x, y and
+    u -> x, z."""
+    arrows = [("e1", "u", x), ("e2", "u", y), ("f1", "u", x), ("f2", "u", z)]
+    return arrows, [("u", (("e1", "e2"), ("f1", "f2")))]
+
+
 def builtin_graph(which: str, n: int = 1) -> SeparatedGraph:
     """The workbench's standard separated graphs.
 
-    "e0c0": top vertex u over x0, y0, z0 with two separation classes at u.
-    "ec": e0c0 extended downward n levels with rung vertices a_l; its monoid
+    "ec": top vertex u over x0, y0, z0 with two separation classes at u,
+    extended downward n levels with rung vertices a_l; its monoid
     presentation matches the level-n ladder truncation once u is eliminated.
+    "e0c0": "ec" at level 0, the top alone.
     "ebar": the rungless variant over xbar_l, ybar0, zbar0.
     """
     which = which.lower()
     if which == "e0c0":
-        vs = ("u", "x0", "y0", "z0")
-        arrows = (
-            ("e1", "u", "x0"),
-            ("e2", "u", "y0"),
-            ("f1", "u", "x0"),
-            ("f2", "u", "z0"),
-        )
-        sep = (("u", (("e1", "e2"), ("f1", "f2"))),)
-        return SeparatedGraph(DirectedGraph(vs, arrows, "E0C0"), sep)
-    if n < 1:
+        which, n = "ec", 0
+    elif n < 1:
         raise ValueError("truncation level must be >= 1")
     if which == "ec":
         vs = ["u"]
         for l in range(n + 1):
             vs += [f"x{l}", f"y{l}", f"z{l}"]
         vs += [f"a{l}" for l in range(1, n + 1)]
-        arrows = [
-            ("e1", "u", "x0"),
-            ("e2", "u", "y0"),
-            ("f1", "u", "x0"),
-            ("f2", "u", "z0"),
-        ]
-        sep = [("u", (("e1", "e2"), ("f1", "f2")))]
+        arrows, sep = _top("x0", "y0", "z0")
         for l in range(n):
             arrows += [
                 (f"gy{l}", f"y{l}", f"y{l+1}"),
@@ -290,16 +262,11 @@ def builtin_graph(which: str, n: int = 1) -> SeparatedGraph:
                 (f"z{l}", ((f"hz{l}", f"ha{l}"),)),
                 (f"x{l}", ((f"px{l}", f"py{l}"), (f"qx{l}", f"qz{l}"))),
             ]
-        return SeparatedGraph(DirectedGraph(tuple(vs), tuple(arrows), f"EC{n}"), tuple(sep))
+        name = f"EC{n}" if n else "E0C0"
+        return SeparatedGraph(DirectedGraph(tuple(vs), tuple(arrows), name), tuple(sep))
     if which == "ebar":
         vs = ["u", "xbar0", "ybar0", "zbar0"] + [f"xbar{l}" for l in range(1, n + 1)]
-        arrows = [
-            ("e1", "u", "xbar0"),
-            ("e2", "u", "ybar0"),
-            ("f1", "u", "xbar0"),
-            ("f2", "u", "zbar0"),
-        ]
-        sep = [("u", (("e1", "e2"), ("f1", "f2")))]
+        arrows, sep = _top("xbar0", "ybar0", "zbar0")
         for l in range(n):
             arrows += [
                 (f"px{l}", f"xbar{l}", f"xbar{l+1}"),
@@ -340,12 +307,7 @@ def parse_graph(text: str) -> GraphFile:
     have_sep = False
     emitters: list[tuple[str, tuple[str, ...]]] = []
     depth: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, key, rest in directives(text):
         if key == "graph":
             name = rest or name
         elif key == "vertices":

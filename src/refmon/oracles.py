@@ -9,14 +9,14 @@ rewriting engine and may.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Mapping, Sequence
 
 from . import primitive, wild
 from .decisions import Decision, SearchBound
 from .presentation import Presentation
 from .rewrite import ClassCache, decide_equal, decide_leq, find_refinement
-from .words import Word, compositions, free_refine
+from .words import Word, checked_refinement, compositions, free_refine
 
 
 @dataclass
@@ -162,9 +162,7 @@ def free_oracle(rank: int) -> MonoidOracle:
             return tuple(b - a for a, b in zip(x, y))
         return None
 
-    def refine(a, b, c, d):
-        if add(a, b) != add(c, d):
-            raise ValueError("precondition a + b = c + d does not hold")
+    def solve(a, b, c, d):
         z11, z12, z21, z22 = free_refine(a, b, c, d)
         return (z11, z12), (z21, z22)
 
@@ -173,7 +171,7 @@ def free_oracle(rank: int) -> MonoidOracle:
         (0,) * rank,
         add,
         leq,
-        refine,
+        partial(checked_refinement, add, solve),
         lambda d: compositions(rank, d),
         invariants=lambda x: x,
         certified={**_POSITIVE_STATE, "unperforated": _HOMOGENEOUS_ORDER},

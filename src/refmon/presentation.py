@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import GeneratorSet, ParseError, Word, parse_term
+from .words import GeneratorSet, ParseError, Word, directives, parse_term
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,7 @@ def parse_presentation(text: str) -> Presentation:
     name = None
     gens: GeneratorSet | None = None
     rels: list[Relation] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, key, rest in directives(text):
         if key == "monoid":
             if not rest:
                 raise ParseError("missing monoid name", lineno)

@@ -40,7 +40,7 @@ from itertools import combinations
 
 from .presentation import Presentation, make_presentation
 from .targets import INF, CertificateHom, NonnegIntegersWithInfinity, build_certificate
-from .words import ParseError, Word, compositions, free_refine
+from .words import ParseError, Word, checked_refinement, compositions, directives, free_refine
 
 
 @dataclass(frozen=True)
@@ -171,9 +171,12 @@ def prim_refine(a: PrimElem, b: PrimElem, c: PrimElem, d: PrimElem):
     Padding changes no element: a padded prime is below a supported prime,
     deleted by `normalize`, or an idempotent supported prime, capped back at
     1.  `normalize` is the quotient map, so the entries sum to a, b, c and d;
-    all four sums are re-verified."""
-    if prim_add(a, b).coeffs != prim_add(c, d).coeffs:
-        raise ValueError("precondition a + b = c + d does not hold")
+    `checked_refinement` re-verifies all four sums."""
+    return checked_refinement(prim_add, _prim_matrix, a, b, c, d)
+
+
+def _prim_matrix(a: PrimElem, b: PrimElem, c: PrimElem, d: PrimElem):
+    """The padded free refinement of `prim_refine`, normalized."""
     poset = a.poset
     rows = [dict(e.coeffs) for e in (a, b, c, d)]
     for p in poset.primes:
@@ -183,10 +186,6 @@ def prim_refine(a: PrimElem, b: PrimElem, c: PrimElem, d: PrimElem):
             row[p] = row.get(p, 0) + abs(diff)
     parts = free_refine(*(tuple(r.get(p, 0) for p in poset.primes) for r in rows))
     z11, z12, z21, z22 = (normalize(poset, zip(poset.primes, v)) for v in parts)
-    sums = {"row 1": (z11, z12, a), "row 2": (z21, z22, b), "column 1": (z11, z21, c), "column 2": (z12, z22, d)}
-    for label, (u, v, want) in sums.items():
-        if prim_add(u, v).coeffs != want.coeffs:
-            raise AssertionError(f"refinement {label} does not verify: {prim_add(u, v)} != {want}")
     return (z11, z12), (z21, z22)
 
 
@@ -229,22 +228,6 @@ def prime_certificates(poset: PrimePoset) -> dict[str, CertificateHom]:
     return certs
 
 
-def finite_subsystem(poset: PrimePoset, subset):
-    """Restricted poset on a nonempty subset, plus the transition homomorphism
-    into the full monoid induced by inclusion."""
-    sub = tuple(p for p in poset.primes if p in set(subset))
-    if not sub:
-        raise ValueError("subset must be nonempty")
-    sub_poset = PrimePoset(sub, frozenset((e, f) for e, f in poset.below if e in sub and f in sub))
-
-    def transition(e: PrimElem) -> PrimElem:
-        if e.poset != sub_poset:
-            raise ValueError("element not over the restricted poset")
-        return normalize(poset, dict(e.coeffs))
-
-    return sub_poset, transition
-
-
 def enumerate_elements(poset: PrimePoset, max_degree: int) -> list[PrimElem]:
     """All canonical elements with a raw representative of degree <= max_degree."""
     elems = (normalize(poset, zip(poset.primes, t)) for t in compositions(len(poset.primes), max_degree))
@@ -269,12 +252,7 @@ def enumerate_posets(names) -> list[PrimePoset]:
 def parse_poset(text: str) -> PrimePoset:
     primes: list[str] | None = None
     rel: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, key, rest in directives(text):
         if key == "poset":
             continue
         if key == "primes":
@@ -294,9 +272,3 @@ def parse_poset(text: str) -> PrimePoset:
         return PrimePoset(tuple(primes), frozenset(rel))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-
-
-def format_poset(poset: PrimePoset, name: str = "P") -> str:
-    lines = [f"poset {name}", "primes " + " ".join(poset.primes)]
-    lines += [f"below {e} {f}" for e, f in sorted(poset.below)]
-    return "\n".join(lines) + "\n"

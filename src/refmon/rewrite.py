@@ -173,14 +173,16 @@ def decide_equal(
 
     Holds carries a rewrite path u -> ... -> v.  Fails carries either a
     separating certificate homomorphism or the two exhausted, disjoint classes.
+    A certificate over another presentation raises ValueError: a map that
+    respects other relations separates nothing here.
     """
     if u == v:
         return Decision.holds(witness=[u], note="raw-equal")
     for h in certs:
-        if h.presentation is not p and h.presentation.gens != p.gens:
+        if h.presentation is not p and h.presentation != p:
             raise ValueError("certificate over wrong presentation")
         iu, iv = h.apply(u), h.apply(v)
-        if not h.target.eq(iu, iv):
+        if iu != iv:
             return Decision.fails(
                 counterexample={"certificate": h.name, "image_u": iu, "image_v": iv},
                 note="separated by certificate",

@@ -47,7 +47,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .presentation import Presentation, make_presentation
 from .targets import (
@@ -62,7 +62,7 @@ from .targets import (
     build_certificate,
     vec,
 )
-from .words import Word, compositions, free_refine
+from .words import Word, checked_refinement, compositions, free_refine
 
 
 # ---------------------------------------------------------------------------
@@ -490,18 +490,15 @@ def _refine_triples(p1, p2, q1, q2):
     return 0, (mat[0][0], mat[0][1], mat[1][0], mat[1][1])
 
 
-def _refine(a, b, c, d, coeffs, build):
-    """The refinement scheme both monoids share.
+def _refine(coeffs, build, a, b, c, d):
+    """The refinement scheme both monoids share, for `checked_refinement`.
 
     `coeffs(e, n)` reads (m, i, j, rungs) of e raised to level n, m being the
     x-count; `build(n, m, i, j, rungs)` makes the canonical element.  Follows
     the constructive proof that the monoid has refinement: split off the rung
     parts (free refinement, level by level), raise the level until the
-    mixed-case formulas apply, and emit the matrix.  All four sums are
-    re-verified.
+    mixed-case formulas apply, and emit the matrix.
     """
-    if a.add(b) != c.add(d):
-        raise ValueError("precondition a + b = c + d does not hold")
     zero = type(a).zero()
     if a == c and b == d:
         return ((a, zero), (zero, b))
@@ -517,15 +514,13 @@ def _refine(a, b, c, d, coeffs, build):
         n += extra
     parts = free_refine(*(rungs for *_, rungs in raised))
     entries = [build(n, *mat[s], parts[s]) for s in range(4)]
-    matrix = ((entries[0], entries[1]), (entries[2], entries[3]))
-    _verify_matrix(matrix, a, b, c, d)
-    return matrix
+    return (entries[0], entries[1]), (entries[2], entries[3])
 
 
 def ladder_refine(a: LadderElem, b: LadderElem, c: LadderElem, d: LadderElem):
     """Total refinement in the ladder monoid: a + b = c + d yields a 2x2 matrix
     of elements whose rows sum to a, b and columns to c, d."""
-    return _refine(a, b, c, d, LadderElem.raised, LadderElem.make)
+    return checked_refinement(LadderElem.add, partial(_refine, LadderElem.raised, LadderElem.make), a, b, c, d)
 
 
 def bar_refine(a: BarElem, b: BarElem, c: BarElem, d: BarElem):
@@ -535,20 +530,8 @@ def bar_refine(a: BarElem, b: BarElem, c: BarElem, d: BarElem):
         i, j, k = e.raised(n)
         return k, i, j, ()
 
-    return _refine(a, b, c, d, coeffs, lambda n, k, i, j, _rungs: BarElem.make(n, i, j, k))
-
-
-def _verify_matrix(matrix, a, b, c, d) -> None:
-    (z11, z12), (z21, z22) = matrix
-    checks = [
-        (z11.add(z12), a, "row 1"),
-        (z21.add(z22), b, "row 2"),
-        (z11.add(z21), c, "column 1"),
-        (z12.add(z22), d, "column 2"),
-    ]
-    for got, want, label in checks:
-        if got != want:
-            raise AssertionError(f"refinement {label} does not verify: {got} != {want}")
+    solve = partial(_refine, coeffs, lambda n, k, i, j, _rungs: BarElem.make(n, i, j, k))
+    return checked_refinement(BarElem.add, solve, a, b, c, d)
 
 
 # ---------------------------------------------------------------------------

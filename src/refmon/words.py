@@ -142,6 +142,34 @@ def free_refine(a, b, c, d) -> tuple[tuple[int, ...], ...]:
     return z11, tuple(map(sub, a, z11)), z21, tuple(map(sub, b, z21))
 
 
+def checked_refinement(add, solve, a, b, c, d):
+    """`solve(a, b, c, d)`, the matrix ((z11, z12), (z21, z22)) refining a + b
+    = c + d, with its rows and columns re-verified under `add`.  A failed
+    precondition raises ValueError; a matrix that does not verify is a bug
+    and raises AssertionError naming the first row or column that fails."""
+    if add(a, b) != add(c, d):
+        raise ValueError("precondition a + b = c + d does not hold")
+    matrix = solve(a, b, c, d)
+    (z11, z12), (z21, z22) = matrix
+    sums = (("row 1", z11, z12, a), ("row 2", z21, z22, b), ("column 1", z11, z21, c), ("column 2", z12, z22, d))
+    for label, u, v, want in sums:
+        got = add(u, v)
+        if got != want:
+            raise AssertionError(f"refinement {label} does not verify: {got} != {want}")
+    return matrix
+
+
+def directives(text: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, rest) for each directive line of the line-oriented
+    file formats: `#` starts a comment, and blank lines are skipped but
+    counted."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            key, _, rest = line.partition(" ")
+            yield lineno, key, rest.strip()
+
+
 def parse_term(text: str, gens: GeneratorSet, line: int | None = None) -> Word:
     """Parse `k*<id> + ...` (coefficient 1 may be omitted; `0` is the empty word)."""
     text = text.strip()

@@ -132,6 +132,41 @@ def test_parse_builtin(capsys):
     assert "generators xbar0 ybar0 zbar0 xbar1" in out
 
 
+# The graph builtins, literally: a rewrite of the builders that reorders
+# generators or relations changes these.
+GRAPH_PARSES = {
+    "e0c0": """\
+monoid E0C0
+generators u x0 y0 z0
+relation u = x0 + y0
+relation u = x0 + z0
+""",
+    "ec:1": """\
+monoid EC1
+generators u x0 y0 z0 x1 y1 z1 a1
+relation u = x0 + y0
+relation u = x0 + z0
+relation x0 = x1 + y1
+relation x0 = x1 + z1
+relation y0 = y1 + a1
+relation z0 = z1 + a1
+""",
+    "ebar:1": """\
+monoid EBAR1
+generators u xbar0 ybar0 zbar0 xbar1
+relation u = xbar0 + ybar0
+relation u = xbar0 + zbar0
+relation xbar0 = ybar0 + xbar1
+relation xbar0 = zbar0 + xbar1
+""",
+}
+
+
+@pytest.mark.parametrize("target", list(GRAPH_PARSES))
+def test_parse_builtin_graph_monoid_literally(capsys, target):
+    assert run(capsys, "parse", target) == (0, GRAPH_PARSES[target], "")
+
+
 def test_parse_file(tmp_path, capsys):
     f = tmp_path / "m.txt"
     f.write_text("monoid T\ngenerators a b\nrelation a + b = b\n")
@@ -277,6 +312,44 @@ def test_graph_monoid_triple(tmp_path, capsys):
     assert code == 0
     assert "q_e1_e2" in out
     assert "relation q_e1_e2 = 0" in out
+
+
+E0C0_GRAPH = """\
+graph E0C0
+vertices u x0 y0 z0
+arrow e1 u -> x0
+arrow e2 u -> y0
+arrow f1 u -> x0
+arrow f2 u -> z0
+separation u : {e1 e2} {f1 f2}
+"""
+
+
+def test_graph_monoid_triple_of_e0c0_literally(tmp_path, capsys):
+    """Every q_Z with |Z| <= zcap, plus each whole class, which is in S and
+    so vanishes, even above the cap."""
+    f = tmp_path / "e0c0.txt"
+    f.write_text(E0C0_GRAPH)
+    assert run(capsys, "graph-monoid", str(f), "--triple", "--zcap", "1") == (
+        0,
+        """\
+monoid E0C0_triple
+generators u x0 y0 z0 q_e1 q_e2 q_e1_e2 q_f1 q_f2 q_f1_f2
+relation u = x0 + q_e1
+relation u = y0 + q_e2
+relation u = x0 + y0 + q_e1_e2
+relation q_e1 = y0 + q_e1_e2
+relation q_e2 = x0 + q_e1_e2
+relation q_e1_e2 = 0
+relation u = x0 + q_f1
+relation u = z0 + q_f2
+relation u = x0 + z0 + q_f1_f2
+relation q_f1 = z0 + q_f1_f2
+relation q_f2 = x0 + q_f1_f2
+relation q_f1_f2 = 0
+""",
+        "",
+    )
 
 
 def test_tilde_roundtrip(tmp_path, capsys):

@@ -8,9 +8,7 @@ from refmon.decisions import SearchBound
 from refmon.graphs import (
     DirectedGraph,
     SeparatedGraph,
-    SSTriple,
     builtin_graph,
-    complete_triple,
     format_graph,
     parse_graph,
     present_finitely_separated,
@@ -57,12 +55,6 @@ def test_unseparation_single_class_per_vertex():
     assert sg.classes_at("w") == ()
 
 
-def test_triple_chosen_must_be_a_class():
-    sg = builtin_graph("e0c0")
-    with pytest.raises(ValueError, match="not a separation class"):
-        SSTriple(sg, ((("u"), ("e1", "f1")),))
-
-
 # -- presentations
 
 
@@ -91,10 +83,9 @@ def test_graph_monoid_is_conical():
 
 
 def test_triple_presentation_has_q_generators_and_relations():
-    t = complete_triple(builtin_graph("e0c0"))
-    p = present_triple(t)
+    p = present_triple(builtin_graph("e0c0"))
     assert "q_e1" in p.gens.names and "q_e1_e2" in p.gens.names
-    # q of a full chosen class vanishes, so v = sum r(e) survives
+    # q of a full class vanishes, so v = sum r(e) survives
     assert decide_equal(p, p.word("q_e1_e2"), p.word("0"), B).is_holds
     assert decide_equal(p, p.word("u"), p.word("x0 + y0"), B).is_holds
     # the partial q generators record the missing summand
@@ -102,18 +93,12 @@ def test_triple_presentation_has_q_generators_and_relations():
     assert decide_equal(p, p.word("q_e2"), p.word("x0"), B).is_holds
 
 
-def test_triple_no_chosen_classes_keeps_q_positive():
-    t = SSTriple(builtin_graph("e0c0"), ())
-    p = present_triple(t)
-    assert decide_equal(p, p.word("q_e1_e2"), p.word("0"), B).is_fails
-
-
 def test_triple_agrees_with_finitely_separated_on_vertices():
     """With S = all classes, the triple monoid restricted to vertex words
     agrees with the plain separated-graph monoid at small degree."""
     sg = builtin_graph("ec", 1)
     p1 = present_finitely_separated(sg)
-    p2 = present_triple(complete_triple(sg))
+    p2 = present_triple(sg)
     b = SearchBound(max_degree=4)
     c1, c2 = ClassCache(p1, b), ClassCache(p2, b)
     rng = random.Random(41)
@@ -134,14 +119,13 @@ def test_z_cap_limits_subset_generators():
         tuple((f"a{i}", "v", "w") for i in range(4)),
     )
     sg = unseparation(g)
-    t = complete_triple(sg)
-    p = present_triple(t, z_cap=2)
-    # pairs yes, triples no, but the full chosen class of size 4 is kept
+    p = present_triple(sg, z_cap=2)
+    # pairs yes, triples no, but the full class of size 4 is kept
     assert "q_a0_a1" in p.gens.names
     assert all(len(nm.split("_")) != 4 for nm in p.gens.names if nm.startswith("q_"))
     assert "q_a0_a1_a2_a3" in p.gens.names
     with pytest.raises(ValueError):
-        present_triple(t, z_cap=0)
+        present_triple(sg, z_cap=0)
 
 
 # -- builtins vs the exact truncations
@@ -193,6 +177,17 @@ def test_path_order_one_step():
     p = present_finitely_separated(builtin_graph("e0c0"))
     assert decide_leq(p, p.word("x0"), p.word("u"), B).is_holds
     assert decide_leq(p, p.word("z0"), p.word("u"), B).is_holds
+
+
+def test_e0c0_is_the_top_of_ec():
+    """e0c0 is ec at level 0: the same vertices, arrows and separation, in
+    the same order, as the graph file E0C0 in tests/test_cli.py."""
+    e0c0, ec = builtin_graph("e0c0"), builtin_graph("ec", 1)
+    assert format_graph(graphs.GraphFile(e0c0.graph, e0c0.separation)) == (
+        "graph E0C0\nvertices u x0 y0 z0\narrow e1 u -> x0\narrow e2 u -> y0\n"
+        "arrow f1 u -> x0\narrow f2 u -> z0\nseparation u : {e1 e2} {f1 f2}\n"
+    )
+    assert ec.graph.arrows[:4] == e0c0.graph.arrows and ec.separation[0] == e0c0.separation[0]
 
 
 def test_builtin_errors():

@@ -290,3 +290,52 @@ def test_patterns_compiled_at_module_level(path):
     module-level name, rather than passed to `re` on every call."""
     per_call = [f"{path.name}:{line}" for line in _patterns_built_per_call(_tree(path))]
     assert not per_call
+
+
+def _only_in(owner, flagged):
+    """Asserts that the nodes of the package sources that `flagged` accepts
+    are all in `owner`, a (file name, scope) pair, listing the others as
+    `file:line in scope`; and that `owner` has one, so the lint cannot pass
+    vacuously."""
+    elsewhere, owned = [], False
+    for path in SOURCES:
+        for scope, n in _scoped(_tree(path)):
+            if flagged(n):
+                if (path.name, scope) == owner:
+                    owned = True
+                else:
+                    elsewhere.append(f"{path.name}:{n.lineno} in {scope or 'module'}")
+    assert not elsewhere
+    assert owned, f"{owner} no longer does this job; update this test"
+
+
+def _strips_comment(n):
+    return (
+        isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr in ("split", "rsplit", "partition", "rpartition")
+        and n.args[:1] != []
+        and isinstance(n.args[0], ast.Constant)
+        and n.args[0].value == "#"
+    )
+
+
+def test_only_directives_strip_comments():
+    """The line-oriented file formats (presentations, posets, graphs) read
+    their lines through `words.directives`, the one place that strips `#`
+    comments and counts line numbers."""
+    _only_in(("words.py", "directives"), _strips_comment)
+
+
+def _raises_unverified(n):
+    return (
+        isinstance(n, ast.Raise)
+        and n.exc is not None
+        and any(isinstance(c, ast.Constant) and "does not verify" in str(c.value) for c in ast.walk(n.exc))
+    )
+
+
+def test_only_checked_refinement_verifies_matrices():
+    """The exact calculators verify their refinement matrices through
+    `words.checked_refinement`, the one place that raises "does not verify"."""
+    _only_in(("words.py", "checked_refinement"), _raises_unverified)

@@ -11,8 +11,6 @@ from refmon.primitive import (
     elem_word,
     enumerate_elements,
     enumerate_posets,
-    finite_subsystem,
-    format_poset,
     normalize,
     parse_poset,
     presentation_of,
@@ -271,28 +269,6 @@ def test_certificate_values():
     assert certs["count_p"].apply(wp) is INF  # p idempotent
 
 
-# -- subsystems
-
-
-def test_finite_subsystem_commutes_with_addition():
-    sub, tr = finite_subsystem(CHAIN, ["p", "r"])
-    assert sub.primes == ("p", "r")
-    assert sub.lt("p", "p") and not sub.lt("p", "q")
-    rng = random.Random(61)
-    E = enumerate_elements(sub, 3)
-    for _ in range(100):
-        e1, e2 = rng.choice(E), rng.choice(E)
-        assert prim_equal(tr(prim_add(e1, e2)), prim_add(tr(e1), tr(e2)))
-
-
-def test_finite_subsystem_errors():
-    with pytest.raises(ValueError, match="nonempty"):
-        finite_subsystem(CHAIN, [])
-    sub, tr = finite_subsystem(CHAIN, ["p"])
-    with pytest.raises(ValueError, match="not over the restricted poset"):
-        tr(normalize(CHAIN, {"p": 1}))
-
-
 # -- enumeration
 
 
@@ -329,7 +305,9 @@ below p q
 def test_parse_format_roundtrip():
     poset = parse_poset(POSET_TEXT)
     assert poset == CHAIN
-    assert parse_poset(format_poset(poset)) == poset
+    # the poset written back in the file format, with no comment or name line
+    text = "primes " + " ".join(poset.primes) + "\n" + "".join(f"below {e} {f}\n" for e, f in sorted(poset.below))
+    assert parse_poset(text) == poset
 
 
 def test_parse_poset_errors():

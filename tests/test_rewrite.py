@@ -13,7 +13,7 @@ from refmon.rewrite import (
     verify_refinement,
 )
 from refmon.targets import NonnegIntegers, build_certificate
-from refmon.wild import m0_presentation, truncation_presentation
+from refmon.wild import m0_presentation, standard_certificates, truncation_presentation
 from refmon.words import Word
 
 B = SearchBound(max_degree=6)
@@ -82,6 +82,30 @@ def test_certificate_wrong_presentation_rejected():
     cert = build_certificate(FREE, NonnegIntegers(), {"a": 0, "b": 1}, "bcount")
     with pytest.raises(ValueError):
         decide_equal(M0, M0.word("x0"), M0.word("y0"), B, certs=[cert])
+
+
+@pytest.mark.parametrize(
+    "ask",
+    [
+        lambda p, u, v, certs: decide_equal(p, u, v, B, certs),
+        lambda p, u, v, certs: find_refinement(p, u, p.word("0"), v, p.word("0"), B, certs),
+    ],
+    ids=["decide_equal", "find_refinement"],
+)
+def test_certificate_over_other_relations_rejected(ask):
+    """A certificate must come from the presentation itself, not from one
+    with the same generator names: the level-1 ladder certificates do not
+    respect y0 = z0, and yz_split would separate what the relation joins."""
+    certs = tuple(standard_certificates(1).values())
+    p2 = parse_presentation(truncation_presentation(1).format() + "relation y0 = z0\n")
+    assert ask(p2, p2.word("y0"), p2.word("z0"), ()).is_holds
+    with pytest.raises(ValueError, match="^certificate over wrong presentation$"):
+        ask(p2, p2.word("y0"), p2.word("z0"), certs)
+    # an equal presentation built anew is the same presentation
+    p1 = parse_presentation(truncation_presentation(1).format())
+    assert p1 is not truncation_presentation(1)
+    dec = decide_equal(p1, p1.word("y0"), p1.word("z0"), B, certs)
+    assert dec.counterexample["certificate"] == "yz_split"
 
 
 def test_decision_not_boolean():

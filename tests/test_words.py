@@ -4,7 +4,18 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from refmon.words import GeneratorSet, ParseError, Word, compositions, parse_term
+from refmon import oracles, primitive, wild
+from refmon.graphs import parse_graph
+from refmon.presentation import parse_presentation
+from refmon.words import (
+    GeneratorSet,
+    ParseError,
+    Word,
+    checked_refinement,
+    compositions,
+    directives,
+    parse_term,
+)
 
 GENS = GeneratorSet(("a", "b", "c"))
 
@@ -202,3 +213,77 @@ def test_add_associates(u, v, w):
 def test_sum_contains_parts(u, v):
     s = u.add(v)
     assert s.contains(u) and s.sub(u) == v
+
+
+# -- the shared refinement check and directive reader
+
+# a + b = c + d under max: 1 + 1 = 1 + 0, refined by ((1, 0), (1, 0)); max is
+# not cancellative, so each of the four sums can fail alone
+_BAD_MATRICES = [
+    (((0, 0), (1, 0)), "row 1 does not verify: 0 != 1"),
+    (((1, 0), (0, 0)), "row 2 does not verify: 0 != 1"),
+    (((0, 1), (0, 1)), "column 1 does not verify: 0 != 1"),
+    (((1, 0), (1, 1)), "column 2 does not verify: 1 != 0"),
+]
+
+
+@pytest.mark.parametrize("matrix, message", _BAD_MATRICES, ids=[m.split(" does")[0] for _, m in _BAD_MATRICES])
+def test_checked_refinement_names_the_sum_that_fails(matrix, message):
+    with pytest.raises(AssertionError, match=f"^refinement {message}$"):
+        checked_refinement(max, lambda *_: matrix, 1, 1, 1, 0)
+
+
+def test_checked_refinement_returns_a_verified_matrix():
+    good = ((1, 0), (1, 0))
+    assert checked_refinement(max, lambda *_: good, 1, 1, 1, 0) is good
+    solved = []
+    with pytest.raises(ValueError, match=r"^precondition a \+ b = c \+ d does not hold$"):
+        checked_refinement(max, lambda *e: solved.append(e), 1, 1, 0, 0)
+    assert not solved  # the solver never sees a failed precondition
+
+
+_CHAIN = primitive.validate_poset(["p", "q"], [("p", "p"), ("p", "q")])
+_P, _Q = (primitive.normalize(_CHAIN, {x: 1}) for x in "pq")
+
+
+@pytest.mark.parametrize(
+    "refine, a, b, c, d",
+    [
+        (wild.ladder_refine, wild.LadderElem.x(0), wild.LadderElem.x(0), wild.LadderElem.y(0), wild.LadderElem.y(0)),
+        (wild.bar_refine, wild.BarElem.ybar(), wild.BarElem.ybar(), wild.BarElem.zbar(), wild.BarElem.zbar()),
+        (primitive.prim_refine, _P, _P, _Q, _Q),
+        (oracles.free_oracle(2).refine, (1, 0), (0, 0), (0, 1), (0, 0)),
+    ],
+    ids=["ladder", "bar", "primitive", "free"],
+)
+def test_every_exact_calculator_rejects_a_failed_precondition(refine, a, b, c, d):
+    with pytest.raises(ValueError, match=r"^precondition a \+ b = c \+ d does not hold$"):
+        refine(a, b, c, d)
+
+
+def test_free_oracle_verifies_its_matrix(monkeypatch):
+    monkeypatch.setattr(oracles, "free_refine", lambda a, b, c, d: (a, b, c, d))
+    o = oracles.free_oracle(2)
+    with pytest.raises(AssertionError, match=r"^refinement row 1 does not verify: \(1, 1\) != \(1, 0\)$"):
+        o.refine((1, 0), (0, 1), (0, 1), (1, 0))
+
+
+def test_directives_skip_comments_and_blanks():
+    text = "monoid  M # name\n\n   # indented\n\tkey\nrelation a = b#c\n"
+    assert list(directives(text)) == [(1, "monoid", "M"), (4, "key", ""), (5, "relation", "a = b")]
+
+
+@pytest.mark.parametrize(
+    "parse, head",
+    [
+        (parse_presentation, "monoid M\ngenerators a\n"),
+        (primitive.parse_poset, "poset P\nprimes a\n"),
+        (parse_graph, "graph G\nvertices a\n"),
+    ],
+    ids=["presentation", "poset", "graph"],
+)
+def test_parsers_count_comment_and_blank_lines(parse, head):
+    text = "# a comment\n\n   # an indented comment\n" + head + "\n\t\nfrob x  # trailing\n"
+    with pytest.raises(ParseError, match=r"^line 8: unknown directive 'frob'$") as err:
+        parse(text)
+    assert err.value.line == 8
