@@ -25,7 +25,7 @@ def _bound(args) -> SearchBound:
     return SearchBound(
         max_degree=args.max_degree,
         max_class_size=args.max_class_size,
-        max_coefficient=getattr(args, "max_coeff", SearchBound.max_coefficient),
+        max_coefficient=getattr(args, "max_coeff", SearchBound._field_defaults["max_coefficient"]),
     )
 
 

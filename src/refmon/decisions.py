@@ -3,10 +3,17 @@
 Every bounded search in this package returns a Decision rather than a bare
 boolean: the congruence classes involved are typically infinite, so "not
 found within the bound" must stay distinct from "provably absent".
+
+SearchBound, Decision and the package's other records are namedtuple
+subclasses: immutable, hashed and compared as the tuple of their fields in
+C, and defined at import without the generated methods a dataclass
+compiles.  A record that validates its fields does so in `__new__`, which
+a namedtuple's `_make` and `_replace` skip, so such a record is never
+rebuilt through them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Any
 
 HOLDS = "holds"
@@ -14,8 +21,7 @@ FAILS = "fails"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class SearchBound:
+class SearchBound(namedtuple("SearchBound", "max_degree max_class_size max_coefficient", defaults=(6, 20000, 5))):
     """Caps for bounded enumeration.
 
     max_degree caps the total degree of any word considered (including
@@ -23,15 +29,15 @@ class SearchBound:
     enumeration; max_coefficient caps multipliers and searched coefficients.
     """
 
-    max_degree: int = 6
-    max_class_size: int = 20000
-    max_coefficient: int = 5
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "SearchBound":
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         if self.max_class_size < 1 or self.max_coefficient < 1:
             raise ValueError("max_class_size and max_coefficient must be >= 1")
+        return self
 
     def as_dict(self) -> dict:
         return {
@@ -41,19 +47,14 @@ class SearchBound:
         }
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(namedtuple("Decision", "verdict witness counterexample bound note", defaults=(None, None, None, ""))):
     """Holds(witness) / Fails(counterexample) / Unknown(bound).
 
     Holds and Fails always carry a machine-checkable witness respectively
     counterexample; Unknown records the bound that was exhausted.
     """
 
-    verdict: str
-    witness: Any = None
-    counterexample: Any = None
-    bound: SearchBound | None = None
-    note: str = ""
+    __slots__ = ()
 
     @staticmethod
     def holds(witness: Any = None, note: str = "") -> "Decision":
@@ -88,7 +89,7 @@ class Decision:
         raise TypeError("Decision is three-valued; test .is_holds / .is_fails")
 
 
-# Decisions are frozen, so the bare ones (no witness, counterexample or note)
+# Decisions are immutable, so the bare ones (no witness, counterexample or note)
 # that exact oracles return by the hundred thousand can be one shared object.
 _BARE_HOLDS = Decision(HOLDS)
 _BARE_FAILS = Decision(FAILS)

@@ -18,7 +18,7 @@ File format (UTF-8, `#` comments):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
 
@@ -26,13 +26,13 @@ from .presentation import Presentation, make_presentation
 from .words import ParseError, Word, directives
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
-    vertices: tuple[str, ...]
-    arrows: tuple[tuple[str, str, str], ...]  # (name, source, range)
-    name: str = "E"
+class DirectedGraph(namedtuple("DirectedGraph", "vertices arrows name", defaults=("E",))):
+    """vertices: tuple of names; arrows: tuple of (name, source, range).  No
+    __slots__: the instance dict holds the cached_property table, as in
+    SeparatedGraph."""
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "DirectedGraph":
+        self = super().__new__(cls, *args, **kwargs)
         vs = set(self.vertices)
         if len(vs) != len(self.vertices):
             raise ValueError("duplicate vertex")
@@ -43,6 +43,7 @@ class DirectedGraph:
             seen.add(a)
             if s not in vs or r not in vs:
                 raise ValueError(f"arrow {a!r} references unknown vertex")
+        return self
 
     def rng(self, arrow: str) -> str:
         return self._range[arrow]
@@ -61,13 +62,12 @@ class DirectedGraph:
         return self.out_degree(v) == 0
 
 
-@dataclass(frozen=True)
-class SeparatedGraph:
-    graph: DirectedGraph
-    # per vertex, a tuple of disjoint nonempty arrow sets partitioning s^-1(v)
-    separation: tuple[tuple[str, tuple[tuple[str, ...], ...]], ...]
+class SeparatedGraph(namedtuple("SeparatedGraph", "graph separation")):
+    """graph: DirectedGraph; separation: per vertex v, the pair (v, classes),
+    classes a tuple of disjoint nonempty arrow tuples partitioning s^-1(v)."""
 
-    def __post_init__(self) -> None:
+    def __new__(cls, graph: DirectedGraph, separation: tuple) -> "SeparatedGraph":
+        self = super().__new__(cls, graph, separation)
         sep = self._classes
         if len(sep) != len(self.separation):
             raise ValueError("duplicate separation entry for a vertex")
@@ -78,10 +78,10 @@ class SeparatedGraph:
             out = set(self.graph.out_arrows(v))
             classes = sep.get(v, ())
             covered: set[str] = set()
-            for cls in classes:
-                if not cls:
+            for members in classes:
+                if not members:
                     raise ValueError(f"empty separation class at {v!r}")
-                for a in cls:
+                for a in members:
                     if a not in out:
                         raise ValueError(f"separation at {v!r} lists arrow {a!r} not emitted by it")
                     if a in covered:
@@ -90,6 +90,7 @@ class SeparatedGraph:
             if covered != out:
                 missing = sorted(out - covered)
                 raise ValueError(f"separation at {v!r} is not a partition of its arrows (missing {missing})")
+        return self
 
     def classes_at(self, v: str) -> tuple[tuple[str, ...], ...]:
         return self._classes.get(v, ())
@@ -283,15 +284,12 @@ def builtin_graph(which: str, n: int = 1) -> SeparatedGraph:
 # File format
 
 
-@dataclass(frozen=True)
-class GraphFile:
+class GraphFile(namedtuple("GraphFile", "graph separation emitters depth", defaults=(None, (), None))):
     """Parsed graph file: the graph, optional separation, optional emitter
-    designations for the tilde construction."""
+    designations (v, arrow names) for the tilde construction and their
+    depth."""
 
-    graph: DirectedGraph
-    separation: tuple | None = None
-    emitters: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    depth: int | None = None
+    __slots__ = ()
 
     def separated(self) -> SeparatedGraph:
         if self.separation is None:

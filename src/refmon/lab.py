@@ -17,7 +17,10 @@ in tests/test_cli.py, until ROADMAP item 1 lands).
 The sampled checks test each drawn hypothesis once: Riesz decomposition
 refines with the complement its draw got for x <= y1 + y2, and Riesz
 interpolation looks for z only among the common lower bounds of y1 and y2
-that its draw listed, asking just x1 <= z and x2 <= z.
+that its draw listed, asking just x1 <= z and x2 <= z.  To list them, the
+draw asks `leq` only of the elements whose invariants (below) are
+componentwise <= those of both y1 and y2: the list, and so the random
+stream and the report, are those of asking every element.
 
 The archimedean property is special: enumeration can only refute it, so Holds
 is granted solely on a certificate.
@@ -31,7 +34,7 @@ Memo.  `check_property` keeps each report in its oracle's `reports`, under
 (property, bound, samples), and answers a repeated question with the first
 report, its first `elapsed` included.  `wildness_certificate` is a function
 of four such reports and asks for them through `check_property`, so after a
-sheet of property checks it sweeps nothing.  `dataclasses.replace` starts
+sheet of property checks it sweeps nothing.  `MonoidOracle.replace` starts
 the copy with an empty memo, since a copy with other capabilities may
 answer differently.
 
@@ -78,7 +81,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from operator import le
 
 from .decisions import HOLDS, UNKNOWN, Decision, SearchBound
 from .oracles import MonoidOracle
@@ -112,12 +116,11 @@ PROPERTIES = (
 _SEED = 20260823
 
 
-@dataclass
-class PropertyReport:
-    property: str
-    verdict: Decision
-    bound: SearchBound | None = None
-    elapsed: float = 0.0
+class PropertyReport(namedtuple("PropertyReport", "property verdict bound elapsed", defaults=(None, 0.0))):
+    """property: a property id; verdict: Decision; bound: SearchBound or
+    None; elapsed: seconds."""
+
+    __slots__ = ()
 
     def line(self, monoid: str = "") -> str:
         prefix = f"{monoid}: " if monoid else ""
@@ -399,9 +402,20 @@ def _check_riesz_interpolation(o, b, samples):
     E = _elems(o, b)
     rng = random.Random(_SEED + 2)
 
+    inv = o.invariants
+    keys = [inv(e) for e in E] if inv else None
+
+    def lower(y1, y2):
+        """The elements of E that may be below both: e <= y forces inv(e) <=
+        inv(y), so only those under the componentwise minimum are asked."""
+        if keys is None:
+            return E
+        cap = tuple(map(min, inv(y1), inv(y2)))
+        return [e for e, k in zip(E, keys) if all(map(le, k, cap))]
+
     def draw(definite):
         y1, y2 = rng.choice(E), rng.choice(E)
-        below = [e for e in E if o.leq(e, y1).is_holds and o.leq(e, y2).is_holds]
+        below = [e for e in lower(y1, y2) if o.leq(e, y1).is_holds and o.leq(e, y2).is_holds]
         return ((rng.choice(below), rng.choice(below), y1, y2), below) if below else None
 
     def found(below, x1, x2, y1, y2):

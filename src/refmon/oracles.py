@@ -8,7 +8,6 @@ rewriting engine and may.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Mapping, Sequence
 
@@ -19,7 +18,6 @@ from .rewrite import ClassCache, decide_equal, decide_leq, find_refinement
 from .words import Word, checked_refinement, compositions, free_refine
 
 
-@dataclass
 class MonoidOracle:
     """One monoid as the lab sees it: elements up to a degree, three-valued
     `equal`, `leq` and `refine`, total `add`, and optional capabilities.
@@ -35,30 +33,54 @@ class MonoidOracle:
 
     `reports` is the lab's memo: `check_property` keeps each report under
     (property, bound, samples), and a repeated question gets the first
-    report back, its first `elapsed` included.  It is not an init field, so
-    `dataclasses.replace` starts the copy with an empty memo: a copy with
+    report back, its first `elapsed` included.  It is not a constructor
+    argument, and `replace` starts the copy with an empty memo: a copy with
     other capabilities may answer differently.
+
+    A plain class, unlike the package's tuple records: its callables are
+    attributes that a tracer may rebind.
     """
 
-    name: str
-    zero: object
-    add: Callable
-    equal: Callable  # (x, y) -> Decision
-    leq: Callable  # (x, y) -> Decision; Holds witness is a complement
-    elements: Callable  # max_degree -> tuple, enumerated once per degree
-    refine: Callable  # (a, b, c, d) -> Decision; Holds witness is ((z11, z12), (z21, z22))
-    # optional capabilities
-    # element -> tuple of nonnegative ints, additive (inv(x + y) = inv(x) +
-    # inv(y) componentwise), such as the ladder's x-count and rung counts;
-    # None if the oracle has none.  x <= y forces inv(x) <= inv(y)
-    # componentwise and x = y forces inv(x) = inv(y); the lab's
-    # strongly-separative sweep skips the pairs this refutes.
-    invariants: Callable | None = None
-    generators: tuple = ()  # deeper generators for irreducibles; empty: the degree-1 elements
-    exact: bool = False  # canonical hashable elements, equality `==`, never Unknown
-    fmt: Callable = str
-    certified: Mapping[str, str] = field(default_factory=dict)  # property id -> reason
-    reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        name: str,
+        zero: object,
+        add: Callable,
+        equal: Callable,  # (x, y) -> Decision
+        leq: Callable,  # (x, y) -> Decision; Holds witness is a complement
+        elements: Callable,  # max_degree -> tuple, enumerated once per degree
+        refine: Callable,  # (a, b, c, d) -> Decision; Holds witness is ((z11, z12), (z21, z22))
+        # optional capabilities
+        # element -> tuple of nonnegative ints, additive (inv(x + y) = inv(x) +
+        # inv(y) componentwise), such as the ladder's x-count and rung counts;
+        # None if the oracle has none.  x <= y forces inv(x) <= inv(y)
+        # componentwise and x = y forces inv(x) = inv(y); the lab's
+        # strongly-separative sweep skips the pairs this refutes.
+        invariants: Callable | None = None,
+        generators: tuple = (),  # deeper generators for irreducibles; empty: the degree-1 elements
+        exact: bool = False,  # canonical hashable elements, equality `==`, never Unknown
+        fmt: Callable = str,
+        certified: Mapping[str, str] | None = None,  # property id -> reason
+    ) -> None:
+        self.name = name
+        self.zero = zero
+        self.add = add
+        self.equal = equal
+        self.leq = leq
+        self.elements = elements
+        self.refine = refine
+        self.invariants = invariants
+        self.generators = generators
+        self.exact = exact
+        self.fmt = fmt
+        self.certified = {} if certified is None else certified
+        self.reports: dict = {}
+
+    def replace(self, **changes) -> "MonoidOracle":
+        """A copy with `changes` to its constructor arguments and an empty
+        report memo."""
+        kept = {k: v for k, v in vars(self).items() if k != "reports"}
+        return MonoidOracle(**{**kept, **changes})
 
     def is_zero(self, x) -> Decision:
         return self.equal(x, self.zero)

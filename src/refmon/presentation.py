@@ -11,33 +11,30 @@ where a term is `k*<id> + ...` (coefficient 1 may be omitted, `0` is empty).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .words import GeneratorSet, ParseError, Word, directives, parse_term
 
 
-@dataclass(frozen=True)
-class Relation:
-    lhs: Word
-    rhs: Word
+class Relation(namedtuple("Relation", "lhs rhs")):
+    __slots__ = ()
 
     def format(self, gens: GeneratorSet) -> str:
         return f"{self.lhs.format(gens)} = {self.rhs.format(gens)}"
 
 
-@dataclass(frozen=True)
-class Presentation:
-    gens: GeneratorSet
-    relations: tuple[Relation, ...] = ()
-    name: str = "M"
+class Presentation(namedtuple("Presentation", "gens relations name", defaults=((), "M"))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "Presentation":
+        self = super().__new__(cls, *args, **kwargs)
         n = len(self.gens)
         for rel in self.relations:
             for word in (rel.lhs, rel.rhs):
                 for idx, _ in word.exps:
                     if not 0 <= idx < n:
                         raise ValueError(f"relation references generator index {idx} out of range")
+        return self
 
     def word(self, text: str) -> Word:
         return parse_term(text, self.gens)

@@ -35,7 +35,7 @@ rejected to force explicitness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .presentation import Presentation, make_presentation
@@ -43,25 +43,27 @@ from .targets import INF, CertificateHom, NonnegIntegersWithInfinity, build_cert
 from .words import ParseError, Word, checked_refinement, compositions, directives, free_refine
 
 
-@dataclass(frozen=True)
-class PrimePoset:
-    primes: tuple[str, ...]
-    below: frozenset  # pairs (e, f) meaning e < f; (p, p) allowed
+class PrimePoset(namedtuple("PrimePoset", "primes below")):
+    """primes: tuple of names; below: frozenset of pairs (e, f) meaning e < f,
+    (p, p) allowed."""
 
-    def __post_init__(self) -> None:
-        ps = set(self.primes)
-        if len(ps) != len(self.primes):
+    __slots__ = ()
+
+    def __new__(cls, primes: tuple[str, ...], below: frozenset) -> "PrimePoset":
+        ps = set(primes)
+        if len(ps) != len(primes):
             raise ValueError("duplicate prime")
-        for e, f in self.below:
+        for e, f in below:
             if e not in ps or f not in ps:
                 raise ValueError(f"relation pair ({e!r}, {f!r}) uses unknown prime")
-        for e, f in self.below:
-            if e != f and (f, e) in self.below:
+        for e, f in below:
+            if e != f and (f, e) in below:
                 raise ValueError(f"antisymmetry violated by pair ({e!r}, {f!r})")
-        for e, f in self.below:
-            for f2, g in self.below:
-                if f2 == f and (e, g) not in self.below:
+        for e, f in below:
+            for f2, g in below:
+                if f2 == f and (e, g) not in below:
                     raise ValueError(f"transitivity violated by triple ({e!r}, {f!r}, {g!r})")
+        return super().__new__(cls, primes, below)
 
     def lt(self, e: str, f: str) -> bool:
         return (e, f) in self.below
@@ -74,13 +76,11 @@ def validate_poset(primes, rel) -> PrimePoset:
     return PrimePoset(tuple(primes), frozenset(tuple(p) for p in rel))
 
 
-@dataclass(frozen=True)
-class PrimElem:
+class PrimElem(namedtuple("PrimElem", "poset coeffs")):
     """Canonical element: sorted (prime, coefficient) pairs, support an
     antichain, idempotent coefficients capped at 1."""
 
-    poset: PrimePoset
-    coeffs: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
     def degree(self) -> int:
         return sum(c for _, c in self.coeffs)
@@ -118,12 +118,6 @@ def prim_add(e1: PrimElem, e2: PrimElem) -> PrimElem:
     for p, c in e2.coeffs:
         acc[p] = acc.get(p, 0) + c
     return normalize(e1.poset, acc)
-
-
-def prim_equal(e1: PrimElem, e2: PrimElem) -> bool:
-    if e1.poset is not e2.poset and e1.poset != e2.poset:
-        raise ValueError("poset mismatch")
-    return e1.coeffs == e2.coeffs
 
 
 def prim_leq(e1: PrimElem, e2: PrimElem) -> PrimElem | None:
@@ -202,10 +196,6 @@ def presentation_of(poset: PrimePoset) -> Presentation:
 def elem_word(e: PrimElem) -> Word:
     gi = {p: ix for ix, p in enumerate(e.poset.primes)}
     return Word.of([(gi[p], c) for p, c in e.coeffs])
-
-
-def elem_from_word(poset: PrimePoset, w: Word) -> PrimElem:
-    return normalize(poset, {poset.primes[i]: c for i, c in w.exps})
 
 
 def prime_certificates(poset: PrimePoset) -> dict[str, CertificateHom]:

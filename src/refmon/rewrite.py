@@ -18,7 +18,7 @@ result among all of them, unless the class-size cap cut the search short.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 from operator import add
 from typing import Sequence
@@ -28,13 +28,11 @@ from .presentation import Presentation
 from .words import Word
 
 
-@dataclass(frozen=True)
-class ClassResult:
-    words: frozenset[Word]
-    exhausted: bool
-    # parent pointers for path extraction: word -> (previous word) or None for the root
-    parents: dict | None = None
-    root: Word | None = None
+class ClassResult(namedtuple("ClassResult", "words exhausted parents root", defaults=(None, None))):
+    """words: frozenset[Word]; exhausted: bool; parents: parent pointers for
+    path extraction, word -> previous word or None for the root; root: Word."""
+
+    __slots__ = ()
 
 
 def _moves(p: Presentation) -> list[tuple]:

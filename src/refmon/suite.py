@@ -18,23 +18,22 @@ from __future__ import annotations
 import io
 import json
 import sys
+from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass
 
 _EXPECT_CODES = {"holds": 0, "fails": 1, "unknown": 2}
 
 
-@dataclass(frozen=True)
-class SuiteCase:
-    name: str
-    command: tuple[str, ...]
-    expect: int
-    comment: str = ""
+class SuiteCase(namedtuple("SuiteCase", "name command expect comment", defaults=("",))):
+    """command: tuple of argument strings; expect: the exit code 0-3."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SuiteManifest:
-    cases: tuple[SuiteCase, ...]
+class SuiteManifest(namedtuple("SuiteManifest", "cases")):
+    """cases: tuple of SuiteCase."""
+
+    __slots__ = ()
 
 
 def load_manifest(text: str) -> SuiteManifest:

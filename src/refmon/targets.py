@@ -8,7 +8,7 @@ integer vectors over named bases, with an absorbing infinity where needed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -203,17 +203,13 @@ class NonnegPlaneWithInfinity(Target):
             raise ValueError(f"negative coordinate: {u!r}")
 
 
-@dataclass(frozen=True)
-class CertificateHom:
+class CertificateHom(namedtuple("CertificateHom", "presentation target images name", defaults=("hom",))):
     """A relation-respecting map from a presentation's generators into a target.
 
     Constructed only through build_certificate, which checks every relation.
     """
 
-    presentation: Presentation
-    target: Target
-    images: tuple
-    name: str = "hom"
+    __slots__ = ()
 
     def apply(self, w: Word):
         t = self.target

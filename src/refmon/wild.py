@@ -34,17 +34,20 @@ closed forms are derived, not taken on faith.
 The canonical form is stored as a tuple: LadderElem is (level, m, i, j,
 rungs) and BarElem is (level, i, j, k), tuple subclasses with named
 read-only fields.  The lab's sweeps hash and compare elements millions of
-times, and a tuple does both in C, with the hash a frozen dataclass of the
-same fields would give.  Every element, built by a kernel or by
-`LadderElem(...)` and `BarElem(...)`, comes from one validating
-canonicalizer per monoid (`_ladder`, `_bar`), so monoid equality is `==`,
-with equal hashes.  The kernels unpack their operands once.
+times, and a tuple does both in C: an element hashes and compares as the
+tuple of its fields.  The package's other records are tuples too
+(namedtuple subclasses), since a dataclass compiles its generated methods
+at every import, a start-up cost each refmon command paid.  Every element,
+built by a kernel or by `LadderElem(...)` and `BarElem(...)`, comes from
+one validating canonicalizer per monoid (`_ladder`, `_bar`), so monoid
+equality is `==`, with equal hashes.  The kernels unpack their operands
+once.
 """
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -258,15 +261,10 @@ def _raise(m: int, i: int, j: int, rungs: tuple[int, ...], steps: int) -> tuple[
 
 
 # Nothing here constructs it; kept until perfbench/tracing.py stops patching it.
-@dataclass(frozen=True)
-class RawLadder:
+class RawLadder(namedtuple("RawLadder", "level m i j rungs")):
     """A (possibly non-canonical) leveled representation."""
 
-    level: int
-    m: int
-    i: int
-    j: int
-    rungs: tuple[int, ...]
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

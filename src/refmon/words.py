@@ -6,7 +6,7 @@ monoid equality, which is decided by the rewriting oracle (rewrite.decide_equal)
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations, product
 from operator import sub
 from typing import Iterable, Iterator
@@ -24,21 +24,20 @@ _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _SPACED = re.compile(r"^(\d+)\s+(\S+)$")  # the `k name` summand
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    names: tuple[str, ...]
-    # name -> index, built once: `index`, `in` and parse_term read it
-    _table: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+class GeneratorSet(namedtuple("GeneratorSet", "names")):
+    # no __slots__: the instance dict holds `_table`, name -> index, built
+    # once; `index`, `in` and parse_term read it
+    def __new__(cls, names: tuple[str, ...]) -> "GeneratorSet":
+        self = super().__new__(cls, names)
         table: dict[str, int] = {}
-        for idx, name in enumerate(self.names):
+        for idx, name in enumerate(names):
             if not _IDENT.match(name):
                 raise ParseError(f"invalid generator name {name!r}")
             if name in table:
                 raise ParseError(f"duplicate generator {name!r}")
             table[name] = idx
-        object.__setattr__(self, "_table", table)
+        self._table = table
+        return self
 
     def __len__(self) -> int:
         return len(self.names)
@@ -53,11 +52,10 @@ class GeneratorSet:
         return name in self._table
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(namedtuple("Word", "exps", defaults=((),))):
     """Sparse exponent map, stored as a sorted tuple of (gen index, exponent>0)."""
 
-    exps: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
     @staticmethod
     def of(pairs: Iterable[tuple[int, int]] = ()) -> "Word":

@@ -4,7 +4,6 @@ single PASS line with its pinned tolerance when it succeeds.
 Tolerances are stated inline and in the assert messages; every "exhaustive"
 sweep states its degree and multiplier bounds explicitly.
 """
-import dataclasses
 import random
 
 from refmon import graphs, lab, primitive, wild
@@ -326,7 +325,7 @@ def test_criterion_13_non_stably_finite_quotient():
     assert dec.is_holds
     sf = lab.check_property(o, lab.STABLY_FINITE, b)
     assert (sf.verdict.verdict, sf.verdict.note) == ("holds", "pair state certificate")
-    sf = lab.check_property(dataclasses.replace(o, certified={}), lab.STABLY_FINITE, b)
+    sf = lab.check_property(o.replace(certified={}), lab.STABLY_FINITE, b)
     assert (sf.verdict.verdict, sf.verdict.note) == ("holds", "exhaustive at bound")
     _report(13, "bar mod z-ideal absorbs ybar0 while bar itself is stably finite")
 

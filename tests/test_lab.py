@@ -1,5 +1,4 @@
 """Property lab: bounded checkers over the oracle facade."""
-import dataclasses
 import operator
 
 import pytest
@@ -53,7 +52,7 @@ def test_bare_decisions_are_shared_and_frozen():
     assert Decision.fails() is Decision.fails()
     assert Decision.holds().is_holds and Decision.fails().is_fails
     for shared in (Decision.holds(), Decision.fails()):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             shared.note = "changed"
         assert shared.note == "" and shared.witness is None and shared.counterexample is None
 
@@ -186,7 +185,7 @@ def test_bar_stably_finite_by_sweep(bar):
     # the pair state certifies it, and the sweep it replaces agrees
     rep = lab.check_property(bar, lab.STABLY_FINITE, B)
     assert (rep.verdict.verdict, rep.verdict.note) == ("holds", "pair state certificate")
-    rep = lab.check_property(dataclasses.replace(bar, certified={}), lab.STABLY_FINITE, B)
+    rep = lab.check_property(bar.replace(certified={}), lab.STABLY_FINITE, B)
     assert (rep.verdict.verdict, rep.verdict.note) == ("holds", "exhaustive at bound")
 
 
@@ -389,7 +388,7 @@ def _m0_recording():
 
         return f
 
-    return dataclasses.replace(o, equal=recorded(o.equal), leq=recorded(o.leq)), unknowns
+    return o.replace(equal=recorded(o.equal), leq=recorded(o.leq)), unknowns
 
 
 def test_existential_searches_answer_unknown_at_the_bound():
@@ -564,11 +563,11 @@ def _report(o, prop, b):
 
 
 def _uncertified(o):
-    return dataclasses.replace(o, certified={})
+    return o.replace(certified={})
 
 
 def _stateless(o):
-    return dataclasses.replace(o, invariants=None, certified={})
+    return o.replace(invariants=None, certified={})
 
 
 def _unrefined(a, b, c, d):
@@ -680,11 +679,11 @@ def test_equal_invariants_save_oracle_calls(make, prop, op):
             calls[0] += 1
             return inner(x, y)
 
-        return dataclasses.replace(o, **{op: f}), calls
+        return o.replace(**{op: f}), calls
 
     o = make()
     pruned, n_pruned = counted(o)
-    full, n_full = counted(dataclasses.replace(o, invariants=None))
+    full, n_full = counted(o.replace(invariants=None))
     assert _report(pruned, prop, B) == _report(full, prop, B)
     assert 0 < n_pruned[0] < n_full[0]
 
@@ -769,7 +768,7 @@ def test_zero_key_pruning_keeps_small_counterexamples():
     """In <a, b | a + b = a> the first x + y = x with y nonzero is x = a, y =
     b, with or without invariants."""
     o = _absorbing()
-    keyless = dataclasses.replace(o, invariants=None)
+    keyless = o.replace(invariants=None)
     for b in (B, _B4):
         rep = _report(o, lab.STABLY_FINITE, b)
         assert rep.is_fails and rep.counterexample == ((1, 0), (0, 1))
@@ -851,7 +850,7 @@ def _counting(o):
         return f
 
     counted_ops = {op: counted(getattr(o, op)) for op in ("equal", "leq", "refine", "add")}
-    return dataclasses.replace(o, **counted_ops), calls
+    return o.replace(**counted_ops), calls
 
 
 _WILDNESS_INPUTS = (lab.STABLY_FINITE, lab.CANCELLATIVE, lab.SEPARATIVE, lab.UNPERFORATED)
@@ -863,7 +862,7 @@ _MEMO_CASES = [
 
 
 def _sans_elapsed(rep):
-    return dataclasses.replace(rep, elapsed=0.0)
+    return rep._replace(elapsed=0.0)
 
 
 @pytest.mark.parametrize("make, b", _MEMO_CASES)
@@ -900,7 +899,7 @@ def test_replace_starts_an_empty_memo():
     o, calls = _counting(bar_oracle(3))
     lab.check_property(o, lab.STABLY_FINITE, B)
     assert o.reports
-    copy = dataclasses.replace(o, certified={})
+    copy = o.replace(certified={})
     assert copy.reports == {}
     calls[0] = 0
     lab.check_property(copy, lab.STABLY_FINITE, B)

@@ -1,5 +1,7 @@
 """Lint guard for the package sources, with the standard library's `ast` only."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -339,3 +341,26 @@ def test_only_checked_refinement_verifies_matrices():
     """The exact calculators verify their refinement matrices through
     `words.checked_refinement`, the one place that raises "does not verify"."""
     _only_in(("words.py", "checked_refinement"), _raises_unverified)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    """The package's records are tuple subclasses (or, for MonoidOracle, a
+    plain class): importing `dataclasses` and running its decorators costs
+    every refmon process start-up time, and generates code at each import."""
+    imported = [
+        f"{path.name}:{n.lineno}"
+        for n in ast.walk(_tree(path))
+        if (isinstance(n, ast.Import) and any(a.name == "dataclasses" for a in n.names))
+        or (isinstance(n, ast.ImportFrom) and n.module == "dataclasses")
+    ]
+    assert not imported
+
+
+def test_commands_load_neither_dataclasses_nor_inspect():
+    """Importing the command modules loads no `dataclasses`, and with it no
+    `inspect` (which pulls in `ast`, `dis` and `tokenize`)."""
+    probe = "import sys, refmon.cli, refmon.lab, refmon.suite; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-s", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -7,7 +7,6 @@ import pytest
 from refmon.decisions import SearchBound
 from refmon.primitive import (
     PrimePoset,
-    elem_from_word,
     elem_word,
     enumerate_elements,
     enumerate_posets,
@@ -15,7 +14,6 @@ from refmon.primitive import (
     parse_poset,
     presentation_of,
     prim_add,
-    prim_equal,
     prim_leq,
     prim_refine,
     prime_certificates,
@@ -64,8 +62,8 @@ def test_normalize_drops_absorbed_and_caps_idempotents():
 def test_add_and_equal():
     p1 = normalize(CHAIN, {"p": 1})
     q1 = normalize(CHAIN, {"q": 1})
-    assert prim_equal(prim_add(p1, q1), q1)
-    assert prim_equal(prim_add(p1, p1), p1)
+    assert prim_add(p1, q1) == q1
+    assert prim_add(p1, p1) == p1
     other = validate_poset(["p"], [])
     with pytest.raises(ValueError, match="poset mismatch"):
         prim_add(p1, normalize(other, {"p": 1}))
@@ -95,7 +93,7 @@ def test_normalize_agrees_with_oracle_exhaustively():
         for e2 in E:
             dec = decide_equal(p, elem_word(e1), elem_word(e2), b, certs, cache)
             assert not dec.is_unknown
-            assert dec.is_holds == prim_equal(e1, e2), (e1, e2)
+            assert dec.is_holds == (e1 == e2), (e1, e2)
 
 
 def test_order_antisymmetric_on_samples():
@@ -104,7 +102,7 @@ def test_order_antisymmetric_on_samples():
     for _ in range(150):
         e1, e2 = rng.choice(E), rng.choice(E)
         if prim_leq(e1, e2) is not None and prim_leq(e2, e1) is not None:
-            assert prim_equal(e1, e2), (e1, e2)
+            assert e1 == e2, (e1, e2)
 
 
 def test_leq_witness_adds_up():
@@ -114,7 +112,7 @@ def test_leq_witness_adds_up():
         e1, e2 = rng.choice(E), rng.choice(E)
         c = prim_leq(e1, e2)
         if c is not None:
-            assert prim_equal(prim_add(e1, c), e2)
+            assert prim_add(e1, c) == e2
         assert prim_leq(e1, prim_add(e1, e2)) is not None
 
 
@@ -171,7 +169,7 @@ def _leq_by_search(e1, e2):
     cap = max([c for _, c in e2.coeffs], default=0) + 1
     for cs in product(range(cap + 1), repeat=len(poset.primes)):
         cand = normalize(poset, zip(poset.primes, cs))
-        if prim_equal(prim_add(e1, cand), e2):
+        if prim_add(e1, cand) == e2:
             return cand
     return None
 
@@ -252,7 +250,7 @@ def test_prime_certificates_separate():
     keys = {}
     for e in E:
         key = tuple(repr(h.apply(elem_word(e))) for h in certs.values())
-        assert key not in keys or prim_equal(keys[key], e)
+        assert key not in keys or keys[key] == e
         keys[key] = e
     assert len(keys) == len(E)
 
@@ -283,11 +281,6 @@ def test_enumerate_posets_count():
     # 19 partial-order-like relations on 3 labels times 2^3 idempotent choices
     assert len(enumerate_posets(["a", "b", "c"])) == 152
     assert len(enumerate_posets(["a"])) == 2
-
-
-def test_word_roundtrip():
-    for e in enumerate_elements(CHAIN, 3):
-        assert prim_equal(elem_from_word(CHAIN, elem_word(e)), e)
 
 
 # -- file format
