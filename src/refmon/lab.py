@@ -5,14 +5,18 @@ most bound.max_degree, with multipliers up to bound.max_coefficient; a Holds
 verdict therefore always means "no counterexample at this bound" and the
 bound travels with the report.
 
-Refinement is the oracle's own `refine`.  Riesz decomposition of x <= y1 +
-y2 reads x = z11 + z12 off the refinement of x + c = y1 + y2, c the
-complement, and searches x1 + x2 = x itself only where that is not Holds (m0
-is not a refinement monoid).  That search and the other existential inner
-quantifiers are bounded, so a Fails on them is a bounded result, not a
-proof: no witness within the bound.  It can flip as the bound rises: m0's
-riesz-interpolation reads Holds at degree 3 and Fails at 4 (a strict xfail
-in tests/test_cli.py, until ROADMAP item 1 lands).
+Refinement is the oracle's own `refine`.  An exact oracle's `refine` solves
+every equation in closed form, so the exact oracles certify refinement and
+Riesz decomposition (Certificates, below), and the sampled checks of both run
+on presentation oracles and on uncertified copies, `o.replace(certified={})`.
+The sampled Riesz decomposition of x <= y1 + y2 reads x = z11 + z12 off the
+refinement of x + c = y1 + y2, c the complement, and searches x1 + x2 = x
+itself only where that is not Holds (m0 is not a refinement monoid).  That
+search and the other existential inner quantifiers are bounded, so a Fails
+on them is a bounded result, not a proof: no witness within the bound.  It
+can flip as the bound rises: m0's riesz-interpolation reads Holds at degree
+3 and Fails at 4 (a strict xfail in tests/test_cli.py, until ROADMAP item 1
+lands).
 
 The sampled checks test each drawn hypothesis once: Riesz decomposition
 refines with the complement its draw got for x <= y1 + y2, and Riesz
@@ -51,18 +55,28 @@ today.)
 
 Certificates.  When an oracle's `certified` names a property,
 `check_property` answers Holds with that note and sweeps nothing.  The
-ladder, bar and free oracles draw on three sources:
-  - a positive state s, additive and > 0 off 0: the ladder's validated
-    `wild.standard_certificates(n)["state"]`, or degree for free.  x + y = 0
-    or x + y = x forces s(y) = 0; x <= y <= x gives s(c) + s(d) = 0 for its
-    complements c, d; n*x <= y for every n forces s(x) = 0.  So it certifies
-    conical, stably finite, antisymmetric and archimedean.
-  - bar's validated `standard_certificates(n, "bar")["pair_state"]`, xbar_l
-    -> (1 - l, 1), ybar0, zbar0 -> (1, 0), into the pointed cone {q > 0} u
-    {q = 0, p >= 0} of Z^2, where a sum is 0 only if its terms are: the same
-    arguments certify all but archimedean (n*zbar0 <= xbar0 for every n).
-  - the homogeneous order, m*x <= m*y iff x <= y for every m >= 1, which
-    certifies unperforation.
+exact oracles draw on four sources, each quoted here by its note:
+  - "positive state certificate": a positive state s, additive and > 0 off
+    0: the ladder's validated `wild.standard_certificates(n)["state"]`, or
+    degree for free.  x + y = 0 or x + y = x forces s(y) = 0; x <= y <= x
+    gives s(c) + s(d) = 0 for its complements c, d; n*x <= y for every n
+    forces s(x) = 0.  So it certifies conical, stably finite, antisymmetric
+    and archimedean.
+  - "pair state certificate": bar's validated `standard_certificates(n,
+    "bar")["pair_state"]`, xbar_l -> (1 - l, 1), ybar0, zbar0 -> (1, 0),
+    into the pointed cone {q > 0} u {q = 0, p >= 0} of Z^2, where a sum is 0
+    only if its terms are: the same arguments certify all but archimedean
+    (n*zbar0 <= xbar0 for every n).
+  - "homogeneous order certificate": m*x <= m*y iff x <= y for every m >=
+    1, which certifies unperforation on the ladder, bar and free oracles.
+  - "closed-form refinement certificate": on every exact oracle (ladder,
+    bar, free, primitive), `refine` solves each a + b = c + d in closed
+    form, and `words.checked_refinement` verifies each matrix.  The ladder
+    and bar monoids are refinement monoids by construction, free and
+    primitive monoids by Pierce.  So it certifies refinement, and Riesz
+    decomposition with it: x <= y1 + y2 gives x + c = y1 + y2 for a
+    complement c, whose refinement ((z11, z12), (z21, z22)) has x = z11 +
+    z12, y1 = z11 + z21 and y2 = z12 + z22, so z11 <= y1 and z12 <= y2.
 
 Homogeneity.  Raising is linear, so at any level n at or above the levels
 of x and y, m times the coefficients of x and y at n represent m*x and m*y.

@@ -28,8 +28,10 @@ class MonoidOracle:
 
     `certified` maps a property id of the lab to the reason the oracle's own
     mathematics proves it; the lab answers Holds with that reason as the note
-    and sweeps nothing.  The ladder, bar and free oracles certify what their
-    states and homogeneous order prove (witnesses in the lab docstring).
+    and sweeps nothing.  Every exact oracle certifies refinement and Riesz
+    decomposition by its closed-form `refine`; the ladder, bar and free
+    oracles also certify what their states and homogeneous order prove.  The
+    lab docstring's Certificates paragraph quotes each reason with its proof.
 
     `reports` is the lab's memo: `check_property` keeps each report under
     (property, bound, samples), and a repeated question gets the first
@@ -97,6 +99,11 @@ _POSITIVE_STATE = dict.fromkeys(
 # Z^2: wild.standard_certificates(n, "bar")["pair_state"]; not archimedean,
 # since n*zbar0 <= xbar0 for every n
 _PAIR_STATE = dict.fromkeys(("conical", "stably-finite", "antisymmetric"), "pair state certificate")
+# every exact oracle's `refine` solves each a + b = c + d in closed form, and
+# x + c = y1 + y2 refines to x = z11 + z12 with z11 <= y1 and z12 <= y2
+_CLOSED_FORM_REFINEMENT = dict.fromkeys(
+    ("refinement", "riesz-decomposition"), "closed-form refinement certificate"
+)
 
 
 def _per_degree(enumerate_elements):
@@ -105,10 +112,12 @@ def _per_degree(enumerate_elements):
     return lru_cache(maxsize=None)(lambda d: tuple(enumerate_elements(d)))
 
 
-def _exact(name, zero, add, leq, refine, enumerate_elements, **capabilities) -> MonoidOracle:
+def _exact(name, zero, add, leq, refine, enumerate_elements, certified=None, **capabilities) -> MonoidOracle:
     """The oracle of a monoid with canonical elements: equality is `==`;
     `leq` returns a complement or None, and `refine` the matrix of a + b =
-    c + d (raising ValueError when that fails); neither is ever Unknown."""
+    c + d (raising ValueError when that fails); neither is ever Unknown.
+    Closed-form refinement certifies refinement and Riesz decomposition, on
+    top of the builder's own `certified`."""
 
     def exact_leq(x, y):
         c = leq(x, y)
@@ -123,6 +132,7 @@ def _exact(name, zero, add, leq, refine, enumerate_elements, **capabilities) -> 
         elements=_per_degree(enumerate_elements),
         refine=lambda a, b, c, d: Decision.holds(witness=refine(a, b, c, d), note="exact refinement"),
         exact=True,
+        certified={**_CLOSED_FORM_REFINEMENT, **(certified or {})},
         **capabilities,
     )
 

@@ -123,12 +123,14 @@ class ClassCache:
     the module docstring), so it is stored under every one of its words and
     the component is enumerated once.  A result the size cap cut short
     depends on where the search started, so it is stored under its root only.
+    `ordered` gives a class's words in Word.sort_key order, sorted once.
     """
 
     def __init__(self, p: Presentation, b: SearchBound):
         self.p = p
         self.b = b
         self._cache: dict[Word, ClassResult] = {}
+        self._order: dict[frozenset, list[Word]] = {}
 
     def get(self, w: Word) -> ClassResult:
         res = self._cache.get(w)
@@ -139,6 +141,14 @@ class ClassCache:
             else:
                 self._cache[w] = res
         return res
+
+    def ordered(self, res: ClassResult) -> list[Word]:
+        """res.words in Word.sort_key order, sorted on first use; the caller
+        must not change the list."""
+        order = self._order.get(res.words)
+        if order is None:
+            order = self._order[res.words] = sorted(res.words, key=Word.sort_key)
+        return order
 
 
 def _path_to(res: ClassResult, target: Word) -> list[Word]:
@@ -217,7 +227,7 @@ def decide_leq(
     """
     cache = cache or ClassCache(p, b)
     cv = cache.get(v)
-    for w in sorted(cv.words, key=Word.sort_key):
+    for w in cache.ordered(cv):
         if w.contains(u):
             return Decision.holds(witness=w.sub(u), note="via representative")
     if cv.exhausted:
@@ -253,7 +263,7 @@ def find_refinement(
         return Decision.unknown(b, note="precondition a + b = c + d is unknown at this bound")
     ca, cb, cc = cache.get(a), cache.get(bw), cache.get(c)
     all_definite = ca.exhausted and cb.exhausted and cc.exhausted
-    reps_a, reps_b, reps_c = (sorted(r.words, key=Word.sort_key) for r in (ca, cb, cc))
+    reps_a, reps_b, reps_c = (cache.ordered(r) for r in (ca, cb, cc))
     for ra in reps_a:
         for rc in reps_c:
             for z11 in ra.meet(rc).subwords():

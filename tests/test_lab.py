@@ -428,7 +428,24 @@ def test_m0_irreducibles_unknown_below_the_degree_they_need(degree, found):
 
 # -- sampled forall-exists checks: verdicts and counterexamples pinned at
 # small degrees and 60 samples, so any change to the draws or the witness
-# search shows here
+# search shows here.  The exact oracles certify refinement and Riesz
+# decomposition, so the sampled checks are pinned on uncertified copies
+
+_CLOSED_FORM = "closed-form refinement certificate"
+
+
+def _sampled_report(o, check, b, samples):
+    """The report of `check` on `o` with its certificates dropped.  Where
+    `o` is exact and `check` is refinement or Riesz decomposition, `o`'s own
+    report must read Holds by closed-form refinement; elsewhere it must be
+    the sampled report itself."""
+    rep = lab.check_property(_uncertified(o), check, b, samples)
+    own = lab.check_property(o, check, b, samples).verdict
+    if o.exact and check in (lab.REFINEMENT, lab.RIESZ_DECOMPOSITION):
+        assert (own.verdict, own.note) == ("holds", _CLOSED_FORM)
+    else:
+        assert own == rep.verdict
+    return rep
 
 _SAMPLED = {  # oracle factory, degree bound
     "ladder": (lambda: ladder_oracle(2), 3),
@@ -457,7 +474,7 @@ _PINNED = [
 def test_sampled_checks_pinned(oracle, check, verdict, note, counterexample):
     make, degree = _SAMPLED[oracle]
     o, b = make(), SearchBound(max_degree=degree)
-    rep = lab.check_property(o, check, b, samples=60)
+    rep = _sampled_report(o, check, b, 60)
     dec = rep.verdict
     assert rep.property == check
     assert dec.verdict == verdict
@@ -493,7 +510,7 @@ _PINNED_LAB_SHEET = [
 def test_riesz_checks_pinned_at_lab_sheet_bounds(oracle, check, verdict, note, counterexample):
     make, b = _LAB_SHEET[oracle]
     o = make(b)
-    dec = lab.check_property(o, check, b, samples=100).verdict
+    dec = _sampled_report(o, check, b, 100).verdict
     assert (dec.verdict, dec.note) == (verdict, note)
     shown = None if dec.counterexample is None else tuple(o.fmt(x) for x in dec.counterexample)
     assert shown == counterexample
@@ -542,7 +559,7 @@ def test_primitive_lab_pinned(poset, check, verdict, note, counterexample):
     if check == "wildness":
         rep = lab.wildness_certificate(o, b, samples=100)
     else:
-        rep = lab.check_property(o, check, b, samples=100)
+        rep = _sampled_report(o, check, b, 100)
     dec = rep.verdict
     assert rep.property == check
     assert (dec.verdict, dec.note) == (verdict, note)
@@ -688,23 +705,44 @@ def test_equal_invariants_save_oracle_calls(make, prop, op):
     assert 0 < n_pruned[0] < n_full[0]
 
 
-# -- the ladder, bar and free oracles' certificates: unperforation by the
-# homogeneous order (m*x <= m*y iff x <= y), the rest by a state.  The sweep
-# each certificate replaces never answers Fails; the state-certified ones are
-# swept two degrees lower, which keeps the test to a few seconds
+# -- the exact oracles' certificates: unperforation by the homogeneous order
+# (m*x <= m*y iff x <= y), refinement and Riesz decomposition by closed-form
+# refinement, the rest by a state.  The sweep each certificate replaces never
+# answers Fails; all but unperforation are swept two degrees lower, which
+# keeps the tests to a few seconds
+
+
+def _certificates_match_the_sweep(o, deg):
+    swept = _uncertified(o)
+    for prop, note in o.certified.items():
+        b = SearchBound(max_degree=deg if prop == lab.UNPERFORATED else deg - 2, max_coefficient=5)
+        cert, sweep = _report(o, prop, b), _report(swept, prop, b)
+        assert (cert.verdict, cert.note) == ("holds", note)
+        assert not sweep.is_fails, (prop, sweep.counterexample)
 
 
 @pytest.mark.parametrize("make", [ladder_oracle, bar_oracle, free_oracle])
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("deg", [3, 4, 5])
 def test_unperforation_certificate_matches_the_sweep(make, n, deg):
-    o, swept = make(n), _uncertified(make(n))
+    o = make(n)
     assert o.certified[lab.UNPERFORATED] == "homogeneous order certificate"
-    for prop, note in o.certified.items():
-        b = SearchBound(max_degree=deg if prop == lab.UNPERFORATED else deg - 2, max_coefficient=5)
-        cert, sweep = _report(o, prop, b), _report(swept, prop, b)
-        assert (cert.verdict, cert.note) == ("holds", note)
-        assert not sweep.is_fails, (prop, sweep.counterexample)
+    _certificates_match_the_sweep(o, deg)
+
+
+# the lab-sheet posets and every poset on two primes
+_CERTIFIED_POSETS = {**_POSETS, **{
+    "2-primes " + (" ".join(f"{e}<{f}" for e, f in sorted(poset.below)) or "antichain"): poset
+    for poset in primitive.enumerate_posets(["p", "q"])
+}}
+
+
+@pytest.mark.parametrize("name", _CERTIFIED_POSETS)
+@pytest.mark.parametrize("deg", [3, 4, 5])
+def test_closed_form_certificates_match_the_sweep_on_primitive_oracles(name, deg):
+    o = primitive_oracle(_CERTIFIED_POSETS[name], name)
+    assert set(o.certified) == {lab.REFINEMENT, lab.RIESZ_DECOMPOSITION}
+    _certificates_match_the_sweep(o, deg)
 
 
 def test_builtin_certificates_name_lab_properties():

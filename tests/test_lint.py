@@ -364,3 +364,51 @@ def test_commands_load_neither_dataclasses_nor_inspect():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-s", "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _certificate_reasons(tree):
+    """The reasons in oracles.py's certificate tables: each module-level
+    string constant, the reason of each module-level dict.fromkeys(ids,
+    reason), and each string value of a dict literal passed as `certified=`."""
+    reasons = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            v = node.value
+            if isinstance(v, ast.Call) and getattr(v.func, "attr", None) == "fromkeys":
+                v = v.args[-1]
+            if isinstance(v, ast.Constant) and isinstance(v.value, str):
+                reasons.append(v.value)
+    for kw in ast.walk(tree):
+        if isinstance(kw, ast.keyword) and kw.arg == "certified":
+            for d in ast.walk(kw.value):
+                if isinstance(d, ast.Dict):
+                    reasons += [v.value for v in d.values if isinstance(v, ast.Constant) and isinstance(v.value, str)]
+    return reasons
+
+
+def _undocumented_reasons(oracles_tree, lab_tree):
+    """The certificate reasons that lab.py's "Certificates" paragraph does not
+    quote verbatim (line breaks read as spaces)."""
+    paragraphs = ast.get_docstring(lab_tree).split("\n\n")
+    (certificates,) = [p for p in paragraphs if p.startswith("Certificates.")]
+    text = " ".join(certificates.split())
+    return [r for r in _certificate_reasons(oracles_tree) if f'"{r}"' not in text]
+
+
+def test_certificate_lint_flags_an_undocumented_reason():
+    lab_source = '"""Intro.\n\nCertificates.  "known\n certificate": its proof.\n"""\n'
+    oracles_source = (
+        '_KNOWN = "known certificate"\n'
+        '_NEW = dict.fromkeys(("conical",), "new certificate")\n'
+        'o = _exact(certified={"archimedean": "inline certificate", **_NEW})\n'
+    )
+    got = _undocumented_reasons(ast.parse(oracles_source), ast.parse(lab_source))
+    assert got == ["new certificate", "inline certificate"]
+
+
+def test_every_certificate_reason_is_documented():
+    """Every reason an oracle may give for a certified property is quoted in
+    lab.py's "Certificates" paragraph, which states its proof."""
+    oracles_tree, lab_tree = _tree(ROOT / "src" / "refmon" / "oracles.py"), _tree(ROOT / "src" / "refmon" / "lab.py")
+    assert len(_certificate_reasons(oracles_tree)) >= 4, "the certificate tables moved; update this test"
+    assert not _undocumented_reasons(oracles_tree, lab_tree)
