@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .presentation import Presentation, make_presentation
-from .words import ParseError, Word, directives
+from .words import ParseError, directives
 
 
 class DirectedGraph(namedtuple("DirectedGraph", "vertices arrows name", defaults=("E",))):
@@ -116,12 +116,7 @@ def unseparation(g: DirectedGraph) -> SeparatedGraph:
 def present_finitely_separated(sg: SeparatedGraph) -> Presentation:
     """Generators = vertices; one relation v = sum of r(e) over e in X per class."""
     g = sg.graph
-    gi = {v: ix for ix, v in enumerate(g.vertices)}
-    rels = []
-    for v, cls in sg.all_classes():
-        lhs = Word.single(gi[v])
-        rhs = Word.of([(gi[g.rng(a)], 1) for a in cls])
-        rels.append((lhs, rhs))
+    rels = [(v, " + ".join(map(g.rng, cls))) for v, cls in sg.all_classes()]
     return make_presentation(g.name, list(g.vertices), rels)
 
 
@@ -135,13 +130,14 @@ def present_triple(sg: SeparatedGraph, z_cap: int = 3) -> Presentation:
     |Z| <= z_cap or Z the whole class.
 
     Relations: v = q_Z + sum r(e) over Z; q_Z1 = q_Z2 + sum over Z2 \\ Z1 for
-    Z1 subset of Z2; q_X = 0 for every class X.
+    Z1 subset of Z2; q_X = 0 for every class X.  Two distinct subsets with
+    the same q name (arrows a, b and a_b both give q_a_b) raise ValueError.
     """
     if z_cap < 1:
         raise ValueError("z_cap must be >= 1")
     g = sg.graph
     subsets_by_class: list[tuple[str, tuple[str, ...], list[tuple[str, ...]]]] = []
-    qnames: list[str] = []
+    owner: dict[str, tuple[str, ...]] = {}  # q name -> its subset, in first-seen order
     for v, cls in sg.all_classes():
         members = tuple(sorted(cls))
         subs = [
@@ -150,27 +146,23 @@ def present_triple(sg: SeparatedGraph, z_cap: int = 3) -> Presentation:
         ]
         subsets_by_class.append((v, cls, subs))
         for z in subs:
-            nm = _q_name(z)
-            if nm not in qnames:
-                qnames.append(nm)
-    names = list(g.vertices) + qnames
-    gi = {nm: ix for ix, nm in enumerate(names)}
+            name = _q_name(z)
+            other = owner.setdefault(name, z)
+            if other != z:
+                raise ValueError(f"arrow subsets {list(other)} and {list(z)} are both named {name!r}")
+
+    def q_plus(q: tuple[str, ...], arrows) -> str:
+        return " + ".join([_q_name(q)] + [g.rng(a) for a in arrows])
+
     rels = []
     for v, cls, subs in subsets_by_class:
-        for z in subs:
-            lhs = Word.single(gi[v])
-            rhs = Word.of([(gi[_q_name(z)], 1)] + [(gi[g.rng(a)], 1) for a in z])
-            rels.append((lhs, rhs))
+        rels += [(v, q_plus(z, z)) for z in subs]
         for z1 in subs:
             for z2 in subs:
                 if z1 != z2 and set(z1) <= set(z2):
-                    lhs = Word.single(gi[_q_name(z1)])
-                    rhs = Word.of(
-                        [(gi[_q_name(z2)], 1)] + [(gi[g.rng(a)], 1) for a in z2 if a not in z1]
-                    )
-                    rels.append((lhs, rhs))
-        rels.append((Word.single(gi[_q_name(cls)]), Word()))
-    return make_presentation(g.name + "_triple", names, rels)
+                    rels.append((_q_name(z1), q_plus(z2, (a for a in z2 if a not in z1))))
+        rels.append((_q_name(cls), "0"))
+    return make_presentation(g.name + "_triple", list(g.vertices) + list(owner), rels)
 
 
 def tilde_construction(

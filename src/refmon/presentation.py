@@ -8,6 +8,8 @@ Format (UTF-8, `#` starts a comment):
     relation <term> = <term>
 
 where a term is `k*<id> + ...` (coefficient 1 may be omitted, `0` is empty).
+`make_presentation` builds the workbench's builtin presentations from
+relations written in the same term syntax, read by the same `parse_term`.
 """
 from __future__ import annotations
 
@@ -45,10 +47,17 @@ class Presentation(namedtuple("Presentation", "gens relations name", defaults=((
         return "\n".join(lines) + "\n"
 
 
-def make_presentation(name: str, gen_names: list[str], relations: list[tuple[Word, Word]]) -> Presentation:
+def make_presentation(name: str, gen_names: list[str], relations: list[tuple[str, str]]) -> Presentation:
+    """The presentation on `gen_names` whose relations are (lhs, rhs) terms,
+    such as ("y0", "y1 + a1") or ("q_e1_e2", "0"); a relation whose sides
+    are equal words is dropped, as in the file format."""
     gens = GeneratorSet(tuple(gen_names))
-    rels = tuple(Relation(l, r) for l, r in relations if l != r)
-    return Presentation(gens, rels, name)
+    rels = []
+    for lhs_s, rhs_s in relations:
+        lhs, rhs = parse_term(lhs_s, gens), parse_term(rhs_s, gens)
+        if lhs != rhs:
+            rels.append(Relation(lhs, rhs))
+    return Presentation(gens, tuple(rels), name)
 
 
 def parse_presentation(text: str) -> Presentation:

@@ -40,7 +40,7 @@ from itertools import combinations
 
 from .presentation import Presentation, make_presentation
 from .targets import INF, CertificateHom, NonnegIntegersWithInfinity, build_certificate
-from .words import ParseError, Word, checked_refinement, compositions, directives, free_refine
+from .words import ParseError, Word, checked_refinement, compositions, directives, format_term, free_refine
 
 
 class PrimePoset(namedtuple("PrimePoset", "primes below")):
@@ -89,9 +89,7 @@ class PrimElem(namedtuple("PrimElem", "poset coeffs")):
         return not self.coeffs
 
     def format(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(p if c == 1 else f"{c}*{p}" for p, c in self.coeffs)
+        return format_term(self.coeffs)
 
     def __str__(self) -> str:
         return self.format()
@@ -184,18 +182,12 @@ def _prim_matrix(a: PrimElem, b: PrimElem, c: PrimElem, d: PrimElem):
 
 
 def presentation_of(poset: PrimePoset) -> Presentation:
-    gi = {p: ix for ix, p in enumerate(poset.primes)}
-    rels = []
-    for e, f in sorted(poset.below):
-        lhs = Word.of([(gi[e], 1), (gi[f], 1)])
-        rhs = Word.single(gi[f])
-        rels.append((lhs, rhs))
+    rels = [(f"{e} + {f}", f) for e, f in sorted(poset.below)]
     return make_presentation("prim", list(poset.primes), rels)
 
 
 def elem_word(e: PrimElem) -> Word:
-    gi = {p: ix for ix, p in enumerate(e.poset.primes)}
-    return Word.of([(gi[p], c) for p, c in e.coeffs])
+    return Word.of([(e.poset.primes.index(p), c) for p, c in e.coeffs])
 
 
 def prime_certificates(poset: PrimePoset) -> dict[str, CertificateHom]:

@@ -226,10 +226,21 @@ def build_certificate(
     name: str = "hom",
 ) -> CertificateHom:
     """Validate generator images against every relation; error names the
-    offending relation."""
+    offending relation.  A generator is keyed by its name or its index; a
+    key naming no generator, or a generator keyed twice, is a ValueError."""
     img_list: list = [None] * len(p.gens)
+    keys: dict[int, Any] = {}  # generator index -> the key that gave its image
     for key, val in images.items():
-        idx = key if isinstance(key, int) else p.gens.index(key)
+        # a bool is an int to Python, but names no generator
+        if type(key) is int and 0 <= key < len(img_list):
+            idx = key
+        elif isinstance(key, str):
+            idx = p.gens.index(key)
+        else:
+            raise ValueError(f"bad generator key {key!r}")
+        if idx in keys:
+            raise ValueError(f"generator {p.gens.names[idx]!r} given twice, as {keys[idx]!r} and {key!r}")
+        keys[idx] = key
         img_list[idx] = val
     missing = [p.gens.names[i] for i, v in enumerate(img_list) if v is None]
     if missing:

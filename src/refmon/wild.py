@@ -65,7 +65,7 @@ from .targets import (
     build_certificate,
     vec,
 )
-from .words import Word, checked_refinement, compositions, free_refine
+from .words import Word, checked_refinement, compositions, format_term, free_refine
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,9 @@ class LadderElem(tuple):
         return _ladder(n, m2 - m1, r2 + j2 - r1 - j1, 0, dk)
 
     def format(self) -> str:
-        return _format(*self, names=("x", "y", "z", "a"))
+        level, m, i, j, rungs = self
+        pairs = [(f"x{level}", m), (f"y{level}", i), (f"z{level}", j)]
+        return format_term(pairs + [(f"a{l}", c) for l, c in enumerate(rungs, start=1)])
 
     def __str__(self) -> str:
         return self.format()
@@ -381,7 +383,7 @@ class BarElem(tuple):
 
     def format(self) -> str:
         level, i, j, k = self
-        return _format(level, k, i, j, None, names=("xbar", "ybar", "zbar", None))
+        return format_term(((f"xbar{level}", k), ("ybar0", i), ("zbar0", j)))
 
     def __str__(self) -> str:
         return self.format()
@@ -409,23 +411,6 @@ def _bar(level: int, i: int, j: int, k: int) -> BarElem:
             i -= t * k
             level -= t
     return _bar_elem(level, i, j, k)
-
-
-def _format(level, m, i, j, rungs, names) -> str:
-    xn, yn, zn, an = names
-    parts = []
-
-    def term(c, name):
-        if c:
-            parts.append(name if c == 1 else f"{c}*{name}")
-
-    term(m, f"{xn}{level}")
-    term(i, f"{yn}0" if an is None else f"{yn}{level}")
-    term(j, f"{zn}0" if an is None else f"{zn}{level}")
-    if rungs:
-        for l, c in enumerate(rungs, start=1):
-            term(c, f"{an}{l}")
-    return " + ".join(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -597,10 +582,7 @@ def to_bar(e: LadderElem) -> BarElem:
 @lru_cache(maxsize=None)
 def m0_presentation() -> Presentation:
     """The level-0 monoid on x0, y0, z0 with the single mixing relation."""
-    w = Word.of
-    return make_presentation(
-        "M0", ["x0", "y0", "z0"], [(w([(0, 1), (1, 1)]), w([(0, 1), (2, 1)]))]
-    )
+    return make_presentation("M0", ["x0", "y0", "z0"], [("x0 + y0", "x0 + z0")])
 
 
 @lru_cache(maxsize=None)
@@ -617,26 +599,21 @@ def truncation_presentation(n: int, kind: str = "ladder") -> Presentation:
         names = ["x0", "y0", "z0"]
         for l in range(1, n + 1):
             names += [f"a{l}", f"x{l}", f"y{l}", f"z{l}"]
-        rels = [(("x0", "y0"), ("x0", "z0"))]
+        rels = [("x0 + y0", "x0 + z0")]
         for l in range(n):
-            rels.append(((f"y{l}",), (f"y{l+1}", f"a{l+1}")))
-            rels.append(((f"z{l}",), (f"z{l+1}", f"a{l+1}")))
-            rels.append(((f"x{l}",), (f"x{l+1}", f"y{l+1}")))
-            rels.append(((f"x{l}",), (f"x{l+1}", f"z{l+1}")))
+            rels.append((f"y{l}", f"y{l+1} + a{l+1}"))
+            rels.append((f"z{l}", f"z{l+1} + a{l+1}"))
+            rels.append((f"x{l}", f"x{l+1} + y{l+1}"))
+            rels.append((f"x{l}", f"x{l+1} + z{l+1}"))
     elif kind == "bar":
         names = ["xbar0", "ybar0", "zbar0"] + [f"xbar{l}" for l in range(1, n + 1)]
-        rels = [(("xbar0", "ybar0"), ("xbar0", "zbar0"))]
+        rels = [("xbar0 + ybar0", "xbar0 + zbar0")]
         for l in range(n):
-            rels.append(((f"xbar{l}",), (f"xbar{l+1}", "ybar0")))
-            rels.append(((f"xbar{l}",), (f"xbar{l+1}", "zbar0")))
+            rels.append((f"xbar{l}", f"xbar{l+1} + ybar0"))
+            rels.append((f"xbar{l}", f"xbar{l+1} + zbar0"))
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    gi = {nm: ix for ix, nm in enumerate(names)}
-
-    def w(side):
-        return Word.of([(gi[nm], 1) for nm in side])
-
-    return make_presentation(f"{kind}{n}", names, [(w(lhs), w(rhs)) for lhs, rhs in rels])
+    return make_presentation(f"{kind}{n}", names, rels)
 
 
 def ladder_word(e: LadderElem, n: int) -> Word:

@@ -67,10 +67,6 @@ class Word(namedtuple("Word", "exps", defaults=((),))):
                 acc[idx] = acc.get(idx, 0) + exp
         return Word(tuple(sorted(acc.items())))
 
-    @staticmethod
-    def single(idx: int, exp: int = 1) -> "Word":
-        return Word.of([(idx, exp)])
-
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
 
@@ -111,13 +107,7 @@ class Word(namedtuple("Word", "exps", defaults=((),))):
             yield Word(tuple((i, e) for i, e in zip(idxs, es) if e))
 
     def format(self, gens: GeneratorSet) -> str:
-        if not self.exps:
-            return "0"
-        parts = []
-        for i, e in self.exps:
-            name = gens.names[i]
-            parts.append(name if e == 1 else f"{e}*{name}")
-        return " + ".join(parts)
+        return format_term((gens.names[i], e) for i, e in self.exps)
 
     def sort_key(self) -> tuple:
         return (self.degree(), self.exps)
@@ -166,6 +156,12 @@ def directives(text: str) -> Iterator[tuple[int, str, str]]:
         if line:
             key, _, rest = line.partition(" ")
             yield lineno, key, rest.strip()
+
+
+def format_term(pairs: Iterable[tuple[str, int]]) -> str:
+    """The term `k*<id> + ...` of (name, k) pairs, the syntax parse_term
+    reads: k = 1 is omitted, k = 0 skipped, and `0` is the empty term."""
+    return " + ".join(name if k == 1 else f"{k}*{name}" for name, k in pairs if k) or "0"
 
 
 def parse_term(text: str, gens: GeneratorSet, line: int | None = None) -> Word:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from refmon import graphs, wild
+from refmon.cli import main
 from refmon.decisions import SearchBound
 from refmon.graphs import (
     DirectedGraph,
@@ -126,6 +127,30 @@ def test_z_cap_limits_subset_generators():
     assert "q_a0_a1_a2_a3" in p.gens.names
     with pytest.raises(ValueError):
         present_triple(sg, z_cap=0)
+
+
+COLLIDING = """\
+vertices v w x y
+arrow a v -> w
+arrow b v -> x
+arrow a_b v -> y
+separation v : {a b a_b}
+"""
+
+
+def test_triple_rejects_two_subsets_with_one_q_name(tmp_path, capsys):
+    """{a_b} and {a, b} would both be q_a_b, one generator standing for two
+    subsets; the presentation is refused rather than silently merged."""
+    sg = parse_graph(COLLIDING).separated()
+    with pytest.raises(ValueError, match=r"subsets \['a_b'\] and \['a', 'b'\] are both named 'q_a_b'"):
+        present_triple(sg, z_cap=2)
+    path = tmp_path / "collide.graph"
+    path.write_text(COLLIDING)
+    assert main(["graph-monoid", str(path), "--triple", "--zcap", "2"]) == 3
+    assert "both named 'q_a_b'" in capsys.readouterr().err
+    # without the colliding arrow the names are distinct and the build succeeds
+    distinct = parse_graph(COLLIDING.replace("a_b", "c")).separated()
+    assert {"q_a_b", "q_c"} <= set(present_triple(distinct, z_cap=2).gens.names)
 
 
 # -- builtins vs the exact truncations

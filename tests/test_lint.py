@@ -343,6 +343,36 @@ def test_only_checked_refinement_verifies_matrices():
     _only_in(("words.py", "checked_refinement"), _raises_unverified)
 
 
+def _writes_summand(n):
+    """An f-string of exactly a placeholder, the constant `*` and a
+    placeholder: the `k*name` summand of the term syntax."""
+    return (
+        isinstance(n, ast.JoinedStr)
+        and len(n.values) == 3
+        and isinstance(n.values[0], ast.FormattedValue)
+        and isinstance(n.values[1], ast.Constant)
+        and n.values[1].value == "*"
+        and isinstance(n.values[2], ast.FormattedValue)
+    )
+
+
+def test_summand_lint_flags_a_printer_of_its_own():
+    source = (
+        "def fmt(pairs):\n"
+        "    return ' + '.join(f'{c}*{p}' for p, c in pairs)\n"
+        "def other(c, p):\n"
+        "    return f'{c} * {p}', f'{c}*{p}!', f'({c}*{p})'\n"
+    )
+    assert [n.lineno for n in ast.walk(ast.parse(source)) if _writes_summand(n)] == [2]
+
+
+def test_only_format_term_writes_summands():
+    """Words, primitive elements and ladder and bar elements print through
+    `words.format_term`, the one place that writes a `k*name` summand, so
+    every printed term is one that `parse_term` reads back."""
+    _only_in(("words.py", "format_term"), _writes_summand)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_dataclasses(path):
     """The package's records are tuple subclasses (or, for MonoidOracle, a

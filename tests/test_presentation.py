@@ -1,7 +1,7 @@
 import pytest
 
-from refmon.presentation import make_presentation, parse_presentation
-from refmon.words import ParseError, Word
+from refmon.presentation import Presentation, Relation, make_presentation, parse_presentation
+from refmon.words import GeneratorSet, ParseError, Word
 
 SAMPLE = """\
 # the mixing relation
@@ -53,9 +53,17 @@ def test_relation_before_generators():
         parse_presentation("monoid X\nrelation a = a\ngenerators a\n")
 
 
-def test_make_presentation_validates_indices():
-    with pytest.raises(ValueError):
-        make_presentation("bad", ["a"], [(Word.single(0), Word.single(3))])
+def test_make_presentation_reads_terms():
+    p = make_presentation("T", ["a", "b"], [("2*a", "b"), ("a + b", "b + a"), ("b", "0")])
+    assert p.relations == (Relation(Word.of([(0, 2)]), Word.of([(1, 1)])), Relation(Word.of([(1, 1)]), Word()))
+    with pytest.raises(ParseError, match="unknown generator 'c'"):
+        make_presentation("bad", ["a"], [("a", "a + c")])
+
+
+def test_presentation_validates_indices():
+    gens = GeneratorSet(("a",))
+    with pytest.raises(ValueError, match="index 3 out of range"):
+        Presentation(gens, (Relation(Word.of([(0, 1)]), Word.of([(3, 1)])),), "bad")
 
 
 def test_word_helper():

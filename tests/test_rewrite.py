@@ -179,7 +179,7 @@ def words_and_bounds(draw):
     max_degree = draw(st.integers(2, 5))
     # relation sides make words that some move applies to; a few words lie
     # above the degree bound
-    sides = [s for r in p.relations for s in (r.lhs, r.rhs)] + [Word.single(i) for i in range(len(p.gens))]
+    sides = [s for r in p.relations for s in (r.lhs, r.rhs)] + [Word.of([(i, 1)]) for i in range(len(p.gens))]
     w = Word()
     for s in draw(st.lists(st.sampled_from(sides), min_size=1, max_size=3)):
         w = w.add(s)

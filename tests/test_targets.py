@@ -91,3 +91,24 @@ def test_build_certificate_missing_images():
 def test_apply_on_zero_word():
     hom = build_certificate(ABSORB, NonnegIntegersWithInfinity(), {"e": 0, "f": INF}, "h")
     assert hom.apply(ABSORB.word("0")) == 0
+
+
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        ({0: 1, -1: INF}, "bad generator key -1"),
+        ({0: 0, 2: 0}, "bad generator key 2"),
+        ({0: 0, True: 0}, "bad generator key True"),
+        ({"e": 1, 0: 2, "f": 0}, "generator 'e' given twice, as 'e' and 0"),
+        ({"e": 0, "g": 0}, "unknown generator 'g'"),
+    ],
+)
+def test_build_certificate_rejects_bad_keys(images, message):
+    with pytest.raises(ValueError, match=message):
+        build_certificate(ABSORB, NonnegIntegersWithInfinity(), images, "keys")
+
+
+def test_build_certificate_keys_by_name_or_index():
+    by_index = build_certificate(ABSORB, NonnegIntegersWithInfinity(), {0: 1, 1: INF}, "h")
+    assert by_index.images == (1, INF)
+    assert build_certificate(ABSORB, NonnegIntegersWithInfinity(), {"f": INF, 0: 1}, "h").images == (1, INF)
