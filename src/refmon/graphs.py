@@ -131,11 +131,13 @@ def present_triple(sg: SeparatedGraph, z_cap: int = 3) -> Presentation:
 
     Relations: v = q_Z + sum r(e) over Z; q_Z1 = q_Z2 + sum over Z2 \\ Z1 for
     Z1 subset of Z2; q_X = 0 for every class X.  Two distinct subsets with
-    the same q name (arrows a, b and a_b both give q_a_b) raise ValueError.
+    the same q name (arrows a, b and a_b both give q_a_b), or a subset named
+    like a vertex (vertex q_a and arrow a), raise ValueError.
     """
     if z_cap < 1:
         raise ValueError("z_cap must be >= 1")
     g = sg.graph
+    vertices = set(g.vertices)
     subsets_by_class: list[tuple[str, tuple[str, ...], list[tuple[str, ...]]]] = []
     owner: dict[str, tuple[str, ...]] = {}  # q name -> its subset, in first-seen order
     for v, cls in sg.all_classes():
@@ -147,6 +149,8 @@ def present_triple(sg: SeparatedGraph, z_cap: int = 3) -> Presentation:
         subsets_by_class.append((v, cls, subs))
         for z in subs:
             name = _q_name(z)
+            if name in vertices:
+                raise ValueError(f"vertex {name!r} and arrow subset {list(z)} are both named {name!r}")
             other = owner.setdefault(name, z)
             if other != z:
                 raise ValueError(f"arrow subsets {list(other)} and {list(z)} are both named {name!r}")

@@ -29,6 +29,9 @@ stream and the report, are those of asking every element.
 The archimedean property is special: enumeration can only refute it, so Holds
 is granted solely on a certificate.
 
+`irreducibles` scans the oracle's `generators` when it lists them, else its
+degree-1 elements; its docstring shows that this loses no decomposition.
+
 Refutation.  Each universal check generates its refuting instances, the
 hypotheses filtered through `_Sweep.definite`, and `_Sweep.refute` reports
 the first: the counterexample is the first in loop order, and when none
@@ -52,6 +55,23 @@ and with it the report, is the one the full sweep finds.  (For an oracle
 that also answered Unknown, an Unknown on a skipped pair would never be
 asked, which could turn an Unknown report into Holds; no oracle has both
 today.)
+
+Cancellable elements.  An oracle's `cancellable` names elements z for
+which x + z = y + z forces x = y.  The cancellative sweep skips every such
+z, and the strongly-separative sweep every such x, since 2x = x + y then
+forces x = y: a skipped instance can never be a counterexample, and the
+loops keep their order, so the report is the full sweep's.  Only an oracle
+with `exact` set may carry the capability (the constructor refuses any
+other): an Unknown on a skipped instance would never be counted, which could
+turn an Unknown report into Holds.  Two oracles carry it:
+  - ladder, x-count 0: m is additive, so x + z = y + z forces m(x) = m(y).
+    At a common level N an element is fixed by its raised coordinates, (i,
+    j, rungs) when m = 0 and (i + j, rungs) when m > 0 (j folded into i),
+    and adding a z with m = 0 translates them by z's, so equal sums force x
+    = y.
+  - bar, xbar count 0: the same with k.  At a level N at or above its level
+    n, an element is fixed by (i, j) when k = 0 and by (k, i + j + (N -
+    n)k) when k > 0, and adding a z with k = 0 translates them by z's.
 
 Certificates.  When an oracle's `certified` names a property,
 `check_property` answers Holds with that note and sweeps nothing.  The
@@ -232,9 +252,12 @@ def _check_cancellative(o, b, samples):
     E, sw = _elems(o, b), _Sweep()
     d = sw.definite
     if o.exact:
+        cancellable = o.cancellable or (lambda z: False)
 
         def keyed():
             for z in E:
+                if cancellable(z):
+                    continue
                 groups: dict = {}
                 for x in E:
                     y = groups.setdefault(o.add(x, z), x)
@@ -284,8 +307,9 @@ def _check_separative(o, b, samples):
 def _check_strongly_separative(o, b, samples):
     E, sw = _elems(o, b), _Sweep()
     d = sw.definite
-    # 2x = x + y gives inv(x) = inv(y)
-    doubled = ((x, o.add(x, x), ys) for x, ys in zip(E, _partners(o, E)))
+    # 2x = x + y gives inv(x) = inv(y), and x = y when x is cancellable
+    cancellable = o.cancellable or (lambda x: False)
+    doubled = ((x, o.add(x, x), ys) for x, ys in zip(E, _partners(o, E)) if not cancellable(x))
     found = (
         (x, y)
         for x, xx, ys in doubled

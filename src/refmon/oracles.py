@@ -59,11 +59,18 @@ class MonoidOracle:
         # componentwise and x = y forces inv(x) = inv(y); the lab's
         # strongly-separative sweep skips the pairs this refutes.
         invariants: Callable | None = None,
+        # element -> True only when z is cancellable (x + z = y + z forces x =
+        # y), such as the ladder's elements of x-count 0; None if the oracle
+        # has none.  Exact oracles only: the cancellative sweep skips every
+        # such z and the strongly-separative sweep every such x.
+        cancellable: Callable | None = None,
         generators: tuple = (),  # deeper generators for irreducibles; empty: the degree-1 elements
         exact: bool = False,  # canonical hashable elements, equality `==`, never Unknown
         fmt: Callable = str,
         certified: Mapping[str, str] | None = None,  # property id -> reason
     ) -> None:
+        if cancellable is not None and not exact:
+            raise ValueError("only an exact oracle may name cancellable elements")
         self.name = name
         self.zero = zero
         self.add = add
@@ -72,6 +79,7 @@ class MonoidOracle:
         self.elements = elements
         self.refine = refine
         self.invariants = invariants
+        self.cancellable = cancellable
         self.generators = generators
         self.exact = exact
         self.fmt = fmt
@@ -156,6 +164,7 @@ def ladder_oracle(level: int) -> MonoidOracle:
         wild.ladder_refine,
         lambda d: wild.enumerate_ladder(level, d),
         invariants=invariants,
+        cancellable=lambda e: e[1] == 0,  # x-count 0
         generators=tuple(wild.enumerate_ladder(level + 2, 1)),
         certified={**_POSITIVE_STATE, "unperforated": _HOMOGENEOUS_ORDER},
     )
@@ -164,7 +173,8 @@ def ladder_oracle(level: int) -> MonoidOracle:
 def bar_oracle(level: int) -> MonoidOracle:
     """Exact oracle for the bar monoid.  It has no positive state, since the
     monoid is not archimedean; its pair state certifies the rest.  Its one
-    invariant is the xbar count."""
+    invariant is the xbar count, and its `cancellable` elements are those of
+    xbar count 0 (lab.py's "Cancellable elements" paragraph proves it)."""
     if level < 1:
         raise ValueError("truncation level must be >= 1")
 
@@ -176,6 +186,7 @@ def bar_oracle(level: int) -> MonoidOracle:
         wild.bar_refine,
         lambda d: wild.enumerate_bar(level, d),
         invariants=lambda e: (e.k,),
+        cancellable=lambda e: e[3] == 0,  # xbar count 0
         generators=tuple(wild.enumerate_bar(level + 2, 1)),
         certified={**_PAIR_STATE, "unperforated": _HOMOGENEOUS_ORDER},
     )

@@ -314,6 +314,14 @@ def test_graph_monoid_triple(tmp_path, capsys):
     assert "relation q_e1_e2 = 0" in out
 
 
+def test_graph_monoid_triple_names_a_vertex_clash(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    f.write_text("vertices v w q_a\narrow a v -> w\narrow b v -> w\n")
+    code, out, err = run(capsys, "graph-monoid", str(f), "--triple")
+    assert (code, out) == (INPUT_ERROR, "")
+    assert err == "error: vertex 'q_a' and arrow subset ['a'] are both named 'q_a'\n"
+
+
 E0C0_GRAPH = """\
 graph E0C0
 vertices u x0 y0 z0

@@ -153,6 +153,23 @@ def test_triple_rejects_two_subsets_with_one_q_name(tmp_path, capsys):
     assert {"q_a_b", "q_c"} <= set(present_triple(distinct, z_cap=2).gens.names)
 
 
+SHADOWED = """\
+vertices v w q_a
+arrow a v -> w
+arrow b v -> w
+"""
+
+
+def test_triple_rejects_a_subset_named_like_a_vertex():
+    """The q name of {a} is the vertex q_a's: the error names both, rather
+    than a duplicate generator."""
+    sg = parse_graph(SHADOWED).separated()
+    with pytest.raises(ValueError, match=r"^vertex 'q_a' and arrow subset \['a'\] are both named 'q_a'$"):
+        present_triple(sg)
+    renamed = parse_graph(SHADOWED.replace("q_a", "u")).separated()
+    assert {"u", "q_a", "q_b", "q_a_b"} <= set(present_triple(renamed).gens.names)
+
+
 # -- builtins vs the exact truncations
 
 

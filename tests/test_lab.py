@@ -705,6 +705,87 @@ def test_equal_invariants_save_oracle_calls(make, prop, op):
     assert 0 < n_pruned[0] < n_full[0]
 
 
+# -- cancellable elements: the cancellative sweep skips every cancellable z
+# and the strongly-separative sweep every cancellable x, which is sound only
+# if x -> x + z is injective for each of them, and must keep the report
+
+
+def _not_injective(o, d):
+    """The first z of degree <= d that `o.cancellable` names but whose
+    translation x -> x + z identifies two elements of degree <= d, with
+    those two; None if there is none."""
+    E = o.elements(d)
+    for z in E:
+        if o.cancellable(z):
+            seen = {}
+            for x in E:
+                y = seen.setdefault(o.add(x, z), x)
+                if y != x:
+                    return z, y, x
+    return None
+
+
+@pytest.mark.parametrize("make, d", [(ladder_oracle, 5), (bar_oracle, 6)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cancellable_elements_cancel(make, d, n):
+    assert _not_injective(make(n), d) is None
+
+
+def test_cancellable_check_rejects_a_wrong_predicate():
+    """x0 + y0 = x0 + z0, so x0 does not cancel."""
+    o = ladder_oracle(2).replace(cancellable=lambda e: True)
+    z, y, x = _not_injective(o, 2)
+    assert o.add(x, z) == o.add(y, z) and x != y
+
+
+def test_only_exact_oracles_name_cancellable_elements():
+    with pytest.raises(ValueError, match="only an exact oracle"):
+        ladder_oracle(2).replace(exact=False)
+
+
+_CANCELLABLE_CASES = [(ladder_oracle, n, d) for n in (1, 2, 3) for d in (3, 5)] + [
+    (bar_oracle, n, d) for n in (1, 2, 3) for d in (4, 6)
+]
+
+
+@pytest.mark.parametrize("make, n, d", _CANCELLABLE_CASES)
+@pytest.mark.parametrize("prop", [lab.CANCELLATIVE, lab.STRONGLY_SEPARATIVE])
+def test_cancellable_pruning_keeps_the_report(make, n, d, prop):
+    o = make(n)
+    b = SearchBound(max_degree=d, max_coefficient=5)
+    pruned = lab.check_property(o, prop, b)
+    full = lab.check_property(o.replace(cancellable=None), prop, b)
+    assert _sans_elapsed(pruned) == _sans_elapsed(full)
+
+
+def test_cancellable_pruning_keeps_small_counterexamples():
+    """In <a, b | 2a = a + b> the multiples of b cancel, and the first 2x = x
+    + y with x != y is x = a, y = b, which the sweep still visits."""
+    o = _mixing().replace(cancellable=lambda e: e[0] == 0)
+    assert _not_injective(o, 6) is None
+    a, b = (1, 0), (0, 1)
+    for prop, counterexample in ((lab.CANCELLATIVE, (a, b, a)), (lab.STRONGLY_SEPARATIVE, (a, b))):
+        rep = _report(o, prop, _B4)
+        assert rep.is_fails and rep.counterexample == counterexample
+        assert rep == _report(o.replace(cancellable=None), prop, _B4)
+
+
+def test_cancellable_elements_save_additions():
+    """ladder:2 at the lab-sheet bound: z = 0, z0, ..., 5*y0 all cancel, so
+    the sweep adds to no z before x0; the full sweep makes 6,013 additions."""
+    calls = [0]
+    o = ladder_oracle(2)
+    inner = o.add
+
+    def add(x, y):
+        calls[0] += 1
+        return inner(x, y)
+
+    rep = lab.check_property(o.replace(add=add), lab.CANCELLATIVE, SearchBound(max_degree=5, max_coefficient=5))
+    assert rep.verdict.is_fails
+    assert calls[0] < 300
+
+
 # -- the exact oracles' certificates: unperforation by the homogeneous order
 # (m*x <= m*y iff x <= y), refinement and Riesz decomposition by closed-form
 # refinement, the rest by a state.  The sweep each certificate replaces never

@@ -442,3 +442,45 @@ def test_every_certificate_reason_is_documented():
     oracles_tree, lab_tree = _tree(ROOT / "src" / "refmon" / "oracles.py"), _tree(ROOT / "src" / "refmon" / "lab.py")
     assert len(_certificate_reasons(oracles_tree)) >= 4, "the certificate tables moved; update this test"
     assert not _undocumented_reasons(oracles_tree, lab_tree)
+
+
+def _capabilities(oracles_tree):
+    """The optional capabilities of MonoidOracle: its constructor's
+    parameters with a default."""
+    (init,) = [
+        f
+        for c in oracles_tree.body
+        if isinstance(c, ast.ClassDef) and c.name == "MonoidOracle"
+        for f in c.body
+        if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+    ]
+    args = init.args.args
+    return {a.arg for a in args[len(args) - len(init.args.defaults):]}
+
+
+def _undocumented_capabilities(oracles_tree, lab_tree):
+    """The capabilities that lab.py reads as an attribute but its module
+    docstring does not quote in backticks, in source order."""
+    doc = ast.get_docstring(lab_tree)
+    capabilities = _capabilities(oracles_tree)
+    read = [n.attr for n in ast.walk(lab_tree) if isinstance(n, ast.Attribute) and n.attr in capabilities]
+    return [c for c in dict.fromkeys(read) if f"`{c}`" not in doc]
+
+
+def test_capability_lint_flags_an_undocumented_capability():
+    oracles_source = (
+        "class MonoidOracle:\n"
+        "    def __init__(self, name, add, invariants=None, shiny=None):\n"
+        "        pass\n"
+    )
+    lab_source = '"""An oracle\'s `invariants`, and `add`."""\nf = lambda o: (o.add, o.shiny, o.invariants, o.name)\n'
+    assert _undocumented_capabilities(ast.parse(oracles_source), ast.parse(lab_source)) == ["shiny"]
+
+
+def test_every_capability_the_lab_reads_is_documented():
+    """Every optional capability of MonoidOracle that lab.py reads is quoted
+    in lab.py's module docstring, which says what the lab does with it."""
+    oracles_tree, lab_tree = _tree(ROOT / "src" / "refmon" / "oracles.py"), _tree(ROOT / "src" / "refmon" / "lab.py")
+    read = {n.attr for n in ast.walk(lab_tree) if isinstance(n, ast.Attribute)}
+    assert {"invariants", "cancellable", "certified", "generators"} <= _capabilities(oracles_tree) & read
+    assert not _undocumented_capabilities(oracles_tree, lab_tree)
