@@ -31,10 +31,11 @@ def _bound(args) -> SearchBound:
 
 def _add_bound_flags(sp, coefficients: bool = True) -> None:
     """--max-coeff only for the lab's commands: rewriting reads no coefficient cap."""
-    sp.add_argument("--max-degree", type=int, default=6)
+    defaults = SearchBound._field_defaults
+    sp.add_argument("--max-degree", type=int, default=defaults["max_degree"])
     if coefficients:
-        sp.add_argument("--max-coeff", type=int, default=5)
-    sp.add_argument("--max-class-size", type=int, default=20000)
+        sp.add_argument("--max-coeff", type=int, default=defaults["max_coefficient"])
+    sp.add_argument("--max-class-size", type=int, default=defaults["max_class_size"])
 
 
 INPUT_ERROR = 3
@@ -42,7 +43,7 @@ INPUT_ERROR = 3
 
 def _show(obj, fmt):
     """`obj` as JSON data, with each word rendered as a term by `fmt`."""
-    if isinstance(obj, (wild.LadderElem, wild.BarElem)):  # tuples, but shown as terms
+    if isinstance(obj, (wild.LadderElem, wild.BarElem, primitive.PrimElem)):  # tuples, but shown as terms
         return str(obj)
     if isinstance(obj, Word):
         return fmt(obj)
@@ -64,7 +65,7 @@ def _dec_json(d: Decision, fmt) -> dict:
     if d.counterexample is not None:
         out["counterexample"] = _show(d.counterexample, fmt)
     if d.bound is not None:
-        out["bound"] = d.bound.as_dict()
+        out["bound"] = d.bound._asdict()
     return out
 
 
@@ -169,13 +170,13 @@ def _cmd_check(args) -> int:
     reports = [lab.check_property(o, prop, b, samples=args.samples) for prop in props]
     payload = {
         "monoid": o.name,
-        "bound": b.as_dict(),
+        "bound": b._asdict(),
         "reports": [
             {"property": r.property, "decision": _dec_json(r.verdict, o.fmt), "elapsed_s": round(r.elapsed, 3)}
             for r in reports
         ],
     }
-    lines = [f"monoid {o.name}, bound {b.as_dict()}"] + [r.line() for r in reports]
+    lines = [f"monoid {o.name}, bound {b._asdict()}"] + [r.line() for r in reports]
     _emit(args, payload, lines)
     return _exit_code([r.verdict for r in reports])
 
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="run property checkers over a monoid oracle")
     sp.add_argument("target", help="presentation file or builtin oracle (ladder:N, bar:N, free:N, m0, ...)")
     sp.add_argument("--prop", default="", help="comma-separated property ids (default: all)")
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--samples", type=int, default=lab.SAMPLES)
     _add_bound_flags(sp)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(fn=_cmd_check)

@@ -39,13 +39,6 @@ class SearchBound(namedtuple("SearchBound", "max_degree max_class_size max_coeff
             raise ValueError("max_class_size and max_coefficient must be >= 1")
         return self
 
-    def as_dict(self) -> dict:
-        return {
-            "max_degree": self.max_degree,
-            "max_class_size": self.max_class_size,
-            "max_coefficient": self.max_coefficient,
-        }
-
 
 class Decision(namedtuple("Decision", "verdict witness counterexample bound note", defaults=(None, None, None, ""))):
     """Holds(witness) / Fails(counterexample) / Unknown(bound).

@@ -35,14 +35,15 @@ class DirectedGraph(namedtuple("DirectedGraph", "vertices arrows name", defaults
         self = super().__new__(cls, *args, **kwargs)
         vs = set(self.vertices)
         if len(vs) != len(self.vertices):
-            raise ValueError("duplicate vertex")
+            dup = next(v for i, v in enumerate(self.vertices) if v in self.vertices[:i])
+            raise ValueError(f"duplicate vertex {dup!r}")
         seen = set()
         for a, s, r in self.arrows:
             if a in seen:
                 raise ValueError(f"duplicate arrow {a!r}")
             seen.add(a)
             if s not in vs or r not in vs:
-                raise ValueError(f"arrow {a!r} references unknown vertex")
+                raise ValueError(f"arrow {a!r} references unknown vertex {s if s not in vs else r!r}")
         return self
 
     def rng(self, arrow: str) -> str:
@@ -54,12 +55,6 @@ class DirectedGraph(namedtuple("DirectedGraph", "vertices arrows name", defaults
 
     def out_arrows(self, v: str) -> tuple[str, ...]:
         return tuple(a for a, s, _ in self.arrows if s == v)
-
-    def out_degree(self, v: str) -> int:
-        return len(self.out_arrows(v))
-
-    def is_sink(self, v: str) -> bool:
-        return self.out_degree(v) == 0
 
 
 class SeparatedGraph(namedtuple("SeparatedGraph", "graph separation")):
@@ -109,7 +104,7 @@ class SeparatedGraph(namedtuple("SeparatedGraph", "graph separation")):
 
 def unseparation(g: DirectedGraph) -> SeparatedGraph:
     """C_v = {s^-1(v)} for every non-sink v."""
-    sep = tuple((v, (g.out_arrows(v),)) for v in g.vertices if not g.is_sink(v))
+    sep = tuple((v, (out,)) for v in g.vertices if (out := g.out_arrows(v)))
     return SeparatedGraph(g, sep)
 
 
@@ -199,6 +194,9 @@ def tilde_construction(
             continue
         order = emitter_order[v]
         chain = [f"w_{v}_{n}" for n in range(1, depth + 1)]
+        for w in chain:
+            if w in vertices:
+                raise ValueError(f"chain vertex {w!r} of emitter {v!r} is already a vertex")
         vertices += chain
         if order:
             a0 = order[0]

@@ -78,10 +78,11 @@ Certificates.  When an oracle's `certified` names a property,
 exact oracles draw on four sources, each quoted here by its note:
   - "positive state certificate": a positive state s, additive and > 0 off
     0: the ladder's validated `wild.standard_certificates(n)["state"]`, or
-    degree for free.  x + y = 0 or x + y = x forces s(y) = 0; x <= y <= x
-    gives s(c) + s(d) = 0 for its complements c, d; n*x <= y for every n
-    forces s(x) = 0.  So it certifies conical, stably finite, antisymmetric
-    and archimedean.
+    `PrimElem.degree` on the free monoid, the primitive monoid of an
+    antichain, where no relation absorbs a prime.  x + y = 0 or x + y = x
+    forces s(y) = 0; x <= y <= x gives s(c) + s(d) = 0 for its complements
+    c, d; n*x <= y for every n forces s(x) = 0.  So it certifies conical,
+    stably finite, antisymmetric and archimedean.
   - "pair state certificate": bar's validated `standard_certificates(n,
     "bar")["pair_state"]`, xbar_l -> (1 - l, 1), ybar0, zbar0 -> (1, 0),
     into the pointed cone {q > 0} u {q = 0, p >= 0} of Z^2, where a sum is 0
@@ -90,9 +91,9 @@ exact oracles draw on four sources, each quoted here by its note:
   - "homogeneous order certificate": m*x <= m*y iff x <= y for every m >=
     1, which certifies unperforation on the ladder, bar and free oracles.
   - "closed-form refinement certificate": on every exact oracle (ladder,
-    bar, free, primitive), `refine` solves each a + b = c + d in closed
-    form, and `words.checked_refinement` verifies each matrix.  The ladder
-    and bar monoids are refinement monoids by construction, free and
+    bar, primitive, free among them), `refine` solves each a + b = c + d in
+    closed form, and `words.checked_refinement` verifies each matrix.  The
+    ladder and bar monoids are refinement monoids by construction,
     primitive monoids by Pierce.  So it certifies refinement, and Riesz
     decomposition with it: x <= y1 + y2 gives x + c = y1 + y2 for a
     complement c, whose refinement ((z11, z12), (z21, z22)) has x = z11 +
@@ -104,7 +105,7 @@ The closed-form order criteria, read at such a common level, are
   ladder: m1 <= m2, the rungs componentwise <=, and i1 + j1 <= i2 + j2 when
           m2 > 0, i1 <= i2 and j1 <= j2 when m2 = 0;
   bar:    k1 < k2, or k1 = k2 and the same tests on (i, j) by the sign of k2;
-  free:   the componentwise order.
+  free:   the componentwise order of the coefficient vectors.
 They read the same at every common level (one raising step appends rungs
 that the criterion already compares), every condition is a homogeneous
 linear inequality, and scaling keeps the sign of m2 and of k2, so each holds
@@ -133,21 +134,9 @@ REFINEMENT = "refinement"
 RIESZ_DECOMPOSITION = "riesz-decomposition"
 RIESZ_INTERPOLATION = "riesz-interpolation"
 
-PROPERTIES = (
-    CONICAL,
-    STABLY_FINITE,
-    SEPARATIVE,
-    STRONGLY_SEPARATIVE,
-    CANCELLATIVE,
-    UNPERFORATED,
-    ANTISYMMETRIC,
-    ARCHIMEDEAN,
-    REFINEMENT,
-    RIESZ_DECOMPOSITION,
-    RIESZ_INTERPOLATION,
-)
-
 _SEED = 20260823
+# the default sample count of the sampled checks
+SAMPLES = 200
 
 
 class PropertyReport(namedtuple("PropertyReport", "property verdict bound elapsed", defaults=(None, 0.0))):
@@ -200,7 +189,7 @@ def check_property(
     o: MonoidOracle,
     prop: str,
     b: SearchBound,
-    samples: int = 200,
+    samples: int = SAMPLES,
 ) -> PropertyReport:
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property id {prop!r}")
@@ -476,6 +465,7 @@ _CHECKERS = {
     RIESZ_DECOMPOSITION: _check_riesz_decomposition,
     RIESZ_INTERPOLATION: _check_riesz_interpolation,
 }
+PROPERTIES = tuple(_CHECKERS)
 
 
 # ---------------------------------------------------------------------------
@@ -550,32 +540,26 @@ def quotient_equal(o: MonoidOracle, member, x, y, b: SearchBound) -> Decision:
     return sw.exhausted(b, "no ideal shift at bound")
 
 
-def wildness_certificate(o: MonoidOracle, b: SearchBound, samples: int = 200) -> PropertyReport:
+def wildness_certificate(o: MonoidOracle, b: SearchBound, samples: int = SAMPLES) -> PropertyReport:
     """Evidence of wildness: stable finiteness (certified or exhaustive) together
     with a cancellation counterexample, or a separativity/unperforation
     failure.  Never certifies tameness."""
     t0 = time.monotonic()
+    verdict = _wildness_evidence(o, b, samples)
+    return PropertyReport("wildness", verdict, b, time.monotonic() - t0)
+
+
+def _wildness_evidence(o: MonoidOracle, b: SearchBound, samples: int) -> Decision:
     sf = check_property(o, STABLY_FINITE, b, samples)
     if sf.verdict.is_holds:
         canc = check_property(o, CANCELLATIVE, b, samples)
         if canc.verdict.is_fails:
-            verdict = Decision.holds(
+            return Decision.holds(
                 witness={"stably_finite": sf.verdict.note, "noncancellation": canc.verdict.counterexample},
                 note="stably finite but not cancellative",
             )
-            return PropertyReport("wildness", verdict, b, time.monotonic() - t0)
     for prop in (SEPARATIVE, UNPERFORATED):
         rep = check_property(o, prop, b, samples)
         if rep.verdict.is_fails:
-            verdict = Decision.holds(
-                witness={prop: rep.verdict.counterexample},
-                note=f"{prop} fails",
-            )
-            return PropertyReport("wildness", verdict, b, time.monotonic() - t0)
-    return PropertyReport(
-        "wildness",
-        Decision.unknown(b, note="no wildness evidence at bound (consistent with tame)"),
-        b,
-        time.monotonic() - t0,
-    )
-
+            return Decision.holds(witness={prop: rep.verdict.counterexample}, note=f"{prop} fails")
+    return Decision.unknown(b, note="no wildness evidence at bound (consistent with tame)")

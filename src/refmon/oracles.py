@@ -2,20 +2,22 @@
 
 Every oracle exposes elements up to a degree bound, three-valued
 equal/leq/refine, total add, and zero.  Exact oracles (the ladder and bar
-monoids, free monoids, primitive monoids) have canonical hashable elements
-and never answer Unknown; presentation oracles delegate to the bounded
-rewriting engine and may.
+monoids, primitive monoids) have canonical hashable elements and never
+answer Unknown; presentation oracles delegate to the bounded rewriting
+engine and may.  The free monoid of rank n is the primitive monoid of an
+antichain of n primes e0, e1, ..., so `free_oracle` is a primitive oracle
+with the free monoid's invariants and certificates.
 """
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from . import primitive, wild
 from .decisions import Decision, SearchBound
 from .presentation import Presentation
 from .rewrite import ClassCache, decide_equal, decide_leq, find_refinement
-from .words import Word, checked_refinement, compositions, free_refine
+from .words import Word, compositions
 
 
 class MonoidOracle:
@@ -192,37 +194,9 @@ def bar_oracle(level: int) -> MonoidOracle:
     )
 
 
-def free_oracle(rank: int) -> MonoidOracle:
-    """The free commutative monoid of the given rank, as integer tuples."""
-    if rank < 0:
-        raise ValueError("rank must be >= 0")
-
-    def add(x, y):
-        return tuple(a + b for a, b in zip(x, y))
-
-    def leq(x, y):
-        if all(a <= b for a, b in zip(x, y)):
-            return tuple(b - a for a, b in zip(x, y))
-        return None
-
-    def solve(a, b, c, d):
-        z11, z12, z21, z22 = free_refine(a, b, c, d)
-        return (z11, z12), (z21, z22)
-
-    return _exact(
-        f"free({rank})",
-        (0,) * rank,
-        add,
-        leq,
-        partial(checked_refinement, add, solve),
-        lambda d: compositions(rank, d),
-        invariants=lambda x: x,
-        certified={**_POSITIVE_STATE, "unperforated": _HOMOGENEOUS_ORDER},
-    )
-
-
-def primitive_oracle(poset: primitive.PrimePoset, name: str = "prim") -> MonoidOracle:
-    """Exact oracle for the primitive monoid of `poset`."""
+def _primitive(poset: primitive.PrimePoset, name: str, **capabilities) -> MonoidOracle:
+    """The exact oracle of the primitive monoid of `poset`, with the
+    builder's capabilities."""
     return _exact(
         name,
         primitive.normalize(poset, {}),
@@ -230,7 +204,32 @@ def primitive_oracle(poset: primitive.PrimePoset, name: str = "prim") -> MonoidO
         primitive.prim_leq,
         primitive.prim_refine,
         lambda d: primitive.enumerate_elements(poset, d),
+        **capabilities,
     )
+
+
+def free_oracle(rank: int) -> MonoidOracle:
+    """The free commutative monoid of the given rank: the primitive monoid of
+    `rank` unrelated primes e0, e1, ..., its coefficient vector an invariant."""
+    if rank < 0:
+        raise ValueError("rank must be >= 0")
+    poset = primitive.PrimePoset(tuple(f"e{i}" for i in range(rank)), frozenset())
+
+    def invariants(e: primitive.PrimElem) -> tuple[int, ...]:
+        coeffs = dict(e.coeffs)
+        return tuple(coeffs.get(p, 0) for p in poset.primes)
+
+    return _primitive(
+        poset,
+        f"free({rank})",
+        invariants=invariants,
+        certified={**_POSITIVE_STATE, "unperforated": _HOMOGENEOUS_ORDER},
+    )
+
+
+def primitive_oracle(poset: primitive.PrimePoset, name: str = "prim") -> MonoidOracle:
+    """Exact oracle for the primitive monoid of `poset`."""
+    return _primitive(poset, name)
 
 
 def presentation_oracle(

@@ -47,27 +47,7 @@ def vec_scale(n: int, u: tuple) -> tuple:
     return tuple((k, n * v) for k, v in u) if n else ()
 
 
-class Target:
-    """Interface for a certificate target monoid."""
-
-    name = "target"
-
-    def zero(self):
-        raise NotImplementedError
-
-    def add(self, u, v):
-        raise NotImplementedError
-
-    def scale(self, n: int, u):
-        raise NotImplementedError
-
-    def validate(self, u) -> None:
-        raise NotImplementedError
-
-
-class NonnegRationals(Target):
-    name = "nonneg-rationals"
-
+class NonnegRationals:
     def zero(self):
         return Fraction(0)
 
@@ -82,9 +62,7 @@ class NonnegRationals(Target):
             raise ValueError(f"not a nonnegative rational: {u!r}")
 
 
-class NonnegIntegers(Target):
-    name = "nonneg-integers"
-
+class NonnegIntegers:
     def zero(self):
         return 0
 
@@ -100,8 +78,6 @@ class NonnegIntegers(Target):
 
 
 class NonnegIntegersWithInfinity(NonnegIntegers):
-    name = "nonneg-integers+inf"
-
     def add(self, u, v):
         if u is INF or v is INF:
             return INF
@@ -118,11 +94,9 @@ class NonnegIntegersWithInfinity(NonnegIntegers):
         super().validate(u)
 
 
-class FreeAbelian(Target):
+class FreeAbelian:
     """Finite integer vectors over a countable named basis (a group, so any
     integer coefficients are allowed)."""
-
-    name = "free-abelian"
 
     def zero(self):
         return ()
@@ -139,8 +113,6 @@ class FreeAbelian(Target):
 
 
 class FreeAbelianWithInfinity(FreeAbelian):
-    name = "free-abelian+inf"
-
     def add(self, u, v):
         if u is INF or v is INF:
             return INF
@@ -157,11 +129,9 @@ class FreeAbelianWithInfinity(FreeAbelian):
         super().validate(u)
 
 
-class PairMonoid(Target):
+class PairMonoid:
     """Pairs (p, q) with q > 0, or q = 0 and p >= 0: the conical submonoid
     (Z+ x {0}) + (Z x N) of Z^2."""
-
-    name = "pair-monoid"
 
     def zero(self):
         return (0, 0)
@@ -178,10 +148,8 @@ class PairMonoid(Target):
             raise ValueError(f"outside the conical submonoid: {u!r}")
 
 
-class NonnegPlaneWithInfinity(Target):
+class NonnegPlaneWithInfinity:
     """Pairs of nonnegative integers, plus an absorbing infinity."""
-
-    name = "nonneg-plane+inf"
 
     def zero(self):
         return (0, 0)
@@ -221,7 +189,7 @@ class CertificateHom(namedtuple("CertificateHom", "presentation target images na
 
 def build_certificate(
     p: Presentation,
-    target: Target,
+    target: Any,
     images: Mapping[str, Any] | Mapping[int, Any],
     name: str = "hom",
 ) -> CertificateHom:

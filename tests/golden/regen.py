@@ -4,8 +4,11 @@ tests/test_golden.py.
 Each file holds one group of outputs: every `refmon` command runs in-process
 through `refmon.cli.main` and shows its command line, its exit code and its
 stdout (and stderr, when there is any); `lab.txt` holds the thirteen lab
-operations on five oracles at fixed bounds.  Set iteration order reaches some
-outputs, so the files are made and compared under PYTHONHASHSEED=0.
+operations on five oracles at fixed bounds.  No output depends on set
+iteration order: the files come out the same under every hash seed, which
+tests/test_golden.py checks by making them under a second seed.  They are
+made and compared under PYTHONHASHSEED=0 all the same, so that an output
+that comes to depend on the order fails that check and does not flake.
 
 Rewrite the files after a deliberate change of output with
 
@@ -103,7 +106,7 @@ def _lab_line(o, name: str, rep) -> str:
 def _lab() -> str:
     lines = []
     for name, (o, b) in _lab_oracles().items():
-        lines.append(f"# {name} at {b.as_dict()}, 100 samples")
+        lines.append(f"# {name} at {b._asdict()}, 100 samples")
         for prop in lab.PROPERTIES:
             lines.append(_lab_line(o, name, lab.check_property(o, prop, b, samples=100)))
         found, unknown = lab.irreducibles(o, b)
@@ -139,7 +142,7 @@ def outputs() -> dict:
 
 if __name__ == "__main__":
     if os.environ.get("PYTHONHASHSEED") != "0":
-        sys.exit("run with PYTHONHASHSEED=0: set order reaches some outputs")
+        sys.exit("run with PYTHONHASHSEED=0, the seed tests/test_golden.py compares under")
     for name, text in outputs().items():
         (HERE / name).write_text(text)
         print(f"wrote {HERE.name}/{name}")

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from refmon import suite
-from refmon.cli import INPUT_ERROR, main
+from refmon import lab, suite
+from refmon.cli import INPUT_ERROR, _bound, build_parser, main
+from refmon.decisions import SearchBound
 
 POSET_TEXT = "poset P\nprimes p q\nbelow p p\nbelow p q\n"
 
@@ -213,6 +214,16 @@ def test_check_json_reports_bound(capsys):
     assert payload["reports"][0]["property"] == "conical"
 
 
+def test_check_json_reports_the_default_bound(capsys):
+    code, out, _ = run(capsys, "check", "free:1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["bound"] == SearchBound()._asdict()
+    parser = build_parser()
+    assert parser.parse_args(["check", "free:1"]).samples == lab.SAMPLES
+    for argv in (["check", "free:1"], ["wildness", "m0"], ["eq", "m0", "x0", "y0"]):
+        assert _bound(parser.parse_args(argv)) == SearchBound(), argv
+
+
 @pytest.mark.parametrize("command", ["check", "wildness"])
 @pytest.mark.parametrize(
     "spec, message",
@@ -381,6 +392,23 @@ def test_tilde_requires_emitters(tmp_path, capsys):
         assert code == INPUT_ERROR
         assert out == ""
         assert err == "error: graph file has no emitter lines\n"
+
+
+def test_tilde_names_a_chain_vertex_clash(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    f.write_text("vertices v a b w_v_1\narrow e v -> a\narrow f v -> b\nemitter v : e f depth 2\n")
+    for argv in (("tilde", str(f)), ("graph-monoid", str(f), "--tilde")):
+        assert run(capsys, *argv) == (INPUT_ERROR, "", "error: chain vertex 'w_v_1' of emitter 'v' is already a vertex\n")
+
+
+def test_graph_file_errors_name_the_vertex(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    for text, message in (
+        ("vertices v a v\n", "duplicate vertex 'v'"),
+        ("vertices v a\narrow e v -> b\n", "arrow 'e' references unknown vertex 'b'"),
+    ):
+        f.write_text(text)
+        assert run(capsys, "graph-monoid", str(f)) == (INPUT_ERROR, "", f"error: {message}\n")
 
 
 def test_poset_conversion(tmp_path, capsys):

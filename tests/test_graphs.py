@@ -27,12 +27,14 @@ B = SearchBound(max_degree=6)
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError, match="duplicate vertex"):
-        DirectedGraph(("v", "v"), ())
-    with pytest.raises(ValueError, match="duplicate arrow"):
+    with pytest.raises(ValueError, match="^duplicate vertex 'v'$"):
+        DirectedGraph(("u", "v", "v"), ())
+    with pytest.raises(ValueError, match="^duplicate arrow 'a'$"):
         DirectedGraph(("v",), (("a", "v", "v"), ("a", "v", "v")))
-    with pytest.raises(ValueError, match="unknown vertex"):
+    with pytest.raises(ValueError, match="^arrow 'a' references unknown vertex 'w'$"):
         DirectedGraph(("v",), (("a", "v", "w"),))
+    with pytest.raises(ValueError, match="^arrow 'a' references unknown vertex 'u'$"):
+        DirectedGraph(("v",), (("a", "u", "v"),))
 
 
 def test_separation_must_partition():
@@ -250,7 +252,7 @@ def test_tilde_example():
     assert set(t.out_arrows("w_v_1")) == {"w_v_1__w_v_2", "w_v_1__r1"}
     assert t.rng("w_v_1__r1") == "z"
     # the chain replaces the fan: every emitter and chain vertex emits <= 2 arrows
-    assert all(t.out_degree(v) <= 2 for v in ("v", "w_v_1", "w_v_2"))
+    assert all(len(t.out_arrows(v)) <= 2 for v in ("v", "w_v_1", "w_v_2"))
     # monoid relations of the unseparated tilde graph
     p = present_finitely_separated(unseparation(t))
     assert decide_equal(p, p.word("v"), p.word("z + w_v_1"), B).is_holds
@@ -276,6 +278,13 @@ def test_tilde_validates_enumeration():
         tilde_construction(g, {"v": ["e1", "e2"]}, depth=0)
 
 
+def test_tilde_refuses_a_chain_vertex_that_is_already_a_vertex():
+    g = DirectedGraph(("v", "a", "b", "w_v_2"), (("e", "v", "a"), ("f", "v", "b")))
+    with pytest.raises(ValueError, match="^chain vertex 'w_v_2' of emitter 'v' is already a vertex$"):
+        tilde_construction(g, {"v": ["e", "f"]}, depth=2)
+    assert "w_v_2" in tilde_construction(g, {"v": ["e", "f"]}, depth=1).vertices
+
+
 # -- file format
 
 
@@ -295,7 +304,7 @@ emitter u : e1 e2 f1 f2 depth 2
 def test_parse_graph_roundtrip():
     gf = parse_graph(SAMPLE)
     assert gf.graph.name == "demo"
-    assert gf.graph.out_degree("u") == 4
+    assert len(gf.graph.out_arrows("u")) == 4
     assert gf.separated().classes_at("u") == (("e1", "e2"), ("f1", "f2"))
     assert gf.emitters == (("u", ("e1", "e2", "f1", "f2")),)
     assert gf.depth == 2

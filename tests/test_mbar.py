@@ -14,7 +14,7 @@ XB0, YB, ZB = BarElem.xbar(0), BarElem.ybar(), BarElem.zbar()
 
 def bar_elems(max_level=3, max_coeff=3):
     return st.builds(
-        BarElem.make,
+        BarElem,
         st.integers(0, max_level),
         st.integers(0, max_coeff),
         st.integers(0, max_coeff),
@@ -27,16 +27,16 @@ def bar_elems(max_level=3, max_coeff=3):
 
 def test_canonical_lowers_and_folds():
     # xbar1 + ybar0 is xbar0; with an xbar present, zbar folds into ybar
-    assert BarElem.make(1, 1, 0, 1) == XB0
-    assert BarElem.make(1, 0, 1, 1) == XB0
-    assert BarElem.make(2, 1, 1, 1) == XB0
-    e = BarElem.make(1, 0, 2, 1)
+    assert BarElem(1, 1, 0, 1) == XB0
+    assert BarElem(1, 0, 1, 1) == XB0
+    assert BarElem(2, 1, 1, 1) == XB0
+    e = BarElem(1, 0, 2, 1)
     assert (e.i, e.j) == (1, 0) and e.level == 0
 
 
 def test_no_folding_without_xbar():
     assert not YB.equal(ZB)
-    assert YB.add(ZB) == BarElem.make(0, 1, 1, 0)
+    assert YB.add(ZB) == BarElem(0, 1, 1, 0)
 
 
 def test_relation_instances():
@@ -47,13 +47,13 @@ def test_relation_instances():
 
 @given(bar_elems())
 def test_canonical_form_is_stable(e):
-    assert BarElem.make(e.level, e.i, e.j, e.k) == e
+    assert BarElem(e.level, e.i, e.j, e.k) == e
 
 
 @given(bar_elems(), st.integers(0, 3))
 def test_level_invariance(e, extra):
     i, j, k = e.raised(e.level + extra)
-    assert BarElem.make(e.level + extra, i, j, k) == e
+    assert BarElem(e.level + extra, i, j, k) == e
 
 
 @given(bar_elems(), bar_elems())
@@ -132,17 +132,17 @@ def _ref_leq(e1, e2):
         return None
     if k2 == 0:
         if i1 <= i2 and j1 <= j2:
-            return BarElem.make(0, i2 - i1, j2 - j1, 0)
+            return BarElem(0, i2 - i1, j2 - j1, 0)
         return None
     if k1 == k2:
         if i1 + j1 <= i2 + j2:
-            return BarElem.make(n, i2 + j2 - i1 - j1, 0, 0)
+            return BarElem(n, i2 + j2 - i1 - j1, 0, 0)
         return None
     gap = (i1 + j1) - (i2 + j2)
     t = 0 if gap <= 0 else -(-gap // (k2 - k1))
     i1t, j1t, _ = e1.raised(n + t)
     i2t, j2t, _ = e2.raised(n + t)
-    return BarElem.make(n + t, (i2t + j2t) - (i1t + j1t), 0, k2 - k1)
+    return BarElem(n + t, (i2t + j2t) - (i1t + j1t), 0, k2 - k1)
 
 
 @pytest.mark.parametrize("c", [1, 2, 3])
@@ -171,7 +171,7 @@ def _ref_add(e1, e2):
     n = max(e1.level, e2.level)
     i1, j1, k1 = e1.raised(n)
     i2, j2, k2 = e2.raised(n)
-    return BarElem.make(n, i1 + i2, j1 + j2, k1 + k2)
+    return BarElem(n, i1 + i2, j1 + j2, k1 + k2)
 
 
 @pytest.mark.parametrize("c", [1, 2, 3])
@@ -216,8 +216,8 @@ def test_bar_refine_random_totality():
         s = a.add(b)
         i, j, k = s.raised(s.level)
         ci, cj, ck = rng.randint(0, i), rng.randint(0, j), rng.randint(0, k)
-        c = BarElem.make(s.level, ci, cj, ck)
-        d = BarElem.make(s.level, i - ci, j - cj, k - ck)
+        c = BarElem(s.level, ci, cj, ck)
+        d = BarElem(s.level, i - ci, j - cj, k - ck)
         wild.bar_refine(a, b, c, d)
 
 
@@ -387,7 +387,7 @@ def _assert_canonical_and_hashed(elems):
     finds equal to it."""
     for e in elems:
         assert BarElem(*e) == e
-        assert BarElem.make(*e) == e
+        assert BarElem(*e) == e
     for e1 in elems:
         for e2 in elems:
             if _ref_equal(e1, e2):
@@ -415,9 +415,8 @@ def test_refine_entries_are_canonical(p, q, r, s):
 
 @pytest.mark.parametrize("fields", [(0, -1, 0, 0), (0, 0, -1, 0), (1, 0, 0, -1), (-1, 0, 0, 1), (2, -5, 0, 1), (-1, 0, 2, 0)])
 def test_negative_coefficients_rejected(fields):
-    for build in (BarElem, BarElem.make):
-        with pytest.raises(ValueError, match="negative coefficient"):
-            build(*fields)
+    with pytest.raises(ValueError, match="negative coefficient"):
+        BarElem(*fields)
 
 
 def test_elements_are_tuples_with_named_fields():

@@ -318,7 +318,7 @@ def _ref_bar_refine(a, b, c, d):
         if extra == 0:
             break
         n += extra
-    entries = [BarElem.make(n, i, j, k) for k, i, j in mat]
+    entries = [BarElem(n, i, j, k) for k, i, j in mat]
     matrix = ((entries[0], entries[1]), (entries[2], entries[3]))
     return matrix
 

@@ -252,9 +252,8 @@ _P, _Q = (primitive.normalize(_CHAIN, {x: 1}) for x in "pq")
         (wild.ladder_refine, wild.LadderElem.x(0), wild.LadderElem.x(0), wild.LadderElem.y(0), wild.LadderElem.y(0)),
         (wild.bar_refine, wild.BarElem.ybar(), wild.BarElem.ybar(), wild.BarElem.zbar(), wild.BarElem.zbar()),
         (primitive.prim_refine, _P, _P, _Q, _Q),
-        (oracles.free_oracle(2).refine, (1, 0), (0, 0), (0, 1), (0, 0)),
     ],
-    ids=["ladder", "bar", "primitive", "free"],
+    ids=["ladder", "bar", "primitive"],
 )
 def test_every_exact_calculator_rejects_a_failed_precondition(refine, a, b, c, d):
     with pytest.raises(ValueError, match=r"^precondition a \+ b = c \+ d does not hold$"):
@@ -262,10 +261,11 @@ def test_every_exact_calculator_rejects_a_failed_precondition(refine, a, b, c, d
 
 
 def test_free_oracle_verifies_its_matrix(monkeypatch):
-    monkeypatch.setattr(oracles, "free_refine", lambda a, b, c, d: (a, b, c, d))
+    monkeypatch.setattr(primitive, "free_refine", lambda a, b, c, d: (a, b, c, d))
     o = oracles.free_oracle(2)
-    with pytest.raises(AssertionError, match=r"^refinement row 1 does not verify: \(1, 1\) != \(1, 0\)$"):
-        o.refine((1, 0), (0, 1), (0, 1), (1, 0))
+    e = {str(x): x for x in o.elements(1)}
+    with pytest.raises(AssertionError, match=r"^refinement row 1 does not verify: e0 \+ e1 != e0$"):
+        o.refine(e["e0"], e["e1"], e["e1"], e["e0"])
 
 
 def test_directives_skip_comments_and_blanks():
