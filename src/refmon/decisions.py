@@ -20,6 +20,8 @@ HOLDS = "holds"
 FAILS = "fails"
 UNKNOWN = "unknown"
 
+_new = tuple.__new__
+
 
 class SearchBound(namedtuple("SearchBound", "max_degree max_class_size max_coefficient", defaults=(6, 20000, 5))):
     """Caps for bounded enumeration.
@@ -44,7 +46,9 @@ class Decision(namedtuple("Decision", "verdict witness counterexample bound note
     """Holds(witness) / Fails(counterexample) / Unknown(bound).
 
     Holds and Fails always carry a machine-checkable witness respectively
-    counterexample; Unknown records the bound that was exhausted.
+    counterexample; Unknown records the bound that was exhausted.  Decision
+    validates no field, so the constructors below build the tuple directly
+    (`_new`, in field order), without the generated `__new__`'s keywords.
     """
 
     __slots__ = ()
@@ -53,17 +57,22 @@ class Decision(namedtuple("Decision", "verdict witness counterexample bound note
     def holds(witness: Any = None, note: str = "") -> "Decision":
         if witness is None and not note:
             return _BARE_HOLDS
-        return Decision(HOLDS, witness=witness, note=note)
+        return _new(Decision, (HOLDS, witness, None, None, note))
 
     @staticmethod
     def fails(counterexample: Any = None, note: str = "") -> "Decision":
         if counterexample is None and not note:
             return _BARE_FAILS
-        return Decision(FAILS, counterexample=counterexample, note=note)
+        return _new(Decision, (FAILS, None, counterexample, None, note))
 
     @staticmethod
     def unknown(bound: SearchBound | None = None, note: str = "") -> "Decision":
-        return Decision(UNKNOWN, bound=bound, note=note)
+        if note:
+            return _new(Decision, (UNKNOWN, None, None, bound, note))
+        bare = _BARE_UNKNOWN.get(bound)
+        if bare is None:
+            bare = _BARE_UNKNOWN[bound] = Decision(UNKNOWN, bound=bound)
+        return bare
 
     @property
     def is_holds(self) -> bool:
@@ -83,6 +92,8 @@ class Decision(namedtuple("Decision", "verdict witness counterexample bound note
 
 
 # Decisions are immutable, so the bare ones (no witness, counterexample or note)
-# that exact oracles return by the hundred thousand can be one shared object.
+# that exact oracles return by the hundred thousand can be one shared object,
+# and the bare Unknowns that bounded searches return one per bound.
 _BARE_HOLDS = Decision(HOLDS)
 _BARE_FAILS = Decision(FAILS)
+_BARE_UNKNOWN: dict[SearchBound | None, Decision] = {}

@@ -173,7 +173,9 @@ def tilde_construction(
 
     Arrows: non-emitter arrows kept; the first enumerated arrow of v kept,
     plus v -> w_v_1; then w_v_n -> w_v_{n+1} and w_v_n -> r(e_{v,n+1}) for
-    n < depth.  The result is row-finite by construction.
+    n < depth.  The result is row-finite by construction.  A chain vertex
+    that is already a vertex, or a chain arrow whose name already names an
+    arrow, raises ValueError naming it and its emitter.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -189,6 +191,8 @@ def tilde_construction(
     for a, s, r in g.arrows:
         if s not in emitter_order:
             arrows.append((a, s, r))
+    # every arrow name of g, and each chain arrow's as it is made
+    names = {a for a, _, _ in g.arrows}
     for v in g.vertices:
         if v not in emitter_order:
             continue
@@ -201,12 +205,16 @@ def tilde_construction(
         if order:
             a0 = order[0]
             arrows.append((a0, v, g.rng(a0)))
-        arrows.append((f"{v}__{chain[0]}", v, chain[0]))
+        made = [(f"{v}__{chain[0]}", v, chain[0])]
         for n in range(1, depth):
-            arrows.append((f"{chain[n-1]}__{chain[n]}", chain[n - 1], chain[n]))
+            made.append((f"{chain[n-1]}__{chain[n]}", chain[n - 1], chain[n]))
             if n < len(order):
-                target = g.rng(order[n])
-                arrows.append((f"{chain[n-1]}__r{n}", chain[n - 1], target))
+                made.append((f"{chain[n-1]}__r{n}", chain[n - 1], g.rng(order[n])))
+        for a, _, _ in made:
+            if a in names:
+                raise ValueError(f"chain arrow {a!r} of emitter {v!r} is already an arrow")
+            names.add(a)
+        arrows += made
     return DirectedGraph(tuple(vertices), tuple(arrows), g.name + "_tilde")
 
 

@@ -357,28 +357,31 @@ def _check_archimedean(o, b, samples):
 
 def _sample_equations(o, E, rng, samples):
     """Random valid equations a + b = c + d, built from the algebraic order:
-    pick a, b; pick c below a + b; take d from the leq witness."""
-    out = []
-    attempts = 0
-    while len(out) < samples and attempts < samples * 30:
-        attempts += 1
+    pick a, b; pick c below a + b; take d from the leq witness.  Up to
+    `samples` of them, in at most samples * 30 draws, each drawn when the
+    caller asks for it."""
+    found = 0
+    for _ in range(samples * 30):
         a, bb = rng.choice(E), rng.choice(E)
         s = o.add(a, bb)
         c = rng.choice(E)
         dec = o.leq(c, s)
         if dec.is_holds:
-            out.append((a, bb, c, dec.witness))
-    return out
+            yield a, bb, c, dec.witness
+            found += 1
+            if found == samples:
+                return
 
 
 def _check_refinement(o, b, samples):
-    eqs = _sample_equations(o, _elems(o, b), random.Random(_SEED), samples)
     sw = _Sweep()
-    for a, bb, c, d in eqs:
+    drawn = 0
+    for a, bb, c, d in _sample_equations(o, _elems(o, b), random.Random(_SEED), samples):
+        drawn += 1
         dec = o.refine(a, bb, c, d)
         if sw.definite(dec) is False:
             return Decision.fails(counterexample=(a, bb, c, d), note=dec.note)
-    return sw.close(b, f"{len(eqs)} sampled equations refined")
+    return sw.close(b, f"{drawn} sampled equations refined")
 
 
 def _sampled(b, samples, draw, found, fail_note: str, held_note: str):

@@ -252,18 +252,27 @@ def find_refinement(
     rb - z21 for representatives rb of bw, and d = z12 + z22 is checked.
     The search is complete relative to the enumerated classes, so Fails is
     only returned when every involved class is exhausted and every candidate
-    was rejected definitively.  A precondition a + bw = c + d that fails
-    raises ValueError; one that is Unknown at the bound gives Unknown.
+    was rejected definitively; it carries the size of the exhausted search,
+    the classes of a, bw and c and the number of candidates tried.  A
+    precondition a + bw = c + d that fails raises ValueError; one that is
+    Unknown at the bound gives Unknown.
+
+    Raw-equal words are equal with no search, as decide_equal answers them
+    first, so the precondition and each candidate's z12 + z22 = d go to
+    decide_equal only when the words differ.
     """
     cache = cache or ClassCache(p, b)
-    pre = decide_equal(p, a.add(bw), c.add(d), b, certs, cache)
-    if pre.is_fails:
-        raise ValueError("precondition a + b = c + d does not hold")
-    if pre.is_unknown:
-        return Decision.unknown(b, note="precondition a + b = c + d is unknown at this bound")
+    lhs, rhs = a.add(bw), c.add(d)
+    if lhs != rhs:
+        pre = decide_equal(p, lhs, rhs, b, certs, cache)
+        if pre.is_fails:
+            raise ValueError("precondition a + b = c + d does not hold")
+        if pre.is_unknown:
+            return Decision.unknown(b, note="precondition a + b = c + d is unknown at this bound")
     ca, cb, cc = cache.get(a), cache.get(bw), cache.get(c)
     all_definite = ca.exhausted and cb.exhausted and cc.exhausted
     reps_a, reps_b, reps_c = (cache.ordered(r) for r in (ca, cb, cc))
+    tried = 0
     for ra in reps_a:
         for rc in reps_c:
             for z11 in ra.meet(rc).subwords():
@@ -272,18 +281,27 @@ def find_refinement(
                 for rb in reps_b:
                     if not rb.contains(z21):
                         continue
+                    tried += 1
                     z22 = rb.sub(z21)
-                    chk = decide_equal(p, z12.add(z22), d, b, certs, cache)
-                    if chk.is_holds:
-                        matrix = ((z11, z12), (z21, z22))
-                        ver = verify_refinement(p, matrix, a, bw, c, d, b, certs, cache)
-                        if ver.is_holds:
-                            return Decision.holds(witness=matrix, note="verified refinement")
-                        all_definite = False
-                    elif chk.is_unknown:
-                        all_definite = False
+                    total = z12.add(z22)
+                    if total != d:
+                        chk = decide_equal(p, total, d, b, certs, cache)
+                        if chk.is_unknown:
+                            all_definite = False
+                        if not chk.is_holds:
+                            continue
+                    matrix = ((z11, z12), (z21, z22))
+                    if verify_refinement(p, matrix, a, bw, c, d, b, certs, cache).is_holds:
+                        return Decision.holds(witness=matrix, note="verified refinement")
+                    all_definite = False
     if all_definite:
-        return Decision.fails(note="search space exhausted, no refinement")
+        searched = {
+            "class_a_size": len(ca.words),
+            "class_b_size": len(cb.words),
+            "class_c_size": len(cc.words),
+            "candidates": tried,
+        }
+        return Decision.fails(counterexample=searched, note="search space exhausted, no refinement")
     return Decision.unknown(b)
 
 
@@ -298,7 +316,8 @@ def verify_refinement(
     certs: Sequence = (),
     cache: ClassCache | None = None,
 ) -> Decision:
-    """Re-verify the four row/column equalities of a refinement matrix."""
+    """Re-verify the four row/column equalities of a refinement matrix; a
+    raw-equal one holds with no search, as in decide_equal."""
     cache = cache or ClassCache(p, b)
     (z11, z12), (z21, z22) = matrix
     checks = [
@@ -308,6 +327,8 @@ def verify_refinement(
         (z12.add(z22), d),
     ]
     for got, want in checks:
+        if got == want:
+            continue
         dec = decide_equal(p, got, want, b, certs, cache)
         if not dec.is_holds:
             return dec

@@ -70,22 +70,50 @@ class Word(namedtuple("Word", "exps", defaults=((),))):
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
 
+    # The kernels below take canonical words (sorted indices, positive
+    # exponents), as every constructor but a bare Word(...) makes them, and
+    # return canonical words without Word.of's checks.
+
     def add(self, other: "Word") -> "Word":
-        return Word.of(list(self.exps) + list(other.exps))
+        """Componentwise sum; an empty operand gives the other one back."""
+        if not other.exps:
+            return self
+        if not self.exps:
+            return other
+        acc = dict(self.exps)
+        for i, e in other.exps:
+            acc[i] = acc.get(i, 0) + e
+        return Word(tuple(sorted(acc.items())))
 
     def contains(self, other: "Word") -> bool:
-        """Componentwise >= (the rewrite-applicability test)."""
-        mine = dict(self.exps)
-        return all(mine.get(i, 0) >= e for i, e in other.exps)
+        """Componentwise >= (the rewrite-applicability test): one walk along
+        both sorted exponent tuples."""
+        mine = iter(self.exps)
+        for i, e in other.exps:
+            for j, f in mine:
+                if j >= i:
+                    break
+            else:
+                return False
+            if j != i or f < e:
+                return False
+        return True
 
     def sub(self, other: "Word") -> "Word":
-        """Componentwise difference; requires self.contains(other)."""
+        """Componentwise difference; requires self.contains(other).  Entries
+        keep their sorted order, since an entry is only lowered or deleted."""
+        if not other.exps:
+            return self
         mine = dict(self.exps)
         for i, e in other.exps:
-            mine[i] = mine.get(i, 0) - e
-            if mine[i] < 0:
+            left = mine.get(i, 0) - e
+            if left > 0:
+                mine[i] = left
+            elif left:
                 raise ValueError("word subtraction underflow")
-        return Word(tuple(sorted((i, e) for i, e in mine.items() if e)))
+            else:
+                del mine[i]
+        return Word(tuple(mine.items()))
 
     def scale(self, m: int) -> "Word":
         if m < 0:

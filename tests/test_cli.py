@@ -401,6 +401,13 @@ def test_tilde_names_a_chain_vertex_clash(tmp_path, capsys):
         assert run(capsys, *argv) == (INPUT_ERROR, "", "error: chain vertex 'w_v_1' of emitter 'v' is already a vertex\n")
 
 
+def test_tilde_names_a_chain_arrow_clash(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    f.write_text("vertices v a b\narrow e v -> a\narrow f v -> b\narrow v__w_v_1 a -> b\nemitter v : e f depth 2\n")
+    for argv in (("tilde", str(f)), ("graph-monoid", str(f), "--tilde")):
+        assert run(capsys, *argv) == (INPUT_ERROR, "", "error: chain arrow 'v__w_v_1' of emitter 'v' is already an arrow\n")
+
+
 def test_graph_file_errors_name_the_vertex(tmp_path, capsys):
     f = tmp_path / "g.txt"
     for text, message in (

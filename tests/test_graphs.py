@@ -285,6 +285,22 @@ def test_tilde_refuses_a_chain_vertex_that_is_already_a_vertex():
     assert "w_v_2" in tilde_construction(g, {"v": ["e", "f"]}, depth=1).vertices
 
 
+@pytest.mark.parametrize(
+    "taken, depth",
+    [("v__w_v_1", 1), ("w_v_1__w_v_2", 2), ("w_v_1__r1", 2), ("w_v_2__w_v_3", 3)],
+)
+def test_tilde_refuses_a_chain_arrow_that_is_already_an_arrow(taken, depth):
+    # each name the chain of emitter v makes: v -> w_v_1, w_v_n -> w_v_{n+1}
+    # and w_v_n -> r(f), here held by an arrow a -> b that is not v's
+    g = DirectedGraph(("v", "a", "b"), (("e", "v", "a"), ("f", "v", "b"), (taken, "a", "b")))
+    with pytest.raises(ValueError, match=f"^chain arrow '{taken}' of emitter 'v' is already an arrow$"):
+        tilde_construction(g, {"v": ["e", "f"]}, depth=depth)
+    # a chain too short to make the name keeps the arrow
+    if depth > 1:
+        assert (taken, "a", "b") in tilde_construction(g, {"v": ["e", "f"]}, depth=depth - 1).arrows
+
+
+
 # -- file format
 
 

@@ -1,6 +1,7 @@
 """Property lab: bounded checkers over the oracle facade."""
 import itertools
 import operator
+import random
 
 import pytest
 
@@ -52,7 +53,13 @@ def test_bare_decisions_are_shared_and_frozen():
     assert Decision.holds() is Decision.holds()
     assert Decision.fails() is Decision.fails()
     assert Decision.holds().is_holds and Decision.fails().is_fails
-    for shared in (Decision.holds(), Decision.fails()):
+    # one bare Unknown per bound, an equal bound included
+    other = SearchBound(max_degree=4)
+    assert Decision.unknown(B) is Decision.unknown(SearchBound(max_degree=3, max_coefficient=3))
+    assert Decision.unknown() is Decision.unknown(None)
+    assert Decision.unknown(other) is Decision.unknown(other) is not Decision.unknown(B)
+    assert Decision.unknown(B).is_unknown and Decision.unknown(other).bound == other
+    for shared in (Decision.holds(), Decision.fails(), Decision.unknown(), Decision.unknown(B)):
         with pytest.raises(AttributeError):
             shared.note = "changed"
         assert shared.note == "" and shared.witness is None and shared.counterexample is None
@@ -65,12 +72,15 @@ def test_decisions_with_content_are_fresh():
         Decision.holds(note="n"),
         Decision.fails(counterexample=0),
         Decision.fails(note="n"),
+        Decision.unknown(B, note="n"),
     ]
     for dec in fresh:
-        assert dec is not Decision.holds() and dec is not Decision.fails()
+        assert dec is not Decision.holds() and dec is not Decision.fails() and dec is not Decision.unknown(B)
     assert Decision.holds(witness=1) is not Decision.holds(witness=1)
     assert Decision.fails(note="n") is not Decision.fails(note="n")
+    assert Decision.unknown(B, note="n") is not Decision.unknown(B, note="n")
     assert fresh[0].witness == 0 and fresh[3].counterexample == 0
+    assert (fresh[5].verdict, fresh[5].bound, fresh[5].note) == ("unknown", B, "n")
 
 
 def test_ladder_state_is_additive_and_positive():
@@ -528,6 +538,44 @@ _PINNED_LAB_SHEET = [
     ("m0", "riesz-decomposition", "fails", "no bounded decomposition found", ("2*y0", "y0 + z0", "x0")),
     ("m0", "riesz-interpolation", "holds", "25 sampled instances interpolated", None),
 ]
+
+
+def _sample_equations_as_a_list(o, E, rng, samples):
+    """lab._sample_equations as it was first written, drawing every equation
+    before the first is refined."""
+    out = []
+    attempts = 0
+    while len(out) < samples and attempts < samples * 30:
+        attempts += 1
+        a, bb = rng.choice(E), rng.choice(E)
+        s = o.add(a, bb)
+        c = rng.choice(E)
+        dec = o.leq(c, s)
+        if dec.is_holds:
+            out.append((a, bb, c, dec.witness))
+    return out
+
+
+_CHAIN = primitive.PrimePoset(("p", "q", "r"), frozenset({("p", "q"), ("q", "r"), ("p", "r")}))
+_LAB_SHEET_ORACLES = {  # the lab sheet's five oracles: factory, bound
+    **{name: (lambda make=make, b=b: make(b), b) for name, (make, b) in _LAB_SHEET.items()},
+    "prim-free": (
+        lambda: primitive_oracle(primitive.PrimePoset(("p", "q", "r"), frozenset()), "prim-free"),
+        SearchBound(max_degree=2, max_coefficient=3),
+    ),
+    "prim-chain": (lambda: primitive_oracle(_CHAIN, "prim-chain"), SearchBound(max_degree=2, max_coefficient=3)),
+}
+
+
+@pytest.mark.parametrize("name", _LAB_SHEET_ORACLES)
+@pytest.mark.parametrize("samples", [1, 7, 100])
+def test_sampled_equations_are_drawn_as_the_list_drew_them(name, samples):
+    make, b = _LAB_SHEET_ORACLES[name]
+    E = make().elements(b.max_degree)
+    want = _sample_equations_as_a_list(make(), E, random.Random(lab._SEED), samples)
+    got = lab._sample_equations(make(), E, random.Random(lab._SEED), samples)
+    assert not isinstance(got, list)
+    assert list(got) == want and len(want) == samples
 
 
 @pytest.mark.parametrize("oracle, check, verdict, note, counterexample", _PINNED_LAB_SHEET)

@@ -373,6 +373,45 @@ def test_only_format_term_writes_summands():
     _only_in(("words.py", "format_term"), _writes_summand)
 
 
+def _builds_decision(n):
+    """A call that makes a Decision tuple: the constructor, by name or as a
+    module attribute, `Decision._make`, or a `__new__` handed Decision."""
+    if not isinstance(n, ast.Call):
+        return False
+    name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+    if name == "Decision":
+        return True
+    if name == "_make":
+        return getattr(n.func.value, "id", None) == "Decision"
+    return name in ("_new", "__new__") and n.args[:1] != [] and getattr(n.args[0], "id", None) == "Decision"
+
+
+def test_decision_lint_flags_a_constructor_call():
+    source = (
+        "from refmon import decisions\n"
+        "from refmon.decisions import Decision\n"
+        "def bare(b):\n"
+        "    return Decision('unknown', bound=b)\n"
+        "def other():\n"
+        "    return decisions.Decision('holds'), Decision.holds(), decisions.Decision.unknown()\n"
+        "def raw(b):\n"
+        "    return tuple.__new__(Decision, ('unknown', None, None, b, '')), Decision._make(('holds',) * 5)\n"
+        "def unrelated(x):\n"
+        "    return tuple.__new__(tuple, x), x._make(x), Decision.unknown(x)\n"
+    )
+    assert [n.lineno for n in ast.walk(ast.parse(source)) if _builds_decision(n)] == [4, 6, 8, 8]
+
+
+def test_only_decisions_builds_decisions():
+    """Verdicts are made through `Decision.holds`, `fails` and `unknown`, the
+    one place that calls the constructor, so a bare verdict is always the
+    shared instance those return."""
+    built = {path.name: [n.lineno for n in ast.walk(_tree(path)) if _builds_decision(n)] for path in SOURCES}
+    elsewhere = sorted(f"{name}:{line}" for name, lines in built.items() if name != "decisions.py" for line in lines)
+    assert not elsewhere
+    assert built["decisions.py"], "decisions.py no longer builds verdicts; update this test"
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_dataclasses(path):
     """The package's records are tuple subclasses (or, for MonoidOracle, a

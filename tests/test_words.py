@@ -48,6 +48,60 @@ def test_contains_sub_roundtrip():
         small.sub(big)
 
 
+# The word kernels as they were written first, through Word.of and a dict:
+# add, contains and sub must agree with them on every pair of words.
+def _add_by_of(u, v):
+    return Word.of(list(u.exps) + list(v.exps))
+
+
+def _contains_by_dict(u, v):
+    mine = dict(u.exps)
+    return all(mine.get(i, 0) >= e for i, e in v.exps)
+
+
+def _sub_by_dict(u, v):
+    mine = dict(u.exps)
+    for i, e in v.exps:
+        mine[i] = mine.get(i, 0) - e
+        if mine[i] < 0:
+            raise ValueError("word subtraction underflow")
+    return Word(tuple(sorted((i, e) for i, e in mine.items() if e)))
+
+
+# sparse words over eight generators, the empty word among them
+_SPARSE = st.dictionaries(st.integers(0, 7), st.integers(0, 4), max_size=8).map(lambda d: Word.of(d.items()))
+
+
+def _canonical(w):
+    idxs = [i for i, _ in w.exps]
+    return idxs == sorted(set(idxs)) and all(e > 0 for _, e in w.exps)
+
+
+@given(_SPARSE, _SPARSE)
+def test_kernels_match_the_word_of_round_trip(u, v):
+    total = u.add(v)
+    assert total == _add_by_of(u, v) and _canonical(total)
+    assert u.contains(v) == _contains_by_dict(u, v)
+    assert total.contains(u) and total.contains(v)
+    for big, small in ((u, v), (total, u), (total, v)):
+        if _contains_by_dict(big, small):
+            diff = big.sub(small)
+            assert diff == _sub_by_dict(big, small) and _canonical(diff)
+            assert diff.add(small) == big
+        else:
+            with pytest.raises(ValueError, match="^word subtraction underflow$"):
+                big.sub(small)
+
+
+@given(_SPARSE)
+def test_kernels_on_the_empty_word(w):
+    zero = Word()
+    # an empty operand gives the other one back, itself
+    assert w.add(zero) is w and zero.add(w) is (zero if w.is_zero() else w)
+    assert w.sub(zero) is w and w.sub(w) == zero
+    assert w.contains(zero) and zero.contains(w) == w.is_zero()
+
+
 def test_meet_and_subwords():
     u = Word.of([(0, 2), (1, 1)])
     v = Word.of([(0, 1), (2, 4)])
