@@ -75,7 +75,7 @@ turn an Unknown report into Holds.  Two oracles carry it:
 
 Certificates.  When an oracle's `certified` names a property,
 `check_property` answers Holds with that note and sweeps nothing.  The
-exact oracles draw on four sources, each quoted here by its note:
+exact oracles draw on five sources, each quoted here by its note:
   - "positive state certificate": a positive state s, additive and > 0 off
     0: the ladder's validated `wild.standard_certificates(n)["state"]`, or
     `PrimElem.degree` on the free monoid, the primitive monoid of an
@@ -98,6 +98,42 @@ exact oracles draw on four sources, each quoted here by its note:
     decomposition with it: x <= y1 + y2 gives x + c = y1 + y2 for a
     complement c, whose refinement ((z11, z12), (z21, z22)) has x = z11 +
     z12, y1 = z11 + z21 and y2 = z12 + z22, so z11 <= y1 and z12 <= y2.
+  - "primitive poset certificate": on a primitive oracle, what its poset
+    proves by primitive.py's closed-form order and the fact behind it:
+    supp(x + y) is the set of maximal primes of supp x u supp y, with
+    coefficient c_x(q) + c_y(q) at a non-idempotent q.  A support is an
+    antichain, and idempotent coefficients are 1.  A builder's own
+    certificate for a property takes precedence (the free oracle's).
+      - Conical: an empty support has no maximal prime, so x + y = 0
+        forces x = y = 0.
+      - Antisymmetric: let x <= y <= x.  If p is in supp x but not in supp
+        y, then p < q for a q in supp y, and q is in supp x or below a
+        prime of supp x; by transitivity p is strictly below a prime of
+        supp x, which breaks the antichain.  So the supports are equal, and
+        the order criterion makes the coefficients equal.
+      - Unperforated: supp(m*x) = supp x, and non-idempotent coefficients
+        scale by m, so every condition of the order criterion holds for
+        (m*x, m*y) iff it holds for (x, y).
+      - Separative: 2x = 2y = x + y gives supp x = supp y, then 2c_x(q) =
+        2c_y(q) at each non-idempotent q, so x = y.
+      - Strongly separative, when no prime is idempotent: 2x = x + y gives
+        supp(x + y) = supp x and c_x(q) + c_y(q) = 2c_x(q) on it, so supp
+        x lies in supp y with equal coefficients.  A prime of supp y
+        outside supp x would lie below one of supp x, also in supp y, which
+        breaks the antichain; so y = x.  An idempotent p refutes it: 2p = p
+        + 0 with p != 0.
+      - Stably finite, cancellative and archimedean, when `below` is empty:
+        the monoid is free, and its degree is a positive state (above).  A
+        pair e < f, e = f allowed, refutes all three: e + f = f = 0 + f
+        with e != 0, and n*e <= f for every n.
+
+Tameness.  The paper calls a refinement monoid tame when it is an
+inductive limit of finitely generated refinement monoids.  So the monoid of
+an oracle that is `finitely_generated` and certifies refinement is tame,
+and `wildness_certificate` answers Fails on it, with a note saying so,
+before it looks for evidence of wildness.  The primitive and free oracles
+are such oracles.  The ladder and bar monoids are inductive limits, not
+finitely generated, and a presentation oracle certifies no refinement.
 
 Homogeneity.  Raising is linear, so at any level n at or above the levels
 of x and y, m times the coefficients of x and y at n represent m*x and m*y.
@@ -543,16 +579,27 @@ def quotient_equal(o: MonoidOracle, member, x, y, b: SearchBound) -> Decision:
     return sw.exhausted(b, "no ideal shift at bound")
 
 
+# the paper's definition: a refinement monoid is tame when it is an inductive
+# limit of finitely generated refinement monoids
+_TAME = "finitely generated refinement monoid, tame by definition"
+
+
 def wildness_certificate(o: MonoidOracle, b: SearchBound, samples: int = SAMPLES) -> PropertyReport:
-    """Evidence of wildness: stable finiteness (certified or exhaustive) together
-    with a cancellation counterexample, or a separativity/unperforation
-    failure.  Never certifies tameness."""
+    """Evidence of wildness, or its absence.  Fails (tame) on an oracle that
+    is `finitely_generated` and certifies refinement, the primitive and free
+    oracles: a finitely generated refinement monoid is an inductive limit of
+    itself, so tame by the paper's definition.  Otherwise Holds on stable
+    finiteness (certified or exhaustive) together with a cancellation
+    counterexample, or on a separativity or unperforation failure, and
+    Unknown when neither is found."""
     t0 = time.monotonic()
     verdict = _wildness_evidence(o, b, samples)
     return PropertyReport("wildness", verdict, b, time.monotonic() - t0)
 
 
 def _wildness_evidence(o: MonoidOracle, b: SearchBound, samples: int) -> Decision:
+    if o.finitely_generated and REFINEMENT in o.certified:
+        return Decision.fails(note=_TAME)
     sf = check_property(o, STABLY_FINITE, b, samples)
     if sf.verdict.is_holds:
         canc = check_property(o, CANCELLATIVE, b, samples)

@@ -6,7 +6,8 @@ monoids, primitive monoids) have canonical hashable elements and never
 answer Unknown; presentation oracles delegate to the bounded rewriting
 engine and may.  The free monoid of rank n is the primitive monoid of an
 antichain of n primes e0, e1, ..., so `free_oracle` is a primitive oracle
-with the free monoid's invariants and certificates.
+with the free monoid's invariants and certificates.  A primitive oracle
+certifies the properties its poset proves, and is `finitely_generated`.
 """
 from __future__ import annotations
 
@@ -32,8 +33,9 @@ class MonoidOracle:
     mathematics proves it; the lab answers Holds with that reason as the note
     and sweeps nothing.  Every exact oracle certifies refinement and Riesz
     decomposition by its closed-form `refine`; the ladder, bar and free
-    oracles also certify what their states and homogeneous order prove.  The
-    lab docstring's Certificates paragraph quotes each reason with its proof.
+    oracles also certify what their states and homogeneous order prove, and
+    every primitive oracle what its poset proves.  The lab docstring's
+    Certificates paragraph quotes each reason with its proof.
 
     `reports` is the lab's memo: `check_property` keeps each report under
     (property, bound, samples), and a repeated question gets the first
@@ -70,6 +72,10 @@ class MonoidOracle:
         exact: bool = False,  # canonical hashable elements, equality `==`, never Unknown
         fmt: Callable = str,
         certified: Mapping[str, str] | None = None,  # property id -> reason
+        # True when the monoid is finitely generated, like a primitive or a
+        # finitely presented monoid; not the ladder and bar monoids, which
+        # are inductive limits
+        finitely_generated: bool = False,
     ) -> None:
         if cancellable is not None and not exact:
             raise ValueError("only an exact oracle may name cancellable elements")
@@ -86,6 +92,7 @@ class MonoidOracle:
         self.exact = exact
         self.fmt = fmt
         self.certified = {} if certified is None else certified
+        self.finitely_generated = finitely_generated
         self.reports: dict = {}
 
     def replace(self, **changes) -> "MonoidOracle":
@@ -109,6 +116,9 @@ _POSITIVE_STATE = dict.fromkeys(
 # Z^2: wild.standard_certificates(n, "bar")["pair_state"]; not archimedean,
 # since n*zbar0 <= xbar0 for every n
 _PAIR_STATE = dict.fromkeys(("conical", "stably-finite", "antisymmetric"), "pair state certificate")
+# the closed-form order of a primitive monoid, read off its poset: proved in
+# lab.py's Certificates paragraph, and granted by `_poset_certified`
+_POSET_ORDER = "primitive poset certificate"
 # every exact oracle's `refine` solves each a + b = c + d in closed form, and
 # x + c = y1 + y2 refines to x = z11 + z12 with z11 <= y1 and z12 <= y2
 _CLOSED_FORM_REFINEMENT = dict.fromkeys(
@@ -194,9 +204,23 @@ def bar_oracle(level: int) -> MonoidOracle:
     )
 
 
-def _primitive(poset: primitive.PrimePoset, name: str, **capabilities) -> MonoidOracle:
-    """The exact oracle of the primitive monoid of `poset`, with the
-    builder's capabilities."""
+def _poset_certified(poset: primitive.PrimePoset) -> dict[str, str]:
+    """The properties the poset alone proves of its primitive monoid: four
+    always, strong separativity when no prime is idempotent, and stable
+    finiteness, cancellation and the archimedean property when `below` is
+    empty (an antichain)."""
+    props = ["conical", "antisymmetric", "unperforated", "separative"]
+    if not poset.idempotents:
+        props.append("strongly-separative")
+    if not poset.below:
+        props += ["stably-finite", "cancellative", "archimedean"]
+    return dict.fromkeys(props, _POSET_ORDER)
+
+
+def _primitive(poset: primitive.PrimePoset, name: str, certified=None, **capabilities) -> MonoidOracle:
+    """The exact oracle of the primitive monoid of `poset`, a finitely
+    generated refinement monoid, with the builder's capabilities; the
+    builder's `certified` take precedence over the poset's."""
     return _exact(
         name,
         primitive.normalize(poset, {}),
@@ -204,6 +228,8 @@ def _primitive(poset: primitive.PrimePoset, name: str, **capabilities) -> Monoid
         primitive.prim_leq,
         primitive.prim_refine,
         lambda d: primitive.enumerate_elements(poset, d),
+        certified={**_poset_certified(poset), **(certified or {})},
+        finitely_generated=True,
         **capabilities,
     )
 
@@ -254,4 +280,5 @@ def presentation_oracle(
         elements=_per_degree(elements),
         refine=lambda a, b, c, d: find_refinement(p, a, b, c, d, bound, certs, cache),
         fmt=lambda w: w.format(p.gens),
+        finitely_generated=True,
     )

@@ -45,9 +45,14 @@ from .words import ParseError, Word, checked_refinement, compositions, directive
 
 class PrimePoset(namedtuple("PrimePoset", "primes below")):
     """primes: tuple of names; below: frozenset of pairs (e, f) meaning e < f,
-    (p, p) allowed."""
+    (p, p) allowed.
 
-    __slots__ = ()
+    Two tables, built once by the constructor, serve the arithmetic:
+    `above` maps each prime with a prime strictly above it to the frozenset
+    of those primes (it is empty on a poset with no pair e < f, e != f), and
+    `idempotents` is the frozenset of the primes p with p < p.  They live in
+    the instance dict, outside the tuple, so equality and hashing still read
+    only `primes` and `below`."""
 
     def __new__(cls, primes: tuple[str, ...], below: frozenset) -> "PrimePoset":
         ps = set(primes)
@@ -63,7 +68,14 @@ class PrimePoset(namedtuple("PrimePoset", "primes below")):
             for f2, g in below:
                 if f2 == f and (e, g) not in below:
                     raise ValueError(f"transitivity violated by triple ({e!r}, {f!r}, {g!r})")
-        return super().__new__(cls, primes, below)
+        self = super().__new__(cls, primes, below)
+        above: dict[str, set] = {}
+        for e, f in below:
+            if e != f:
+                above.setdefault(e, set()).add(f)
+        self.above = {e: frozenset(fs) for e, fs in above.items()}
+        self.idempotents = frozenset(e for e, f in below if e == f)
+        return self
 
     def lt(self, e: str, f: str) -> bool:
         return (e, f) in self.below
@@ -99,14 +111,19 @@ def normalize(poset: PrimePoset, raw) -> PrimElem:
     """Delete every supported prime strictly below another supported prime
     (one simultaneous pass; a fixed point since the relation is transitive),
     then cap idempotents at 1."""
-    raw = dict(raw)
-    support = {p for p, c in raw.items() if c}
-    kept = {}
-    for p in support:
-        if any(q != p and poset.lt(p, q) for q in support):
-            continue
-        kept[p] = 1 if poset.idempotent(p) else raw[p]
-    return PrimElem(poset, tuple(sorted(kept.items())))
+    return _canonical(poset, {p: c for p, c in dict(raw).items() if c})
+
+
+def _canonical(poset: PrimePoset, support: dict) -> PrimElem:
+    """`normalize` of a raw element given as a dict of nonzero coefficients:
+    one `isdisjoint` test per supported prime against the primes above it,
+    and no pass at all when no prime has one."""
+    above, idem = poset.above, poset.idempotents
+    if above:
+        support = {p: c for p, c in support.items() if p not in above or above[p].isdisjoint(support)}
+    if idem:
+        return PrimElem(poset, tuple(sorted((p, 1) if p in idem else (p, c) for p, c in support.items())))
+    return PrimElem(poset, tuple(sorted(support.items())))
 
 
 def prim_add(e1: PrimElem, e2: PrimElem) -> PrimElem:
@@ -115,7 +132,7 @@ def prim_add(e1: PrimElem, e2: PrimElem) -> PrimElem:
     acc = dict(e1.coeffs)
     for p, c in e2.coeffs:
         acc[p] = acc.get(p, 0) + c
-    return normalize(e1.poset, acc)
+    return _canonical(e1.poset, acc)
 
 
 def prim_leq(e1: PrimElem, e2: PrimElem) -> PrimElem | None:
@@ -127,15 +144,15 @@ def prim_leq(e1: PrimElem, e2: PrimElem) -> PrimElem | None:
     if e1.poset is not e2.poset and e1.poset != e2.poset:
         raise ValueError("poset mismatch")
     poset = e1.poset
-    below = poset.below
+    above, idem = poset.above, poset.idempotents
     c1 = dict(e1.coeffs)
     top = dict(e2.coeffs)
     for p in c1:
-        if p not in top and not any((p, q) in below for q in top):
+        if p not in top and (p not in above or above[p].isdisjoint(top)):
             return None
     comp = []
     for q, c in e2.coeffs:
-        if (q, q) in below:
+        if q in idem:
             if q not in c1:
                 comp.append((q, 1))
         else:

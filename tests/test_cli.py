@@ -443,6 +443,9 @@ def test_wildness_command(capsys):
     assert code == 0
     assert "not cancellative" in out
     code, out, _ = run(capsys, "wildness", "free:2", "--max-degree", "3")
+    assert code == 1
+    assert "fails (finitely generated refinement monoid, tame by definition)" in out
+    code, out, _ = run(capsys, "wildness", "m0", "--max-degree", "3")
     assert code == 2
     assert "consistent with tame" in out
 

@@ -238,7 +238,7 @@ def test_bar_not_cancellative(bar):
 def test_archimedean_never_holds_by_enumeration():
     # without a state, enumeration alone must not certify archimedean
     poset = validate_poset(["p"], [])
-    o = primitive_oracle(poset)
+    o = _uncertified(primitive_oracle(poset))
     rep = lab.check_property(o, lab.ARCHIMEDEAN, B)
     assert rep.verdict.is_unknown
 
@@ -396,8 +396,23 @@ def test_wildness_certificates(ladder, bar, free2):
     rep2 = lab.wildness_certificate(bar, B, samples=60)
     assert rep2.verdict.is_holds
     rep3 = lab.wildness_certificate(free2, B, samples=60)
-    assert rep3.verdict.is_unknown
-    assert "consistent with tame" in rep3.verdict.note
+    assert (rep3.verdict.verdict, rep3.verdict.note) == ("fails", _TAME)
+    rep4 = lab.wildness_certificate(_uncertified(free2), B, samples=60)
+    assert rep4.verdict.is_unknown
+    assert "consistent with tame" in rep4.verdict.note
+
+
+def test_tame_clause_needs_finite_generation_and_certified_refinement(ladder, bar):
+    """The ladder and bar monoids are inductive limits, and a presentation
+    oracle certifies no refinement, even of a primitive monoid's
+    presentation: none of them reads tame."""
+    b = SearchBound(max_degree=2, max_coefficient=3)
+    prim = presentation_oracle(primitive.presentation_of(_CHAIN), b)
+    assert prim.finitely_generated and lab.REFINEMENT not in prim.certified
+    assert not ladder.finitely_generated and not bar.finitely_generated
+    for o in (ladder, bar, prim):
+        assert lab.wildness_certificate(o, b, samples=60).verdict.note != _TAME
+    assert lab.wildness_certificate(primitive_oracle(_CHAIN), b).verdict.note == _TAME
 
 
 # -- Unknown branches of the existential searches, on m0 at degree 3: the
@@ -470,13 +485,16 @@ _CLOSED_FORM = "closed-form refinement certificate"
 
 def _sampled_report(o, check, b, samples):
     """The report of `check` on `o` with its certificates dropped.  Where
-    `o` is exact and `check` is refinement or Riesz decomposition, `o`'s own
-    report must read Holds by closed-form refinement; elsewhere it must be
-    the sampled report itself."""
+    `o` certifies `check`, `o`'s own report must read Holds with the
+    certificate's note, closed-form refinement for refinement and Riesz
+    decomposition on an exact oracle; elsewhere it must be the sampled
+    report itself."""
     rep = lab.check_property(_uncertified(o), check, b, samples)
     own = lab.check_property(o, check, b, samples).verdict
     if o.exact and check in (lab.REFINEMENT, lab.RIESZ_DECOMPOSITION):
         assert (own.verdict, own.note) == ("holds", _CLOSED_FORM)
+    elif check in o.certified:
+        assert (own.verdict, own.note) == ("holds", o.certified[check])
     else:
         assert own == rep.verdict
     return rep
@@ -589,7 +607,8 @@ def test_riesz_checks_pinned_at_lab_sheet_bounds(oracle, check, verdict, note, c
 
 
 # -- the lab on primitive oracles: verdicts and counterexamples pinned at the
-# lab sheet's bounds (degree 2, coefficients up to 3, 100 samples).
+# lab sheet's bounds (degree 2, coefficients up to 3, 100 samples), swept on
+# uncertified copies, and the certificates the oracles answer with instead.
 # prim_leq's complement feeds the sampled equations and both Riesz checks, so
 # a different complement would move a witness here
 
@@ -624,12 +643,25 @@ _PINNED_PRIMITIVE = [
 ]
 
 
+_POSET_CERTIFICATE = "primitive poset certificate"
+_TAME = "finitely generated refinement monoid, tame by definition"
+_PINNED_PRIMITIVE_CERTIFIED = [
+    *[("prim-free", prop, "holds", _POSET_CERTIFICATE) for prop in (
+        "conical", "stably-finite", "separative", "strongly-separative", "cancellative",
+        "unperforated", "antisymmetric", "archimedean")],
+    *[("prim-chain", prop, "holds", _POSET_CERTIFICATE) for prop in (
+        "conical", "separative", "strongly-separative", "unperforated", "antisymmetric")],
+    *[(poset, prop, "holds", _CLOSED_FORM) for poset in _POSETS for prop in ("refinement", "riesz-decomposition")],
+    *[(poset, "wildness", "fails", _TAME) for poset in _POSETS],
+]
+
+
 @pytest.mark.parametrize("poset, check, verdict, note, counterexample", _PINNED_PRIMITIVE)
 def test_primitive_lab_pinned(poset, check, verdict, note, counterexample):
     o = primitive_oracle(_POSETS[poset], poset)
     b = SearchBound(max_degree=2, max_coefficient=3)
     if check == "wildness":
-        rep = lab.wildness_certificate(o, b, samples=100)
+        rep = lab.wildness_certificate(_uncertified(o), b, samples=100)
     else:
         rep = _sampled_report(o, check, b, 100)
     dec = rep.verdict
@@ -637,6 +669,18 @@ def test_primitive_lab_pinned(poset, check, verdict, note, counterexample):
     assert (dec.verdict, dec.note) == (verdict, note)
     shown = None if dec.counterexample is None else tuple(o.fmt(x) for x in dec.counterexample)
     assert shown == counterexample
+
+
+@pytest.mark.parametrize("poset, check, verdict, note", _PINNED_PRIMITIVE_CERTIFIED)
+def test_primitive_lab_certified_pinned(poset, check, verdict, note):
+    o = primitive_oracle(_POSETS[poset], poset)
+    b = SearchBound(max_degree=2, max_coefficient=3)
+    if check == "wildness":
+        rep = lab.wildness_certificate(o, b, samples=100)
+    else:
+        rep = lab.check_property(o, check, b, samples=100)
+    dec = rep.verdict
+    assert (rep.property, dec.verdict, dec.note, dec.counterexample) == (check, verdict, note, None)
 
 
 # -- equal invariants in the pairwise sweeps: the strongly-separative sweep
@@ -889,13 +933,64 @@ _CERTIFIED_POSETS = {**_POSETS, **{
     for poset in primitive.enumerate_posets(["p", "q"])
 }}
 
+# the properties that the poset rules decide, each certified or left out
+_POSET_RULED = (
+    lab.CONICAL, lab.STABLY_FINITE, lab.SEPARATIVE, lab.STRONGLY_SEPARATIVE,
+    lab.CANCELLATIVE, lab.UNPERFORATED, lab.ANTISYMMETRIC, lab.ARCHIMEDEAN,
+)
+
+
+def _poset_rules(poset):
+    """The properties the poset certifies, by the rules in lab.py's
+    Certificates paragraph: four always, strong separativity without an
+    idempotent p < p, and three more without any pair e < f at all."""
+    idempotent = any(e == f for e, f in poset.below)
+    held = {lab.CONICAL, lab.ANTISYMMETRIC, lab.UNPERFORATED, lab.SEPARATIVE}
+    if not idempotent:
+        held.add(lab.STRONGLY_SEPARATIVE)
+    if not poset.below:
+        held |= {lab.STABLY_FINITE, lab.CANCELLATIVE, lab.ARCHIMEDEAN}
+    return held
+
 
 @pytest.mark.parametrize("name", _CERTIFIED_POSETS)
 @pytest.mark.parametrize("deg", [3, 4, 5])
 def test_closed_form_certificates_match_the_sweep_on_primitive_oracles(name, deg):
-    o = primitive_oracle(_CERTIFIED_POSETS[name], name)
-    assert set(o.certified) == {lab.REFINEMENT, lab.RIESZ_DECOMPOSITION}
+    poset = _CERTIFIED_POSETS[name]
+    o = primitive_oracle(poset, name)
+    assert set(o.certified) == _poset_rules(poset) | {lab.REFINEMENT, lab.RIESZ_DECOMPOSITION}
     _certificates_match_the_sweep(o, deg)
+
+
+_SMALL_POSETS = [
+    poset for names in ([], ["p"], ["p", "q"], ["p", "q", "r"]) for poset in primitive.enumerate_posets(names)
+]
+
+
+@pytest.mark.parametrize("deg", [3, 4])
+def test_poset_rules_match_the_sweeps_on_every_small_poset(deg):
+    """On every poset on at most three primes, each property the rules
+    certify sweeps Holds on the uncertified copy, but the antichain's
+    archimedean, which enumeration leaves Unknown; each one they leave out
+    sweeps Fails."""
+    b = SearchBound(max_degree=deg)
+    assert len(_SMALL_POSETS) == 1 + 2 + 12 + 152
+    fails = 0
+    for poset in _SMALL_POSETS:
+        o = primitive_oracle(poset)
+        ruled = _poset_rules(poset)
+        assert {p for p, note in o.certified.items() if note == _POSET_CERTIFICATE} == ruled, poset
+        swept = _uncertified(o)
+        for prop in _POSET_RULED:
+            dec = _report(swept, prop, b)
+            if prop not in ruled:
+                assert dec.is_fails, (poset, prop)
+                fails += 1
+            elif prop == lab.ARCHIMEDEAN:
+                assert dec.is_unknown, poset
+            else:
+                assert dec.is_holds, (poset, prop, dec.counterexample)
+    assert fails == 632  # 586 of them on three primes
 
 
 def test_builtin_certificates_name_lab_properties():

@@ -479,7 +479,7 @@ def test_every_certificate_reason_is_documented():
     """Every reason an oracle may give for a certified property is quoted in
     lab.py's "Certificates" paragraph, which states its proof."""
     oracles_tree, lab_tree = _tree(ROOT / "src" / "refmon" / "oracles.py"), _tree(ROOT / "src" / "refmon" / "lab.py")
-    assert len(_certificate_reasons(oracles_tree)) >= 4, "the certificate tables moved; update this test"
+    assert len(_certificate_reasons(oracles_tree)) >= 5, "the certificate tables moved; update this test"
     assert not _undocumented_reasons(oracles_tree, lab_tree)
 
 

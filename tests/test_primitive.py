@@ -20,7 +20,7 @@ from refmon.primitive import (
     validate_poset,
 )
 from refmon.rewrite import ClassCache, decide_equal
-from refmon.words import ParseError, Word
+from refmon.words import ParseError, Word, compositions
 
 # p idempotent below q; r incomparable
 CHAIN = validate_poset(["p", "q", "r"], [("p", "p"), ("p", "q")])
@@ -45,6 +45,11 @@ def test_poset_accessors():
     assert not CHAIN.lt("q", "p")
     assert CHAIN.idempotent("p")
     assert not CHAIN.idempotent("q")
+    # the constructor's tables, outside the tuple
+    assert CHAIN.above == {"p": frozenset({"q"})}
+    assert CHAIN.idempotents == frozenset({"p"})
+    assert tuple(CHAIN) == (CHAIN.primes, CHAIN.below)
+    assert validate_poset(["p", "q"], []).above == {}
 
 
 # -- canonical forms
@@ -237,6 +242,65 @@ def test_leq_complement_skips_idempotents_already_present():
         got = prim_leq(e1, e2)
         assert (None if got is None else got.coeffs) == (None if want is None else want.coeffs), (e1, e2)
         _assert_same_complement(e1, e2)
+
+
+# -- the table-driven kernels against the pairwise kernels they replaced
+
+
+def _normalize_pairwise(poset, raw):
+    """The coefficients of `normalize` as first written: one `poset.lt` test
+    per ordered pair of supported primes."""
+    raw = dict(raw)
+    support = {p for p, c in raw.items() if c}
+    kept = {}
+    for p in support:
+        if any(q != p and poset.lt(p, q) for q in support):
+            continue
+        kept[p] = 1 if poset.idempotent(p) else raw[p]
+    return tuple(sorted(kept.items()))
+
+
+def _leq_pairwise(e1, e2):
+    """The coefficients of `prim_leq` as first written, testing membership
+    in `below` pair by pair; None when e1 is not below e2."""
+    below = e1.poset.below
+    c1, top = dict(e1.coeffs), dict(e2.coeffs)
+    for p in c1:
+        if p not in top and not any((p, q) in below for q in top):
+            return None
+    comp = []
+    for q, c in e2.coeffs:
+        if (q, q) in below:
+            if q not in c1:
+                comp.append((q, 1))
+        else:
+            d = c - c1.get(q, 0)
+            if d < 0:
+                return None
+            if d:
+                comp.append((q, d))
+    return tuple(comp)
+
+
+def test_table_kernels_match_the_pairwise_kernels():
+    """normalize on every raw vector of degree <= 3, and prim_add and
+    prim_leq on every pair of elements of degree <= 2, over every poset on
+    at most three primes."""
+    pairs = 0
+    for names in ([], ["p"], ["p", "q"], ["p", "q", "r"]):
+        for poset in enumerate_posets(names):
+            for t in compositions(len(names), 3):
+                raw = dict(zip(names, t))
+                assert normalize(poset, raw).coeffs == _normalize_pairwise(poset, raw), (poset, raw)
+            E = enumerate_elements(poset, 2)
+            for e1 in E:
+                for e2 in E:
+                    raw = {p: dict(e1.coeffs).get(p, 0) + dict(e2.coeffs).get(p, 0) for p in names}
+                    assert prim_add(e1, e2).coeffs == _normalize_pairwise(poset, raw), (e1, e2)
+                    got = prim_leq(e1, e2)
+                    assert (None if got is None else got.coeffs) == _leq_pairwise(e1, e2), (e1, e2)
+            pairs += len(E) ** 2
+    assert pairs == 7120
 
 
 # -- certificates
