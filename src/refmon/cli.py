@@ -18,7 +18,7 @@ from . import graphs, lab, oracles, primitive, wild
 from .decisions import Decision, SearchBound
 from .presentation import Presentation, parse_presentation
 from .rewrite import decide_equal, decide_leq, find_refinement
-from .words import Word
+from .words import Word, directives
 
 
 def _bound(args) -> SearchBound:
@@ -82,6 +82,11 @@ def _load_target(spec: str) -> tuple[Presentation, tuple]:
     """A builtin name (m0, ladder:N, bar:N, e0c0, ec:N, ebar:N) or a file
     path: its presentation and the separating certificates that come with it
     (those of the ladder and bar truncations, none for the rest)."""
+    return _builtin_target(spec) or (parse_presentation(Path(spec).read_text()), ())
+
+
+def _builtin_target(spec: str) -> tuple[Presentation, tuple] | None:
+    """`_load_target` of a builtin name; None for any other spec."""
     low = spec.lower()
     name, _, arg = low.partition(":")
     if low == "m0":
@@ -93,17 +98,26 @@ def _load_target(spec: str) -> tuple[Presentation, tuple]:
         return graphs.present_finitely_separated(graphs.builtin_graph("e0c0")), ()
     if name in ("ec", "ebar"):
         return graphs.present_finitely_separated(graphs.builtin_graph(name, int(arg or 1))), ()
-    return parse_presentation(Path(spec).read_text()), ()
+    return None
 
 
 _EXACT_ORACLES = {"ladder": oracles.ladder_oracle, "bar": oracles.bar_oracle, "free": oracles.free_oracle}
 
 
 def _load_oracle(spec: str, bound: SearchBound) -> oracles.MonoidOracle:
+    """The exact oracle of ladder:N, bar:N or free:N; the primitive oracle of
+    a poset file, one whose first directive is `poset` or `primes`; else the
+    presentation oracle of `_load_target`."""
     name, _, arg = spec.lower().partition(":")
     if name in _EXACT_ORACLES and arg:
         return _EXACT_ORACLES[name](int(arg))
-    p, certs = _load_target(spec)
+    target = _builtin_target(spec)
+    if target is None:
+        text = Path(spec).read_text()
+        if next(directives(text), (0, "", ""))[1] in ("poset", "primes"):
+            return oracles.primitive_oracle(primitive.parse_poset(text))
+        target = parse_presentation(text), ()
+    p, certs = target
     return oracles.presentation_oracle(p, bound, certs)
 
 

@@ -21,10 +21,7 @@ lands).
 The sampled checks test each drawn hypothesis once: Riesz decomposition
 refines with the complement its draw got for x <= y1 + y2, and Riesz
 interpolation looks for z only among the common lower bounds of y1 and y2
-that its draw listed, asking just x1 <= z and x2 <= z.  To list them, the
-draw asks `leq` only of the elements whose invariants (below) are
-componentwise <= those of both y1 and y2: the list, and so the random
-stream and the report, are those of asking every element.
+that its draw listed, asking just x1 <= z and x2 <= z.
 
 The archimedean property is special: enumeration can only refute it, so Holds
 is granted solely on a certificate.
@@ -45,25 +42,14 @@ sheet of property checks it sweeps nothing.  `MonoidOracle.replace` starts
 the copy with an empty memo, since a copy with other capabilities may
 answer differently.
 
-Equal invariants.  An oracle's `invariants` inv is an additive map into
-tuples of nonnegative ints, so x <= y (that is, y = x + c) forces inv(x) <=
-inv(y) componentwise.  Hence 2x = x + y forces inv(x) = inv(y), and the
-strongly-separative sweep tests a pair only when its invariants are equal:
-the oracle would answer Fails on a skipped pair, so it can never be a
-counterexample.  The loops keep their order, so the first counterexample,
-and with it the report, is the one the full sweep finds.  (For an oracle
-that also answered Unknown, an Unknown on a skipped pair would never be
-asked, which could turn an Unknown report into Holds; no oracle has both
-today.)
-
 Cancellable elements.  An oracle's `cancellable` names elements z for
 which x + z = y + z forces x = y.  The cancellative sweep skips every such
-z, and the strongly-separative sweep every such x, since 2x = x + y then
-forces x = y: a skipped instance can never be a counterexample, and the
-loops keep their order, so the report is the full sweep's.  Only an oracle
-with `exact` set may carry the capability (the constructor refuses any
-other): an Unknown on a skipped instance would never be counted, which could
-turn an Unknown report into Holds.  Two oracles carry it:
+z: a skipped instance can never be a counterexample, and the loops keep
+their order, so the report is the full sweep's.  Only an oracle with
+`exact` set may carry the capability (the constructor refuses any other):
+an Unknown on a skipped instance would never be counted, which could turn
+an Unknown report into Holds.  Two oracles carry it, and the coordinate
+certificate (below) rests on the same proofs:
   - ladder, x-count 0: m is additive, so x + z = y + z forces m(x) = m(y).
     At a common level N an element is fixed by its raised coordinates, (i,
     j, rungs) when m = 0 and (i + j, rungs) when m > 0 (j folded into i),
@@ -75,7 +61,7 @@ turn an Unknown report into Holds.  Two oracles carry it:
 
 Certificates.  When an oracle's `certified` names a property,
 `check_property` answers Holds with that note and sweeps nothing.  The
-exact oracles draw on five sources, each quoted here by its note:
+exact oracles draw on six sources, each quoted here by its note:
   - "positive state certificate": a positive state s, additive and > 0 off
     0: the ladder's validated `wild.standard_certificates(n)["state"]`, or
     `PrimElem.degree` on the free monoid, the primitive monoid of an
@@ -98,6 +84,15 @@ exact oracles draw on five sources, each quoted here by its note:
     decomposition with it: x <= y1 + y2 gives x + c = y1 + y2 for a
     complement c, whose refinement ((z11, z12), (z21, z22)) has x = z11 +
     z12, y1 = z11 + z21 and y2 = z12 + z22, so z11 <= y1 and z12 <= y2.
+  - "coordinate certificate": on the ladder and bar oracles, 2x = x + y
+    forces x = y.  That is strong separativity, and separativity follows,
+    since 2x = 2y = x + y gives 2x = x + y.  The x-count m (on bar, the
+    xbar count k) is additive, and raising keeps it, so 2m(x) = m(x) +
+    m(y) gives m(x) = m(y).  If m(x) = 0, x is `cancellable` (above), and
+    x + x = x + y cancels to x = y.  If m(x) > 0, read x and y at a common
+    level N.  There the coordinates (i + j, rungs) of the ladder, and i + j
+    of bar, are additive, so 2x = x + y makes those of x and y equal; with
+    the equal m > 0 they fix the element, so x = y.
   - "primitive poset certificate": on a primitive oracle, what its poset
     proves by primitive.py's closed-form order and the fact behind it:
     supp(x + y) is the set of maximal primes of supp x u supp y, with
@@ -153,7 +148,6 @@ from __future__ import annotations
 import random
 import time
 from collections import namedtuple
-from operator import le
 
 from .decisions import HOLDS, UNKNOWN, Decision, SearchBound
 from .oracles import MonoidOracle
@@ -245,18 +239,6 @@ def _elems(o: MonoidOracle, b: SearchBound):
     return o.elements(b.max_degree)
 
 
-def _partners(o: MonoidOracle, E) -> list:
-    """For each element of E, the elements of E whose invariants equal its
-    own, in E's order; all of E when the oracle has none."""
-    if o.invariants is None:
-        return [E] * len(E)
-    keys = [tuple(o.invariants(x)) for x in E]
-    groups: dict = {}
-    for y, k in zip(E, keys):
-        groups.setdefault(k, []).append(y)
-    return [groups[k] for k in keys]
-
-
 def _check_conical(o, b, samples):
     E, sw = _elems(o, b), _Sweep()
     d = sw.definite
@@ -305,40 +287,25 @@ def _check_cancellative(o, b, samples):
 def _check_separative(o, b, samples):
     E, sw = _elems(o, b), _Sweep()
     d = sw.definite
-    if o.exact:
-        groups: dict = {}
-        for x in E:
-            groups.setdefault(o.add(x, x), []).append(x)
-        # 2x = 2y by grouping; need 2x = x + y as well
-        found = (
-            (x, y)
-            for xx, members in groups.items()
-            for i, x in enumerate(members)
-            for y in members[i + 1:]
-            if o.add(x, y) == xx and d(o.equal(x, y)) is False
-        )
-    else:
-        found = (
-            (x, y)
-            for ix, x in enumerate(E)
-            for y in E[ix + 1:]
-            if d(o.equal(o.add(x, x), o.add(y, y)))
-            and d(o.equal(o.add(x, x), o.add(x, y)))
-            and d(o.equal(x, y)) is False
-        )
+    found = (
+        (x, y)
+        for ix, x in enumerate(E)
+        for y in E[ix + 1:]
+        if d(o.equal(o.add(x, x), o.add(y, y)))
+        and d(o.equal(o.add(x, x), o.add(x, y)))
+        and d(o.equal(x, y)) is False
+    )
     return sw.refute(b, found, "2x = 2y = x + y with x != y")
 
 
 def _check_strongly_separative(o, b, samples):
     E, sw = _elems(o, b), _Sweep()
     d = sw.definite
-    # 2x = x + y gives inv(x) = inv(y), and x = y when x is cancellable
-    cancellable = o.cancellable or (lambda x: False)
-    doubled = ((x, o.add(x, x), ys) for x, ys in zip(E, _partners(o, E)) if not cancellable(x))
+    doubled = ((x, o.add(x, x)) for x in E)
     found = (
         (x, y)
-        for x, xx, ys in doubled
-        for y in ys
+        for x, xx in doubled
+        for y in E
         if d(o.equal(xx, o.add(x, y))) and d(o.equal(x, y)) is False
     )
     return sw.refute(b, found, "2x = x + y with x != y")
@@ -468,20 +435,9 @@ def _check_riesz_interpolation(o, b, samples):
     E = _elems(o, b)
     rng = random.Random(_SEED + 2)
 
-    inv = o.invariants
-    keys = [inv(e) for e in E] if inv else None
-
-    def lower(y1, y2):
-        """The elements of E that may be below both: e <= y forces inv(e) <=
-        inv(y), so only those under the componentwise minimum are asked."""
-        if keys is None:
-            return E
-        cap = tuple(map(min, inv(y1), inv(y2)))
-        return [e for e, k in zip(E, keys) if all(map(le, k, cap))]
-
     def draw(definite):
         y1, y2 = rng.choice(E), rng.choice(E)
-        below = [e for e in lower(y1, y2) if o.leq(e, y1).is_holds and o.leq(e, y2).is_holds]
+        below = [e for e in E if o.leq(e, y1).is_holds and o.leq(e, y2).is_holds]
         return ((rng.choice(below), rng.choice(below), y1, y2), below) if below else None
 
     def found(below, x1, x2, y1, y2):

@@ -6,8 +6,8 @@ monoids, primitive monoids) have canonical hashable elements and never
 answer Unknown; presentation oracles delegate to the bounded rewriting
 engine and may.  The free monoid of rank n is the primitive monoid of an
 antichain of n primes e0, e1, ..., so `free_oracle` is a primitive oracle
-with the free monoid's invariants and certificates.  A primitive oracle
-certifies the properties its poset proves, and is `finitely_generated`.
+with the free monoid's certificates.  A primitive oracle certifies the
+properties its poset proves, and is `finitely_generated`.
 """
 from __future__ import annotations
 
@@ -33,8 +33,9 @@ class MonoidOracle:
     mathematics proves it; the lab answers Holds with that reason as the note
     and sweeps nothing.  Every exact oracle certifies refinement and Riesz
     decomposition by its closed-form `refine`; the ladder, bar and free
-    oracles also certify what their states and homogeneous order prove, and
-    every primitive oracle what its poset proves.  The lab docstring's
+    oracles also certify what their states and homogeneous order prove, the
+    ladder and bar oracles separativity by their coordinates, and every
+    primitive oracle what its poset proves.  The lab docstring's
     Certificates paragraph quotes each reason with its proof.
 
     `reports` is the lab's memo: `check_property` keeps each report under
@@ -57,16 +58,10 @@ class MonoidOracle:
         elements: Callable,  # max_degree -> tuple, enumerated once per degree
         refine: Callable,  # (a, b, c, d) -> Decision; Holds witness is ((z11, z12), (z21, z22))
         # optional capabilities
-        # element -> tuple of nonnegative ints, additive (inv(x + y) = inv(x) +
-        # inv(y) componentwise), such as the ladder's x-count and rung counts;
-        # None if the oracle has none.  x <= y forces inv(x) <= inv(y)
-        # componentwise and x = y forces inv(x) = inv(y); the lab's
-        # strongly-separative sweep skips the pairs this refutes.
-        invariants: Callable | None = None,
         # element -> True only when z is cancellable (x + z = y + z forces x =
         # y), such as the ladder's elements of x-count 0; None if the oracle
         # has none.  Exact oracles only: the cancellative sweep skips every
-        # such z and the strongly-separative sweep every such x.
+        # such z.
         cancellable: Callable | None = None,
         generators: tuple = (),  # deeper generators for irreducibles; empty: the degree-1 elements
         exact: bool = False,  # canonical hashable elements, equality `==`, never Unknown
@@ -86,7 +81,6 @@ class MonoidOracle:
         self.leq = leq
         self.elements = elements
         self.refine = refine
-        self.invariants = invariants
         self.cancellable = cancellable
         self.generators = generators
         self.exact = exact
@@ -116,6 +110,9 @@ _POSITIVE_STATE = dict.fromkeys(
 # Z^2: wild.standard_certificates(n, "bar")["pair_state"]; not archimedean,
 # since n*zbar0 <= xbar0 for every n
 _PAIR_STATE = dict.fromkeys(("conical", "stably-finite", "antisymmetric"), "pair state certificate")
+# 2x = x + y forces x = y: x cancels when its x-count (xbar count) is 0, and
+# else the coordinates at a common level fix it
+_COORDINATES = dict.fromkeys(("separative", "strongly-separative"), "coordinate certificate")
 # the closed-form order of a primitive monoid, read off its poset: proved in
 # lab.py's Certificates paragraph, and granted by `_poset_certified`
 _POSET_ORDER = "primitive poset certificate"
@@ -161,13 +158,6 @@ def ladder_oracle(level: int) -> MonoidOracle:
     """Exact oracle for the ladder monoid, elements enumerated up to `level`."""
     if level < 1:
         raise ValueError("truncation level must be >= 1")
-
-    def invariants(e: wild.LadderElem) -> tuple[int, ...]:
-        # the x-count and the rungs a_1..a_level; raising keeps the rungs it
-        # finds and canonical lowering drops a top rung that raising restores
-        m, _, _, rungs = e.raised(max(level, e.level))
-        return (m, *rungs[:level])
-
     return _exact(
         f"ladder(level={level})",
         wild.LadderElem.zero(),
@@ -175,21 +165,19 @@ def ladder_oracle(level: int) -> MonoidOracle:
         wild.LadderElem.leq,
         wild.ladder_refine,
         lambda d: wild.enumerate_ladder(level, d),
-        invariants=invariants,
         cancellable=lambda e: e[1] == 0,  # x-count 0
         generators=tuple(wild.enumerate_ladder(level + 2, 1)),
-        certified={**_POSITIVE_STATE, "unperforated": _HOMOGENEOUS_ORDER},
+        certified={**_POSITIVE_STATE, **_COORDINATES, "unperforated": _HOMOGENEOUS_ORDER},
     )
 
 
 def bar_oracle(level: int) -> MonoidOracle:
     """Exact oracle for the bar monoid.  It has no positive state, since the
-    monoid is not archimedean; its pair state certifies the rest.  Its one
-    invariant is the xbar count, and its `cancellable` elements are those of
-    xbar count 0 (lab.py's "Cancellable elements" paragraph proves it)."""
+    monoid is not archimedean; its pair state certifies the rest.  Its
+    `cancellable` elements are those of xbar count 0 (lab.py's "Cancellable
+    elements" paragraph proves it)."""
     if level < 1:
         raise ValueError("truncation level must be >= 1")
-
     return _exact(
         f"bar(level={level})",
         wild.BarElem.zero(),
@@ -197,10 +185,9 @@ def bar_oracle(level: int) -> MonoidOracle:
         wild.BarElem.leq,
         wild.bar_refine,
         lambda d: wild.enumerate_bar(level, d),
-        invariants=lambda e: (e.k,),
         cancellable=lambda e: e[3] == 0,  # xbar count 0
         generators=tuple(wild.enumerate_bar(level + 2, 1)),
-        certified={**_PAIR_STATE, "unperforated": _HOMOGENEOUS_ORDER},
+        certified={**_PAIR_STATE, **_COORDINATES, "unperforated": _HOMOGENEOUS_ORDER},
     )
 
 
@@ -217,10 +204,10 @@ def _poset_certified(poset: primitive.PrimePoset) -> dict[str, str]:
     return dict.fromkeys(props, _POSET_ORDER)
 
 
-def _primitive(poset: primitive.PrimePoset, name: str, certified=None, **capabilities) -> MonoidOracle:
+def _primitive(poset: primitive.PrimePoset, name: str, certified=None) -> MonoidOracle:
     """The exact oracle of the primitive monoid of `poset`, a finitely
-    generated refinement monoid, with the builder's capabilities; the
-    builder's `certified` take precedence over the poset's."""
+    generated refinement monoid; the builder's `certified` take precedence
+    over the poset's."""
     return _exact(
         name,
         primitive.normalize(poset, {}),
@@ -230,25 +217,17 @@ def _primitive(poset: primitive.PrimePoset, name: str, certified=None, **capabil
         lambda d: primitive.enumerate_elements(poset, d),
         certified={**_poset_certified(poset), **(certified or {})},
         finitely_generated=True,
-        **capabilities,
     )
 
 
 def free_oracle(rank: int) -> MonoidOracle:
     """The free commutative monoid of the given rank: the primitive monoid of
-    `rank` unrelated primes e0, e1, ..., its coefficient vector an invariant."""
+    `rank` unrelated primes e0, e1, ...."""
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    poset = primitive.PrimePoset(tuple(f"e{i}" for i in range(rank)), frozenset())
-
-    def invariants(e: primitive.PrimElem) -> tuple[int, ...]:
-        coeffs = dict(e.coeffs)
-        return tuple(coeffs.get(p, 0) for p in poset.primes)
-
     return _primitive(
-        poset,
+        primitive.PrimePoset(tuple(f"e{i}" for i in range(rank)), frozenset()),
         f"free({rank})",
-        invariants=invariants,
         certified={**_POSITIVE_STATE, "unperforated": _HOMOGENEOUS_ORDER},
     )
 

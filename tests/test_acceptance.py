@@ -242,12 +242,23 @@ def test_criterion_10_separative_and_unperforated():
         leq=lambda a, b: a.leq(b) is not None,
         key=lambda e: e,
     )
+    # strong separativity, the lab's coordinate certificate, over every
+    # ordered pair: ladder(3) one degree lower keeps the E^2 sweep to about
+    # half a second
+    lad5 = wild.enumerate_ladder(3, 5)
+    for E in (lad5, bar):
+        for x in E:
+            xx = x.add(x)
+            for y in E:
+                if x.add(y).equal(xx):
+                    assert x.equal(y), f"strong separativity fails at {x}, {y}"
     _report(
         10,
-        "separative + unperforated, exhaustive (deg<=6, multipliers<=5)",
+        "separative + unperforated, exhaustive (deg<=6, multipliers<=5); strongly separative (ladder deg<=5)",
         ladder_elems=len(lad),
         bar_elems=len(bar),
         perforation_checks=n1 + n2,
+        strongly_separative_ladder_elems=len(lad5),
     )
 
 

@@ -435,6 +435,38 @@ def test_poset_parse_error(tmp_path, capsys):
     assert "antisymmetry" in err
 
 
+CHAIN_TEXT = "poset chain\nprimes p q\nbelow p q\n"
+
+
+def test_check_reads_a_poset_file(tmp_path, capsys):
+    """The lab's commands read a poset file as its primitive oracle: on the
+    chain p < q, p + q = q refutes cancellation."""
+    f = tmp_path / "chain.poset"
+    f.write_text(CHAIN_TEXT)
+    code, out, _ = run(capsys, "check", str(f), "--prop", "separative,cancellative", "--format", "json")
+    assert code == 1
+    reports = {r["property"]: r["decision"] for r in json.loads(out)["reports"]}
+    assert reports["separative"] == {"verdict": "holds", "note": "primitive poset certificate"}
+    assert reports["cancellative"]["verdict"] == "fails"
+
+
+def test_wildness_reads_a_poset_file(tmp_path, capsys):
+    f = tmp_path / "chain.poset"
+    f.write_text(CHAIN_TEXT.replace("poset chain\n", ""))  # a first `primes` directive
+    code, out, _ = run(capsys, "wildness", str(f))
+    assert code == 1
+    assert out == "prim: wildness: fails (finitely generated refinement monoid, tame by definition)\n"
+
+
+def test_check_refuses_a_non_transitive_poset_file(tmp_path, capsys):
+    f = tmp_path / "p.poset"
+    f.write_text("poset P\nprimes p q r\nbelow p q\nbelow q r\n")
+    for cmd in ("check", "wildness"):
+        code, out, err = run(capsys, cmd, str(f))
+        assert (code, out) == (INPUT_ERROR, "")
+        assert "transitivity" in err
+
+
 # -- wildness and suite
 
 

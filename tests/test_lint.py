@@ -479,7 +479,7 @@ def test_every_certificate_reason_is_documented():
     """Every reason an oracle may give for a certified property is quoted in
     lab.py's "Certificates" paragraph, which states its proof."""
     oracles_tree, lab_tree = _tree(ROOT / "src" / "refmon" / "oracles.py"), _tree(ROOT / "src" / "refmon" / "lab.py")
-    assert len(_certificate_reasons(oracles_tree)) >= 5, "the certificate tables moved; update this test"
+    assert len(_certificate_reasons(oracles_tree)) >= 6, "the certificate tables moved; update this test"
     assert not _undocumented_reasons(oracles_tree, lab_tree)
 
 
@@ -521,5 +521,5 @@ def test_every_capability_the_lab_reads_is_documented():
     in lab.py's module docstring, which says what the lab does with it."""
     oracles_tree, lab_tree = _tree(ROOT / "src" / "refmon" / "oracles.py"), _tree(ROOT / "src" / "refmon" / "lab.py")
     read = {n.attr for n in ast.walk(lab_tree) if isinstance(n, ast.Attribute)}
-    assert {"invariants", "cancellable", "certified", "generators"} <= _capabilities(oracles_tree) & read
+    assert {"cancellable", "certified", "generators"} <= _capabilities(oracles_tree) & read
     assert not _undocumented_capabilities(oracles_tree, lab_tree)
