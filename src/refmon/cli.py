@@ -81,8 +81,35 @@ def _exit_code(decisions) -> int:
 def _load_target(spec: str) -> tuple[Presentation, tuple]:
     """A builtin name (m0, ladder:N, bar:N, e0c0, ec:N, ebar:N) or a file
     path: its presentation and the separating certificates that come with it
-    (those of the ladder and bar truncations, none for the rest)."""
-    return _builtin_target(spec) or (parse_presentation(Path(spec).read_text()), ())
+    (those of the ladder and bar truncations, a poset file's prime
+    certificates, none for the rest)."""
+    target = _read_target(spec)
+    if isinstance(target, primitive.PrimePoset):
+        return primitive.presentation_of(target), tuple(primitive.prime_certificates(target).values())
+    return target
+
+
+def _read_target(spec: str) -> tuple[Presentation, tuple] | primitive.PrimePoset:
+    """`_builtin_target` of a builtin name, which takes precedence over a file
+    of that name; else the file: the poset of a poset file, one whose first
+    directive is `poset` or `primes`, or the presentation of any other file,
+    with no certificates."""
+    target = _builtin_target(spec)
+    if target is None:
+        text = Path(spec).read_text()
+        if next(directives(text), (0, "", ""))[1] in ("poset", "primes"):
+            return primitive.parse_poset(text)
+        target = parse_presentation(text), ()
+    return target
+
+
+def _level(spec: str) -> int:
+    """The N of a `name:N` target."""
+    arg = spec.partition(":")[2]
+    try:
+        return int(arg)
+    except ValueError:
+        raise ValueError(f"bad level {arg!r} in target {spec!r}") from None
 
 
 def _builtin_target(spec: str) -> tuple[Presentation, tuple] | None:
@@ -92,12 +119,12 @@ def _builtin_target(spec: str) -> tuple[Presentation, tuple] | None:
     if low == "m0":
         return wild.m0_presentation(), ()
     if name in ("ladder", "bar") and arg:
-        n = int(arg)
+        n = _level(spec)
         return wild.truncation_presentation(n, name), tuple(wild.standard_certificates(n, name).values())
     if low == "e0c0":
         return graphs.present_finitely_separated(graphs.builtin_graph("e0c0")), ()
     if name in ("ec", "ebar"):
-        return graphs.present_finitely_separated(graphs.builtin_graph(name, int(arg or 1))), ()
+        return graphs.present_finitely_separated(graphs.builtin_graph(name, _level(spec) if arg else 1)), ()
     return None
 
 
@@ -106,17 +133,14 @@ _EXACT_ORACLES = {"ladder": oracles.ladder_oracle, "bar": oracles.bar_oracle, "f
 
 def _load_oracle(spec: str, bound: SearchBound) -> oracles.MonoidOracle:
     """The exact oracle of ladder:N, bar:N or free:N; the primitive oracle of
-    a poset file, one whose first directive is `poset` or `primes`; else the
-    presentation oracle of `_load_target`."""
+    a poset file; else the presentation oracle of the target's presentation
+    and certificates."""
     name, _, arg = spec.lower().partition(":")
     if name in _EXACT_ORACLES and arg:
-        return _EXACT_ORACLES[name](int(arg))
-    target = _builtin_target(spec)
-    if target is None:
-        text = Path(spec).read_text()
-        if next(directives(text), (0, "", ""))[1] in ("poset", "primes"):
-            return oracles.primitive_oracle(primitive.parse_poset(text))
-        target = parse_presentation(text), ()
+        return _EXACT_ORACLES[name](_level(spec))
+    target = _read_target(spec)
+    if isinstance(target, primitive.PrimePoset):
+        return oracles.primitive_oracle(target)
     p, certs = target
     return oracles.presentation_oracle(p, bound, certs)
 
@@ -313,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="refmon", description="workbench for finitely presented commutative monoids")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("parse", help="parse and normalize a presentation (file or builtin)")
+    sp = sub.add_parser("parse", help="parse and normalize a presentation (presentation or poset file, or builtin)")
     sp.add_argument("input")
     sp.set_defaults(fn=_cmd_parse)
 
@@ -323,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("refine", _cmd_refine, ("a", "b", "c", "d")),
     ):
         sp = sub.add_parser(nm, help=f"bounded {nm} in a presented monoid")
-        sp.add_argument("target", help="presentation file or builtin (m0, ladder:N, bar:N, e0c0, ec:N, ebar:N)")
+        sp.add_argument("target", help="presentation or poset file, or builtin (m0, ladder:N, bar:N, e0c0, ec:N, ebar:N)")
         for t in extra:
             sp.add_argument(t)
         _add_bound_flags(sp, coefficients=False)

@@ -15,12 +15,20 @@ graph whose nodes are the words of degree <= b.max_degree and whose edges are
 single relation moves; `exhausted` says that no move leaves that graph.  Both
 are the same from every member of the component, so ClassCache shares one
 result among all of them, unless the class-size cap cut the search short.
+
+During the search a word is one int: generator i's exponent is the digit
+at bit width * i, and width is the least that puts max_degree below a
+digit's top bit, its guard bit.  With guard the guard bits alone, a move's
+source src embeds into cur iff (cur + guard - src) & guard == guard, as each
+digit cur_i + 2^(width - 1) - src_i keeps its guard bit iff cur_i >= src_i
+and carries into no other.  The move adds dst - src.  Moves are tried in
+relation order, so the words are met in the order a search over exponent
+vectors meets them, and the results are that search's.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import compress
-from operator import add
+from functools import lru_cache
 from typing import Sequence
 
 from .decisions import Decision, SearchBound
@@ -35,23 +43,49 @@ class ClassResult(namedtuple("ClassResult", "words exhausted parents root", defa
     __slots__ = ()
 
 
-def _moves(p: Presentation) -> list[tuple]:
-    """Each relation direction src -> dst as (support pairs of src, dense
-    exponent delta, degree delta), in relation order, lhs -> rhs first."""
+class _Pairs(dict):
+    """Exponent -> the pair (index, exponent) of one generator, made once and
+    shared by every word decoded with it."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __missing__(self, e: int) -> tuple[int, int]:
+        pair = self[e] = (self.index, e)
+        return pair
+
+
+@lru_cache(maxsize=64)
+def _packing(p: Presentation, max_degree: int) -> tuple[int, int, tuple, list[_Pairs]]:
+    """(digit width, guard, moves, pairs) of p, kept for the 64 latest equal
+    (p, max_degree).  Each relation direction src -> dst, lhs -> rhs first,
+    is a move (guard - src, dst - src, degree delta); one whose src has
+    degree above max_degree never applies, and is left out so that no src
+    digit reaches the guard bit."""
+    width = max_degree.bit_length() + 1
+    guard = _encode(Word(tuple((i, 2 ** (width - 1)) for i in range(len(p.gens)))), width)
     moves = []
     for rel in p.relations:
-        delta = [0] * len(p.gens)
-        for i, e in rel.lhs.exps:
-            delta[i] -= e
-        for i, e in rel.rhs.exps:
-            delta[i] += e
-        moves.append((rel.lhs.exps, tuple(delta), sum(delta)))
-        moves.append((rel.rhs.exps, tuple(-d for d in delta), -sum(delta)))
-    return moves
+        for src, dst in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
+            if src.degree() <= max_degree:
+                s = _encode(src, width)
+                moves.append((guard - s, _encode(dst, width) - s, dst.degree() - src.degree()))
+    return width, guard, tuple(moves), [_Pairs(i) for i in range(len(p.gens))]
 
 
-def _word(t: bytes | tuple[int, ...]) -> Word:
-    return Word(tuple(compress(enumerate(t), t)))
+def _encode(w: Word, width: int) -> int:
+    return sum(e << width * i for i, e in w.exps)
+
+
+def _decode(code: int, width: int, pairs: list[_Pairs]) -> Word:
+    mask, exps = (1 << width) - 1, []
+    for row in pairs:
+        if not code:
+            break
+        if code & mask:
+            exps.append(row[code & mask])
+        code >>= width
+    return Word(tuple(exps))
 
 
 def enumerate_class(p: Presentation, w: Word, b: SearchBound) -> ClassResult:
@@ -65,35 +99,27 @@ def enumerate_class(p: Presentation, w: Word, b: SearchBound) -> ClassResult:
     words and the same exhausted flag.  When the cap fires, the kept words are
     those found first with each round's frontier in Word.sort_key order.
 
-    During the search a word is its dense exponent vector, as bytes (a tuple
-    if max_degree > 255); it becomes a Word once, at the end.
+    During the search a word is its packed code, and trying a move is one
+    addition and one mask (see the module docstring); each word becomes a
+    Word once, at the end.
     """
     if w.degree() > b.max_degree:
         return ClassResult(frozenset([w]), exhausted=False, parents={w: None}, root=w)
-    moves = _moves(p)
-    # bytes hold exponents up to 255 in far less memory than a tuple, and no
-    # free list keeps them alive after the search
-    pack = bytes if b.max_degree < 256 else tuple
-    start = [0] * len(p.gens)
-    for i, e in w.exps:
-        start[i] = e
-    start = pack(start)
+    max_degree, cap = b.max_degree, b.max_class_size
+    width, guard, moves, pairs = _packing(p, max_degree)
+    start = _encode(w, width)
     seen: dict = {start: None}
     frontier = [(start, w.degree())]
     exhausted = True
-    max_degree, cap = b.max_degree, b.max_class_size
     while frontier:
         nxt = []
         for cur, deg in frontier:
-            for src, delta, ddeg in moves:
-                for i, e in src:
-                    if cur[i] < e:
-                        break
-                else:
+            for test, delta, ddeg in moves:
+                if (cur + test) & guard == guard:
                     if deg + ddeg > max_degree:
                         exhausted = False
                         continue
-                    new = pack(map(add, cur, delta))
+                    new = cur + delta
                     if new not in seen:
                         seen[new] = cur
                         nxt.append((new, deg + ddeg))
@@ -103,16 +129,16 @@ def enumerate_class(p: Presentation, w: Word, b: SearchBound) -> ClassResult:
             exhausted = False
             for new, _ in nxt:
                 del seen[new]
-            for cur, deg in sorted(frontier, key=lambda f: _word(f[0]).sort_key()):
-                for src, delta, ddeg in moves:
+            for cur, deg in sorted(frontier, key=lambda f: _decode(f[0], width, pairs).sort_key()):
+                for test, delta, ddeg in moves:
                     if len(seen) >= cap:
                         break
-                    if deg + ddeg <= max_degree and all(cur[i] >= e for i, e in src):
-                        seen.setdefault(pack(map(add, cur, delta)), cur)
+                    if deg + ddeg <= max_degree and (cur + test) & guard == guard:
+                        seen.setdefault(cur + delta, cur)
             break
         frontier = nxt
-    words = {t: _word(t) for t in seen}
-    parents = {words[t]: None if par is None else words[par] for t, par in seen.items()}
+    words = {c: _decode(c, width, pairs) for c in seen}
+    parents = {words[c]: None if par is None else words[par] for c, par in seen.items()}
     return ClassResult(frozenset(parents), exhausted, parents=parents, root=w)
 
 

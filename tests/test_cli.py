@@ -232,6 +232,9 @@ def test_check_json_reports_the_default_bound(capsys):
         ("ladder:0", "truncation level must be >= 1"),
         ("bar:-2", "truncation level must be >= 1"),
         ("free:-1", "rank must be >= 0"),
+        ("free:x", "bad level 'x' in target 'free:x'"),
+        ("bar:1.5", "bad level '1.5' in target 'bar:1.5'"),
+        ("ec:y", "bad level 'y' in target 'ec:y'"),
     ],
 )
 def test_bad_oracle_target_rejected(capsys, command, spec, message):
@@ -465,6 +468,31 @@ def test_check_refuses_a_non_transitive_poset_file(tmp_path, capsys):
         code, out, err = run(capsys, cmd, str(f))
         assert (code, out) == (INPUT_ERROR, "")
         assert "transitivity" in err
+
+
+def test_eq_leq_refine_and_parse_read_a_poset_file(tmp_path, capsys):
+    """A poset file is the presentation of its primitive monoid, with the
+    prime certificates, for the rewriting commands too."""
+    f = tmp_path / "chain.poset"
+    f.write_text(CHAIN_TEXT)
+    assert run(capsys, "eq", str(f), "p + q", "q") == (0, "prim: p + q = q: holds (rewrite path)\n", "")
+    code, out, _ = run(capsys, "eq", str(f), "p", "q", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["decision"]["counterexample"] == {"certificate": "count_p", "image_u": 1, "image_v": "inf"}
+    assert run(capsys, "leq", str(f), "p", "q") == (0, "prim: p <= q: holds, complement q\n", "")
+    assert run(capsys, "refine", str(f), "p", "q", "0", "q")[0] == 0
+    assert run(capsys, "parse", str(f)) == (0, "monoid prim\ngenerators p q\nrelation p + q = q\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("eq", "ladder:x", "x0", "x0"), ("leq", "Bar:2x", "x0", "x0"), ("refine", "ec:y", "u", "u", "u", "u")],
+    ids=lambda argv: argv[0],
+)
+def test_a_bad_level_names_the_target(capsys, argv):
+    target = argv[1]
+    level = target.partition(":")[2]
+    assert run(capsys, *argv) == (INPUT_ERROR, "", f"error: bad level {level!r} in target {target!r}\n")
 
 
 # -- wildness and suite

@@ -294,21 +294,29 @@ def test_patterns_compiled_at_module_level(path):
     assert not per_call
 
 
-def _only_in(owner, flagged):
-    """Asserts that the nodes of the package sources that `flagged` accepts
-    are all in `owner`, a (file name, scope) pair, listing the others as
-    `file:line in scope`; and that `owner` has one, so the lint cannot pass
-    vacuously."""
-    elsewhere, owned = [], False
-    for path in SOURCES:
-        for scope, n in _scoped(_tree(path)):
+def _outside(trees, owners, flagged):
+    """The nodes of `trees`, (file name, tree) pairs, that `flagged` accepts
+    outside `owners`, (file name, scope) pairs, as `file:line in scope`; and
+    the set of owners that have one."""
+    elsewhere, owned = [], set()
+    for name, tree in trees:
+        for scope, n in _scoped(tree):
             if flagged(n):
-                if (path.name, scope) == owner:
-                    owned = True
+                if (name, scope) in owners:
+                    owned.add((name, scope))
                 else:
-                    elsewhere.append(f"{path.name}:{n.lineno} in {scope or 'module'}")
+                    elsewhere.append(f"{name}:{n.lineno} in {scope or 'module'}")
+    return elsewhere, owned
+
+
+def _only_in(owners, flagged):
+    """Asserts that the nodes of the package sources that `flagged` accepts
+    are all in `owners`, a set of (file name, scope) pairs, listing the
+    others; and that each owner has one, so the lint cannot pass
+    vacuously."""
+    elsewhere, owned = _outside([(path.name, _tree(path)) for path in SOURCES], owners, flagged)
     assert not elsewhere
-    assert owned, f"{owner} no longer does this job; update this test"
+    assert owned == owners, f"{owners - owned} no longer do this job; update this test"
 
 
 def _strips_comment(n):
@@ -326,7 +334,7 @@ def test_only_directives_strip_comments():
     """The line-oriented file formats (presentations, posets, graphs) read
     their lines through `words.directives`, the one place that strips `#`
     comments and counts line numbers."""
-    _only_in(("words.py", "directives"), _strips_comment)
+    _only_in({("words.py", "directives")}, _strips_comment)
 
 
 def _raises_unverified(n):
@@ -340,7 +348,7 @@ def _raises_unverified(n):
 def test_only_checked_refinement_verifies_matrices():
     """The exact calculators verify their refinement matrices through
     `words.checked_refinement`, the one place that raises "does not verify"."""
-    _only_in(("words.py", "checked_refinement"), _raises_unverified)
+    _only_in({("words.py", "checked_refinement")}, _raises_unverified)
 
 
 def _writes_summand(n):
@@ -370,7 +378,41 @@ def test_only_format_term_writes_summands():
     """Words, primitive elements and ladder and bar elements print through
     `words.format_term`, the one place that writes a `k*name` summand, so
     every printed term is one that `parse_term` reads back."""
-    _only_in(("words.py", "format_term"), _writes_summand)
+    _only_in({("words.py", "format_term")}, _writes_summand)
+
+
+def _shifts(n):
+    """A bit shift, `<<` or `>>`, as an operator or an augmented assignment."""
+    return isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, (ast.LShift, ast.RShift))
+
+
+_CODECS = {("rewrite.py", "_encode"), ("rewrite.py", "_decode")}
+
+
+def test_codec_lint_flags_a_second_decoder():
+    source = (
+        "def _encode(w, width):\n"
+        "    return sum(e << width * i for i, e in w.exps)\n"
+        "def _decode(code, width):\n"
+        "    return [code >> width * i & ((1 << width) - 1) for i in range(3)]\n"
+        "def _unpack(code, width):\n"
+        "    out = []\n"
+        "    while code:\n"
+        "        out.append(code % 8)\n"
+        "        code >>= width\n"
+        "    return out\n"
+        "def scaled(x):\n"
+        "    return x * 2, x ** 2, x // 2, x & 1\n"
+    )
+    assert _outside([("rewrite.py", ast.parse(source))], _CODECS, _shifts) == (["rewrite.py:9 in _unpack"], _CODECS)
+
+
+def test_only_the_codec_converts_packed_words():
+    """Class enumeration runs on packed codes, one digit per generator below
+    a guard bit.  `rewrite._encode` and `rewrite._decode`, the only code that
+    shifts bits, are the one encoder and the one decoder between codes and
+    Words, so the digit layout is written in one place."""
+    _only_in(_CODECS, _shifts)
 
 
 def _builds_decision(n):

@@ -1,7 +1,10 @@
+from itertools import compress
+from operator import add
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from refmon import rewrite
+from refmon import cli, rewrite
 from refmon.decisions import SearchBound
 from refmon.presentation import parse_presentation
 from refmon.rewrite import (
@@ -13,8 +16,9 @@ from refmon.rewrite import (
     verify_refinement,
 )
 from refmon.targets import NonnegIntegers, build_certificate
+from refmon.presentation import Presentation, Relation
 from refmon.wild import m0_presentation, standard_certificates, truncation_presentation
-from refmon.words import Word
+from refmon.words import GeneratorSet, Word, compositions
 
 B = SearchBound(max_degree=6)
 
@@ -43,7 +47,7 @@ def test_class_enumeration_absorbing():
 
 
 def test_class_above_degree_255():
-    # exponents above 255 do not fit the search's byte vectors
+    # a degree bound above 255 widens the digits past a byte (10 bits at 300)
     b = SearchBound(max_degree=300)
     res = enumerate_class(ABSORB, ABSORB.word("f"), b)
     assert len(res.words) == 300 and ABSORB.word("299*e + f") in res.words
@@ -265,3 +269,116 @@ def test_path_via_common_word_when_the_cap_fires():
     assert dec.is_holds and dec.note == "rewrite path via common word"
     assert_rewrite_path(CHAIN, dec.witness, u, v)
     assert dec.witness == [CHAIN.word(t) for t in "abcde"]
+
+
+# -- the packed kernel against a search over dense exponent vectors
+
+
+def reference_enumerate_class(p, w, b):
+    """enumerate_class as a breadth-first search over dense exponent vectors
+    (bytes, or tuples above degree 255), with the same move order, cap rule
+    and cap-overflow redo."""
+    if w.degree() > b.max_degree:
+        return rewrite.ClassResult(frozenset([w]), exhausted=False, parents={w: None}, root=w)
+    moves = []
+    for rel in p.relations:
+        delta = [0] * len(p.gens)
+        for i, e in rel.lhs.exps:
+            delta[i] -= e
+        for i, e in rel.rhs.exps:
+            delta[i] += e
+        moves.append((rel.lhs.exps, tuple(delta), sum(delta)))
+        moves.append((rel.rhs.exps, tuple(-d for d in delta), -sum(delta)))
+    pack = bytes if b.max_degree < 256 else tuple
+    dense = [0] * len(p.gens)
+    for i, e in w.exps:
+        dense[i] = e
+    start = pack(dense)
+    seen = {start: None}
+    frontier = [(start, w.degree())]
+    exhausted = True
+
+    def word(t):
+        return Word(tuple(compress(enumerate(t), t)))
+
+    while frontier:
+        nxt = []
+        for cur, deg in frontier:
+            for src, delta, ddeg in moves:
+                if all(cur[i] >= e for i, e in src):
+                    if deg + ddeg > b.max_degree:
+                        exhausted = False
+                        continue
+                    new = pack(map(add, cur, delta))
+                    if new not in seen:
+                        seen[new] = cur
+                        nxt.append((new, deg + ddeg))
+        if len(seen) > b.max_class_size:
+            exhausted = False
+            for new, _ in nxt:
+                del seen[new]
+            for cur, deg in sorted(frontier, key=lambda f: word(f[0]).sort_key()):
+                for src, delta, ddeg in moves:
+                    if len(seen) >= b.max_class_size:
+                        break
+                    if deg + ddeg <= b.max_degree and all(cur[i] >= e for i, e in src):
+                        seen.setdefault(pack(map(add, cur, delta)), cur)
+            break
+        frontier = nxt
+    words = {t: word(t) for t in seen}
+    parents = {words[t]: None if par is None else words[par] for t, par in seen.items()}
+    return rewrite.ClassResult(frozenset(parents), exhausted, parents=parents, root=w)
+
+
+def dense_word(es):
+    return Word(tuple((i, e) for i, e in enumerate(es) if e))
+
+
+def assert_same_search(p, w, b):
+    got, want = enumerate_class(p, w, b), reference_enumerate_class(p, w, b)
+    assert got.words == want.words
+    assert list(got.parents.items()) == list(want.parents.items())  # insertion order too
+    assert (got.exhausted, got.root) == (want.exhausted, want.root)
+
+
+@st.composite
+def packed_cases(draw):
+    """A presentation on 1 to 4 generators, a word and a bound.  Degree
+    bounds from 128 and from 256 up widen the digits, small class-size caps
+    fire, and large exponents put relation sides and words above the
+    degree bound."""
+    n = draw(st.integers(1, 4))
+    max_degree = draw(st.one_of(st.integers(0, 8), st.integers(128, 136), st.integers(256, 264)))
+    exps = st.lists(st.one_of(st.integers(0, 3), st.integers(0, max_degree + 3)), min_size=n, max_size=n)
+    rels = [Relation(dense_word(draw(exps)), dense_word(draw(exps))) for _ in range(draw(st.integers(1, 4)))]
+    p = Presentation(GeneratorSet(tuple(f"g{i}" for i in range(n))), tuple(rels))
+    b = SearchBound(max_degree=max_degree, max_class_size=draw(st.integers(1, 400)))
+    return p, dense_word(draw(exps)), b
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_cases())
+def test_packed_search_is_the_dense_search(case):
+    assert_same_search(*case)
+
+
+@pytest.mark.parametrize("spec, degree", [("ladder:2", 5), ("bar:3", 6)])
+def test_packed_search_is_the_dense_search_on_the_eq_sweep_sets(spec, degree):
+    p, _ = cli._load_target(spec)
+    for es in compositions(len(p.gens), degree):
+        assert_same_search(p, dense_word(es), B)
+
+
+def test_packed_moves_are_built_once_per_presentation_and_bound():
+    rewrite._packing.cache_clear()
+    p = PRESENTATIONS["ladder:2"]
+    for es in compositions(len(p.gens), 3):
+        enumerate_class(p, dense_word(es), B)
+    assert rewrite._packing.cache_info().misses == 1
+    # an equal presentation built anew reuses them
+    (p1, _), (p2, _) = cli._builtin_target("ec:1"), cli._builtin_target("ec:1")
+    assert p1 is not p2 and p1 == p2
+    assert enumerate_class(p1, p1.word("u"), B).words == enumerate_class(p2, p2.word("u"), B).words
+    assert rewrite._packing.cache_info().misses == 2
+    enumerate_class(p1, p1.word("u"), SearchBound(max_degree=7))
+    assert rewrite._packing.cache_info().misses == 3
