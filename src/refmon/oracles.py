@@ -232,9 +232,10 @@ def free_oracle(rank: int) -> MonoidOracle:
     )
 
 
-def primitive_oracle(poset: primitive.PrimePoset, name: str = "prim") -> MonoidOracle:
-    """Exact oracle for the primitive monoid of `poset`."""
-    return _primitive(poset, name)
+def primitive_oracle(poset: primitive.PrimePoset, name: str | None = None) -> MonoidOracle:
+    """Exact oracle for the primitive monoid of `poset`, named `name` or
+    else the poset's name."""
+    return _primitive(poset, name or poset.name)
 
 
 def presentation_oracle(

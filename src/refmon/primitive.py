@@ -45,16 +45,16 @@ from .words import ParseError, Word, checked_refinement, compositions, directive
 
 class PrimePoset(namedtuple("PrimePoset", "primes below")):
     """primes: tuple of names; below: frozenset of pairs (e, f) meaning e < f,
-    (p, p) allowed.
+    (p, p) allowed; name: the name of its monoid, `prim` unless given.
 
     Two tables, built once by the constructor, serve the arithmetic:
     `above` maps each prime with a prime strictly above it to the frozenset
     of those primes (it is empty on a poset with no pair e < f, e != f), and
-    `idempotents` is the frozenset of the primes p with p < p.  They live in
-    the instance dict, outside the tuple, so equality and hashing still read
-    only `primes` and `below`."""
+    `idempotents` is the frozenset of the primes p with p < p.  They and the
+    name live in the instance dict, outside the tuple, so equality and
+    hashing still read only `primes` and `below`."""
 
-    def __new__(cls, primes: tuple[str, ...], below: frozenset) -> "PrimePoset":
+    def __new__(cls, primes: tuple[str, ...], below: frozenset, name: str = "prim") -> "PrimePoset":
         ps = set(primes)
         if len(ps) != len(primes):
             raise ValueError("duplicate prime")
@@ -75,6 +75,7 @@ class PrimePoset(namedtuple("PrimePoset", "primes below")):
                 above.setdefault(e, set()).add(f)
         self.above = {e: frozenset(fs) for e, fs in above.items()}
         self.idempotents = frozenset(e for e, f in below if e == f)
+        self.name = name
         return self
 
     def lt(self, e: str, f: str) -> bool:
@@ -200,7 +201,7 @@ def _prim_matrix(a: PrimElem, b: PrimElem, c: PrimElem, d: PrimElem):
 
 def presentation_of(poset: PrimePoset) -> Presentation:
     rels = [(f"{e} + {f}", f) for e, f in sorted(poset.below)]
-    return make_presentation("prim", list(poset.primes), rels)
+    return make_presentation(poset.name, list(poset.primes), rels)
 
 
 def elem_word(e: PrimElem) -> Word:
@@ -249,12 +250,14 @@ def enumerate_posets(names) -> list[PrimePoset]:
 
 
 def parse_poset(text: str) -> PrimePoset:
-    primes: list[str] | None = None
+    """The poset of a poset file, named by its `poset` line (`prim` without
+    one)."""
+    name, primes = "prim", None
     rel: list[tuple[str, str]] = []
     for lineno, key, rest in directives(text):
         if key == "poset":
-            continue
-        if key == "primes":
+            name = rest or name
+        elif key == "primes":
             if primes is not None:
                 raise ParseError("duplicate primes line", lineno)
             primes = rest.split()
@@ -268,6 +271,6 @@ def parse_poset(text: str) -> PrimePoset:
     if primes is None:
         raise ParseError("no primes line")
     try:
-        return PrimePoset(tuple(primes), frozenset(rel))
+        return PrimePoset(tuple(primes), frozenset(rel), name)
     except ValueError as exc:
         raise ParseError(str(exc)) from None

@@ -23,11 +23,14 @@ source src embeds into cur iff (cur + guard - src) & guard == guard, as each
 digit cur_i + 2^(width - 1) - src_i keeps its guard bit iff cur_i >= src_i
 and carries into no other.  The move adds dst - src.  Moves are tried in
 relation order, so the words are met in the order a search over exponent
-vectors meets them, and the results are that search's.
+vectors meets them, and the results are that search's.  A word tries only
+the moves its nonzero digits allow (see _packing).  A result keeps its codes
+and decodes a word when a caller first reads it: decide_equal decodes only
+the path it returns.
 """
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
@@ -36,48 +39,84 @@ from .presentation import Presentation
 from .words import Word
 
 
-class ClassResult(namedtuple("ClassResult", "words exhausted parents root", defaults=(None, None))):
-    """words: frozenset[Word]; exhausted: bool; parents: parent pointers for
-    path extraction, word -> previous word or None for the root; root: Word."""
+class ClassResult:
+    """One class search.  codes: packed code -> its parent's code, None at
+    the root, in search order (a root above the degree bound is its own
+    code); exhausted: bool; root: the Word searched from; decoded: code ->
+    Word, each decoded on first use.  words (frozenset[Word]) and parents
+    (word -> previous word or None) are read through decoded."""
 
-    __slots__ = ()
+    __slots__ = ("codes", "exhausted", "root", "decoded")
+
+    def __init__(self, codes: dict, exhausted: bool, root: Word, decoded: dict):
+        self.codes, self.exhausted, self.root, self.decoded = codes, exhausted, root, decoded
+
+    @property
+    def words(self) -> frozenset[Word]:
+        return frozenset(map(self.decoded.__getitem__, self.codes))
+
+    @property
+    def parents(self) -> dict[Word, Word | None]:
+        w = self.decoded
+        return {w[c]: None if par is None else w[par] for c, par in self.codes.items()}
 
 
-class _Pairs(dict):
-    """Exponent -> the pair (index, exponent) of one generator, made once and
-    shared by every word decoded with it."""
+class _Memo(dict):
+    """key -> fn(key, *args), made on first use and kept."""
 
-    def __init__(self, index: int):
-        self.index = index
+    def __init__(self, fn, *args):
+        self.fn, self.args = fn, args
 
-    def __missing__(self, e: int) -> tuple[int, int]:
-        pair = self[e] = (self.index, e)
-        return pair
+    def __missing__(self, key):
+        value = self[key] = self.fn(key, *self.args)
+        return value
+
+
+_TRACKED = 8
 
 
 @lru_cache(maxsize=64)
-def _packing(p: Presentation, max_degree: int) -> tuple[int, int, tuple, list[_Pairs]]:
-    """(digit width, guard, moves, pairs) of p, kept for the 64 latest equal
-    (p, max_degree).  Each relation direction src -> dst, lhs -> rhs first,
-    is a move (guard - src, dst - src, degree delta); one whose src has
-    degree above max_degree never applies, and is left out so that no src
-    digit reaches the guard bit."""
+def _packing(p: Presentation, max_degree: int) -> tuple:
+    """(digit width, guard, fill, need, moves, pairs) of p, kept for the 64
+    latest equal (p, max_degree).  Each relation direction src -> dst, lhs
+    -> rhs first, is a move (guard - src, dst - src, degree delta); one
+    whose src has degree above max_degree never applies, and is left out so
+    that no src digit reaches the guard bit.  A word's support, (code +
+    fill) & need with fill one below the guard bit in every digit, keeps
+    the guard bits of its nonzero digits among the _TRACKED generators that
+    sources use most; moves maps it to the moves whose source it covers
+    there, in relation order, so it holds at most 2^_TRACKED entries.
+    pairs[i] maps an exponent e to (i, e), one pair shared by every word
+    decoded."""
     width = max_degree.bit_length() + 1
-    guard = _encode(Word(tuple((i, 2 ** (width - 1)) for i in range(len(p.gens)))), width)
-    moves = []
+
+    def digits(indices, e: int) -> int:
+        return _encode(Word(tuple((i, e) for i in indices)), width)
+
+    top, every = 2 ** (width - 1), range(len(p.gens))
+    guard, moves, uses = digits(every, top), [], Counter()
     for rel in p.relations:
         for src, dst in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
             if src.degree() <= max_degree:
                 s = _encode(src, width)
-                moves.append((guard - s, _encode(dst, width) - s, dst.degree() - src.degree()))
-    return width, guard, tuple(moves), [_Pairs(i) for i in range(len(p.gens))]
+                moves.append((src, (guard - s, _encode(dst, width) - s, dst.degree() - src.degree())))
+                uses.update(i for i, _ in src.exps)
+    need = digits(sorted(uses, key=uses.get, reverse=True)[:_TRACKED], top)
+    moves = [(digits((i for i, _ in src.exps), top) & need, move) for src, move in moves]
+    table = _Memo(lambda support: tuple(move for src, move in moves if src & support == src))
+    return width, guard, guard - digits(every, 1), need, table, [_Memo(lambda e, i: (i, e), i) for i in every]
 
 
 def _encode(w: Word, width: int) -> int:
     return sum(e << width * i for i, e in w.exps)
 
 
-def _decode(code: int, width: int, pairs: list[_Pairs]) -> Word:
+def _code(w: Word, width: int, max_degree: int) -> int | Word:
+    """w's packed code, or w itself above the degree bound."""
+    return w if w.degree() > max_degree else _encode(w, width)
+
+
+def _decode(code: int, width: int, pairs: list[_Memo]) -> Word:
     mask, exps = (1 << width) - 1, []
     for row in pairs:
         if not code:
@@ -100,13 +139,13 @@ def enumerate_class(p: Presentation, w: Word, b: SearchBound) -> ClassResult:
     those found first with each round's frontier in Word.sort_key order.
 
     During the search a word is its packed code, and trying a move is one
-    addition and one mask (see the module docstring); each word becomes a
-    Word once, at the end.
+    addition and one mask, over the moves its support allows (see the module
+    docstring).  Only a round that overflows the cap decodes, to sort.
     """
     if w.degree() > b.max_degree:
-        return ClassResult(frozenset([w]), exhausted=False, parents={w: None}, root=w)
+        return ClassResult({w: None}, False, w, {w: w})
     max_degree, cap = b.max_degree, b.max_class_size
-    width, guard, moves, pairs = _packing(p, max_degree)
+    width, guard, fill, need, table, pairs = _packing(p, max_degree)
     start = _encode(w, width)
     seen: dict = {start: None}
     frontier = [(start, w.degree())]
@@ -114,7 +153,7 @@ def enumerate_class(p: Presentation, w: Word, b: SearchBound) -> ClassResult:
     while frontier:
         nxt = []
         for cur, deg in frontier:
-            for test, delta, ddeg in moves:
+            for test, delta, ddeg in table[(cur + fill) & need]:
                 if (cur + test) & guard == guard:
                     if deg + ddeg > max_degree:
                         exhausted = False
@@ -130,64 +169,70 @@ def enumerate_class(p: Presentation, w: Word, b: SearchBound) -> ClassResult:
             for new, _ in nxt:
                 del seen[new]
             for cur, deg in sorted(frontier, key=lambda f: _decode(f[0], width, pairs).sort_key()):
-                for test, delta, ddeg in moves:
+                for test, delta, ddeg in table[(cur + fill) & need]:
                     if len(seen) >= cap:
                         break
                     if deg + ddeg <= max_degree and (cur + test) & guard == guard:
                         seen.setdefault(cur + delta, cur)
             break
         frontier = nxt
-    words = {c: _decode(c, width, pairs) for c in seen}
-    parents = {words[c]: None if par is None else words[par] for c, par in seen.items()}
-    return ClassResult(frozenset(parents), exhausted, parents=parents, root=w)
+    return ClassResult(seen, exhausted, w, _Memo(_decode, width, pairs))
 
 
 class ClassCache:
-    """Memoizes enumerate_class per (presentation, bound).
+    """Memoizes enumerate_class per (presentation, bound), on codes.
 
-    A result with fewer than max_class_size words is a whole component (see
-    the module docstring), so it is stored under every one of its words and
-    the component is enumerated once.  A result the size cap cut short
-    depends on where the search started, so it is stored under its root only.
-    `ordered` gives a class's words in Word.sort_key order, sorted once.
+    `codes` maps each asked word to its code (the word itself above the
+    degree bound), encoded once.  A result is stored under each word asked
+    for it, and under codes: a result with fewer than max_class_size codes
+    is a whole component (see the module docstring), so it is stored under
+    every one of its codes and the component is enumerated once; a result
+    the size cap cut short depends on where the search started, so it is
+    stored under its root's code alone.  `ordered` gives a class's words in
+    Word.sort_key order, decoded and sorted once.
     """
 
     def __init__(self, p: Presentation, b: SearchBound):
         self.p = p
         self.b = b
-        self._cache: dict[Word, ClassResult] = {}
-        self._order: dict[frozenset, list[Word]] = {}
+        self.codes = _Memo(_code, _packing(p, b.max_degree)[0], b.max_degree)
+        self._results: dict = {}
+        self._order = _Memo(lambda res: sorted(map(res.decoded.__getitem__, res.codes), key=Word.sort_key))
+        self._no_rep: dict[ClassResult, Decision] = {}
 
     def get(self, w: Word) -> ClassResult:
-        res = self._cache.get(w)
+        res = self._results.get(w)
         if res is None:
-            res = enumerate_class(self.p, w, self.b)
-            if len(res.words) < self.b.max_class_size:
-                self._cache.update(dict.fromkeys(res.words, res))
-            else:
-                self._cache[w] = res
+            code = self.codes[w]
+            res = self._results.get(code)
+            if res is None:
+                res = enumerate_class(self.p, w, self.b)
+                if len(res.codes) < self.b.max_class_size:
+                    self._results.update(dict.fromkeys(res.codes, res))
+                else:
+                    self._results[code] = res
+            self._results[w] = res
         return res
 
     def ordered(self, res: ClassResult) -> list[Word]:
-        """res.words in Word.sort_key order, sorted on first use; the caller
-        must not change the list."""
-        order = self._order.get(res.words)
-        if order is None:
-            order = self._order[res.words] = sorted(res.words, key=Word.sort_key)
-        return order
+        """res's words in Word.sort_key order, decoded and sorted on first
+        use; the caller must not change the list."""
+        return self._order[res]
 
 
-def _path_to(res: ClassResult, target: Word) -> list[Word]:
+def _path_to(res: ClassResult, target) -> list:
+    """The codes from res's root to the code target."""
     path = [target]
-    while res.parents[path[-1]] is not None:
-        path.append(res.parents[path[-1]])
+    while res.codes[path[-1]] is not None:
+        path.append(res.codes[path[-1]])
     path.reverse()
     return path
 
 
-def _path(res: ClassResult, x: Word, y: Word) -> list[Word]:
-    """Rewrite path x -> ... -> y inside one result: up the search tree from x
-    to the last word shared with the root's path to y, then down to y."""
+def _path(res: ClassResult, x, y) -> list:
+    """The codes of a rewrite path x -> ... -> y inside one result: up the
+    search tree from x to the last code shared with the root's path to y,
+    then down to y."""
     px, py = _path_to(res, x), _path_to(res, y)
     k = 1
     while k < min(len(px), len(py)) and px[k] == py[k]:
@@ -222,18 +267,20 @@ def decide_equal(
                 note="separated by certificate",
             )
     cache = cache or ClassCache(p, b)
-    cu = cache.get(u)
-    if v in cu.words:
-        return Decision.holds(witness=_path(cu, u, v), note="rewrite path")
+    cu, y = cache.get(u), cache.codes[v]
+    if y in cu.codes:
+        x = cache.codes[u]
+        cu.decoded[x], cu.decoded[y] = u, v  # the ends need no decoding
+        return Decision.holds(witness=list(map(cu.decoded.__getitem__, _path(cu, x, y))), note="rewrite path")
     cv = cache.get(v)
-    meet = cu.words & cv.words
-    if meet:
-        m = min(meet, key=Word.sort_key)
-        path = _path(cu, u, m) + _path(cv, m, v)[1:]
-        return Decision.holds(witness=path, note="rewrite path via common word")
+    if not cu.codes.keys().isdisjoint(cv.codes):
+        x = cache.codes[u]
+        m = min(cu.codes.keys() & cv.codes.keys(), key=lambda c: cu.decoded[c].sort_key())
+        path = _path(cu, x, m) + _path(cv, m, y)[1:]
+        return Decision.holds(witness=list(map(cu.decoded.__getitem__, path)), note="rewrite path via common word")
     if cu.exhausted and cv.exhausted:
         return Decision.fails(
-            counterexample={"class_u_size": len(cu.words), "class_v_size": len(cv.words)},
+            counterexample={"class_u_size": len(cu.codes), "class_v_size": len(cv.codes)},
             note="exhausted disjoint classes",
         )
     return Decision.unknown(b)
@@ -257,7 +304,10 @@ def decide_leq(
         if w.contains(u):
             return Decision.holds(witness=w.sub(u), note="via representative")
     if cv.exhausted:
-        return Decision.fails(counterexample={"class_v_size": len(cv.words)}, note="no dominating representative")
+        if cv not in cache._no_rep:  # one Fails per class, which it depends on alone
+            size = {"class_v_size": len(cv.codes)}
+            cache._no_rep[cv] = Decision.fails(counterexample=size, note="no dominating representative")
+        return cache._no_rep[cv]
     return Decision.unknown(b)
 
 
@@ -322,9 +372,9 @@ def find_refinement(
                     all_definite = False
     if all_definite:
         searched = {
-            "class_a_size": len(ca.words),
-            "class_b_size": len(cb.words),
-            "class_c_size": len(cc.words),
+            "class_a_size": len(ca.codes),
+            "class_b_size": len(cb.codes),
+            "class_c_size": len(cc.codes),
             "candidates": tried,
         }
         return Decision.fails(counterexample=searched, note="search space exhausted, no refinement")

@@ -6,13 +6,15 @@ sweep states its degree and multiplier bounds explicitly.
 """
 import random
 
+import pytest
+
 from refmon import graphs, lab, primitive, wild
 from refmon.decisions import SearchBound
 from refmon.oracles import bar_oracle, ladder_oracle
 from refmon.presentation import parse_presentation
 from refmon.rewrite import ClassCache, decide_equal, decide_leq, find_refinement
 from refmon.wild import BarElem, Ideal, LadderElem
-from refmon.words import Word, compositions
+from refmon.words import Word, checked_refinement, compositions
 
 
 def _report(num: int, desc: str, **stats) -> None:
@@ -172,6 +174,22 @@ def test_criterion_08_level0_refinement_failure():
         )
         assert dec.is_fails, f"expected Fails at max_degree={deg}"
     _report(8, "mixing equation unrefinable in the level-0 monoid", degrees="4,6")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_criterion_08b_truncation_refines_one_level_up(n):
+    """The paper's mechanism for N = 1..3: in the truncation M_N the mixing
+    equation x_N + y_N = x_N + z_N has no refinement, and the limit ladder
+    monoid refines it through level N + 1."""
+    p = wild.truncation_presentation(n)
+    x, y, z = (p.word(f"{g}{n}") for g in "xyz")
+    dec = find_refinement(p, x, y, x, z, SearchBound())
+    assert (dec.verdict, dec.note) == ("fails", "search space exhausted, no refinement")
+    a, b, c, d = (wild.parse_elem(f"{g}{n}") for g in "xyxz")
+    matrix = wild.ladder_refine(a, b, c, d)
+    assert [list(row) for row in matrix] == [[wild.parse_elem(f"{g}{n + 1}") for g in row] for row in ("xz", "ya")]
+    assert checked_refinement(LadderElem.add, lambda *_: matrix, a, b, c, d) is matrix
+    _report(8, f"x{n} + y{n} = x{n} + z{n} unrefinable in M_{n}, refined at level {n + 1} in the limit")
 
 
 # -- 9: the rung quotient is the bar monoid

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from refmon import lab, suite
+from refmon import lab, primitive, suite
 from refmon.cli import INPUT_ERROR, _bound, build_parser, main
 from refmon.decisions import SearchBound
 
@@ -475,13 +475,28 @@ def test_eq_leq_refine_and_parse_read_a_poset_file(tmp_path, capsys):
     prime certificates, for the rewriting commands too."""
     f = tmp_path / "chain.poset"
     f.write_text(CHAIN_TEXT)
-    assert run(capsys, "eq", str(f), "p + q", "q") == (0, "prim: p + q = q: holds (rewrite path)\n", "")
+    assert run(capsys, "eq", str(f), "p + q", "q") == (0, "chain: p + q = q: holds (rewrite path)\n", "")
     code, out, _ = run(capsys, "eq", str(f), "p", "q", "--format", "json")
     assert code == 1
     assert json.loads(out)["decision"]["counterexample"] == {"certificate": "count_p", "image_u": 1, "image_v": "inf"}
-    assert run(capsys, "leq", str(f), "p", "q") == (0, "prim: p <= q: holds, complement q\n", "")
-    assert run(capsys, "refine", str(f), "p", "q", "0", "q")[0] == 0
-    assert run(capsys, "parse", str(f)) == (0, "monoid prim\ngenerators p q\nrelation p + q = q\n", "")
+    assert run(capsys, "leq", str(f), "p", "q") == (0, "chain: p <= q: holds, complement q\n", "")
+    assert run(capsys, "refine", str(f), "p", "q", "0", "q")[1].startswith("chain: refine p + q = 0 + q: holds\n")
+    assert run(capsys, "parse", str(f)) == (0, "monoid chain\ngenerators p q\nrelation p + q = q\n", "")
+
+
+def test_two_poset_files_keep_their_names(tmp_path, capsys):
+    """Each poset file's monoid carries the name on its `poset` line, in
+    every command; a file without one is `prim`."""
+    chain, vee, bare = tmp_path / "chain.poset", tmp_path / "vee.poset", tmp_path / "bare.poset"
+    chain.write_text(CHAIN_TEXT)
+    vee.write_text("poset vee\nprimes p q r\nbelow p r\nbelow q r\n")
+    bare.write_text(CHAIN_TEXT.replace("poset chain\n", ""))
+    for f, name in ((chain, "chain"), (vee, "vee"), (bare, "prim")):
+        assert run(capsys, "parse", str(f))[1].startswith(f"monoid {name}\n")
+        assert run(capsys, "eq", str(f), "p", "p") == (0, f"{name}: p = p: holds (raw-equal)\n", "")
+        assert run(capsys, "wildness", str(f))[1].startswith(f"{name}: wildness: fails")
+        assert run(capsys, "check", str(f), "--prop", "separative")[1].startswith(f"monoid {name}, bound")
+    assert primitive.parse_poset(chain.read_text()) == primitive.parse_poset(bare.read_text())
 
 
 @pytest.mark.parametrize(

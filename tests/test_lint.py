@@ -415,6 +415,35 @@ def test_only_the_codec_converts_packed_words():
     _only_in(_CODECS, _shifts)
 
 
+def _sizes_by_words(n):
+    """`len(<expr>.words)`: a class's size read through its decoded words."""
+    return (
+        isinstance(n, ast.Call)
+        and getattr(n.func, "id", None) == "len"
+        and len(n.args) == 1
+        and isinstance(n.args[0], ast.Attribute)
+        and n.args[0].attr == "words"
+    )
+
+
+def test_class_size_lint_flags_len_of_words():
+    source = (
+        "def sizes(res, cache, w):\n"
+        "    return len(res.codes), len(cache.get(w).words), len(words), res.words\n"
+        "def other(res):\n"
+        "    return len(res.words) + size(res.words)\n"
+    )
+    assert [n.lineno for n in ast.walk(ast.parse(source)) if _sizes_by_words(n)] == [2, 4]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_class_sizes_are_read_from_codes(path):
+    """A class's size is `len(res.codes)`: `res.words` decodes every word of
+    the class the first time it is read, which no size needs."""
+    flagged = [f"{path.name}:{n.lineno}" for n in ast.walk(_tree(path)) if _sizes_by_words(n)]
+    assert not flagged
+
+
 def _builds_decision(n):
     """A call that makes a Decision tuple: the constructor, by name or as a
     module attribute, `Decision._make`, or a `__new__` handed Decision."""

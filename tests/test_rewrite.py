@@ -1,3 +1,4 @@
+from collections import namedtuple
 from itertools import compress
 from operator import add
 
@@ -196,10 +197,11 @@ def test_uncapped_class_is_the_same_from_every_member(case):
     p, w, b = case
     res = enumerate_class(p, w, b)
     assert len(res.words) < b.max_class_size  # the size cap did not fire
-    for x in res.words:
+    for c in res.codes:
+        x = res.decoded[c]
         again = enumerate_class(p, x, b)
         assert again.words == res.words and again.exhausted == res.exhausted
-        assert_rewrite_path(p, rewrite._path_to(res, x), w, x)
+        assert_rewrite_path(p, [res.decoded[k] for k in rewrite._path_to(res, c)], w, x)
 
 
 def counting_enumerations(monkeypatch):
@@ -253,7 +255,7 @@ def test_path_between_members_that_are_not_the_root():
     cache = ClassCache(p, B)
     root = p.word("x0 + y0")
     res = cache.get(root)
-    far = [x for x in sorted(res.words, key=Word.sort_key) if len(rewrite._path_to(res, x)) > 2]
+    far = [x for x in cache.ordered(res) if len(rewrite._path_to(res, cache.codes[x])) > 2]
     u, v = far[0], far[-1]
     assert root not in (u, v)
     dec = decide_equal(p, u, v, B, cache=cache)
@@ -271,7 +273,62 @@ def test_path_via_common_word_when_the_cap_fires():
     assert dec.witness == [CHAIN.word(t) for t in "abcde"]
 
 
+def counting_decodes(monkeypatch):
+    decoded = []
+    real = rewrite._decode
+
+    def counted(code, width, pairs):
+        decoded.append(real(code, width, pairs))
+        return decoded[-1]
+
+    monkeypatch.setattr(rewrite, "_decode", counted)
+    return decoded
+
+
+def test_equality_decodes_only_its_witness_path(monkeypatch):
+    """A Holds inside one class decodes the inner words of the path it
+    returns, whose ends are the words asked, and no other word of the class."""
+    p = PRESENTATIONS["ladder:2"]
+    res = enumerate_class(p, p.word("x0 + y0"), B)
+    codes = list(res.codes)
+    far = next(c for c in codes if len(rewrite._path(res, codes[-1], c)) > 4)
+    u, v = res.decoded[codes[-1]], res.decoded[far]
+    decoded = counting_decodes(monkeypatch)
+    cache = ClassCache(p, B)
+    assert len(cache.get(u).codes) == len(res.codes) > 10
+    assert decoded == []
+    dec = decide_equal(p, u, v, B, cache=cache)
+    assert dec.is_holds and dec.note == "rewrite path" and len(dec.witness) > 3
+    assert_rewrite_path(p, dec.witness, u, v)
+    assert dec.witness[0] is u and dec.witness[-1] is v  # the ends are not decoded
+    assert sorted(decoded, key=Word.sort_key) == sorted(dec.witness[1:-1], key=Word.sort_key)
+    # an exhausted Fails counts its classes without decoding them
+    decoded.clear()
+    dec = decide_equal(p, p.word("y2"), p.word("z2"), B, cache=cache)
+    assert dec.counterexample == {"class_u_size": 1, "class_v_size": 1} and decoded == []
+
+
+def test_a_word_inside_the_capped_class_of_u_is_reached_from_u():
+    """v in u's capped result gives u's own rewrite path, even though v's own
+    capped result would meet u's only through a common word."""
+    b = SearchBound(max_class_size=3)
+    u, v = CHAIN.word("a"), CHAIN.word("c")
+    dec = decide_equal(CHAIN, u, v, b)
+    assert dec.is_holds and dec.note == "rewrite path"
+    assert dec.witness == [CHAIN.word(t) for t in "abc"]
+
+
+def test_leq_builds_one_fails_per_class():
+    cache = ClassCache(M0, B)
+    first = decide_leq(M0, M0.word("2*y0"), M0.word("y0"), B, cache)
+    assert first.is_fails and first.counterexample == {"class_v_size": len(cache.get(M0.word("y0")).codes)}
+    assert decide_leq(M0, M0.word("x0"), M0.word("y0"), B, cache) is first
+
+
 # -- the packed kernel against a search over dense exponent vectors
+
+
+Searched = namedtuple("Searched", "words exhausted parents root")
 
 
 def reference_enumerate_class(p, w, b):
@@ -279,7 +336,7 @@ def reference_enumerate_class(p, w, b):
     (bytes, or tuples above degree 255), with the same move order, cap rule
     and cap-overflow redo."""
     if w.degree() > b.max_degree:
-        return rewrite.ClassResult(frozenset([w]), exhausted=False, parents={w: None}, root=w)
+        return Searched(frozenset([w]), exhausted=False, parents={w: None}, root=w)
     moves = []
     for rel in p.relations:
         delta = [0] * len(p.gens)
@@ -327,7 +384,7 @@ def reference_enumerate_class(p, w, b):
         frontier = nxt
     words = {t: word(t) for t in seen}
     parents = {words[t]: None if par is None else words[par] for t, par in seen.items()}
-    return rewrite.ClassResult(frozenset(parents), exhausted, parents=parents, root=w)
+    return Searched(frozenset(parents), exhausted, parents=parents, root=w)
 
 
 def dense_word(es):
