@@ -252,11 +252,15 @@ def enumerate_posets(names) -> list[PrimePoset]:
 def parse_poset(text: str) -> PrimePoset:
     """The poset of a poset file, named by its `poset` line (`prim` without
     one)."""
-    name, primes = "prim", None
+    name, primes = None, None
     rel: list[tuple[str, str]] = []
     for lineno, key, rest in directives(text):
         if key == "poset":
-            name = rest or name
+            if name is not None:
+                raise ParseError("duplicate poset line", lineno)
+            if not rest:
+                raise ParseError("missing poset name", lineno)
+            name = rest
         elif key == "primes":
             if primes is not None:
                 raise ParseError("duplicate primes line", lineno)
@@ -271,6 +275,6 @@ def parse_poset(text: str) -> PrimePoset:
     if primes is None:
         raise ParseError("no primes line")
     try:
-        return PrimePoset(tuple(primes), frozenset(rel), name)
+        return PrimePoset(tuple(primes), frozenset(rel), name or "prim")
     except ValueError as exc:
         raise ParseError(str(exc)) from None

@@ -480,7 +480,8 @@ def test_eq_leq_refine_and_parse_read_a_poset_file(tmp_path, capsys):
     assert code == 1
     assert json.loads(out)["decision"]["counterexample"] == {"certificate": "count_p", "image_u": 1, "image_v": "inf"}
     assert run(capsys, "leq", str(f), "p", "q") == (0, "chain: p <= q: holds, complement q\n", "")
-    assert run(capsys, "refine", str(f), "p", "q", "0", "q")[1].startswith("chain: refine p + q = 0 + q: holds\n")
+    code, out, _ = run(capsys, "refine", str(f), "p", "q", "0", "q")
+    assert code == 0 and out.startswith("chain: refine p + q = 0 + q: holds\n")
     assert run(capsys, "parse", str(f)) == (0, "monoid chain\ngenerators p q\nrelation p + q = q\n", "")
 
 
@@ -497,6 +498,11 @@ def test_two_poset_files_keep_their_names(tmp_path, capsys):
         assert run(capsys, "wildness", str(f))[1].startswith(f"{name}: wildness: fails")
         assert run(capsys, "check", str(f), "--prop", "separative")[1].startswith(f"monoid {name}, bound")
     assert primitive.parse_poset(chain.read_text()) == primitive.parse_poset(bare.read_text())
+    # a `poset` line with no name, or a second one, is an input error
+    for text, msg in (("poset\n", "line 1: missing poset name"), ("poset chain\nposet vee\n", "line 2: duplicate poset line")):
+        bare.write_text(text + CHAIN_TEXT.replace("poset chain\n", ""))
+        code, out, err = run(capsys, "parse", str(bare))
+        assert (code, out) == (INPUT_ERROR, "") and msg in err
 
 
 @pytest.mark.parametrize(

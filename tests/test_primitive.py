@@ -372,6 +372,10 @@ def test_parse_poset_errors():
         parse_poset("poset P\n")
     with pytest.raises(ParseError, match="line 3"):
         parse_poset("poset P\nprimes p\nbelow p\n")
+    with pytest.raises(ParseError, match="^line 1: missing poset name$"):
+        parse_poset("poset\nprimes p\n")
+    with pytest.raises(ParseError, match="^line 3: duplicate poset line$"):
+        parse_poset("poset P\nprimes p\nposet Q\n")
     with pytest.raises(ParseError, match="unknown directive"):
         parse_poset("primes p\nfrobnicate\n")
     with pytest.raises(ParseError, match="antisymmetry"):

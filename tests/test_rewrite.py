@@ -391,6 +391,10 @@ def dense_word(es):
     return Word(tuple((i, e) for i, e in enumerate(es) if e))
 
 
+def word_of(exps: dict):
+    return Word(tuple((i, exps[i]) for i in sorted(exps) if exps[i]))
+
+
 def assert_same_search(p, w, b):
     got, want = enumerate_class(p, w, b), reference_enumerate_class(p, w, b)
     assert got.words == want.words
@@ -400,17 +404,28 @@ def assert_same_search(p, w, b):
 
 @st.composite
 def packed_cases(draw):
-    """A presentation on 1 to 4 generators, a word and a bound.  Degree
+    """A presentation on 1 to 12 generators, a word and a bound.  Degree
     bounds from 128 and from 256 up widen the digits, small class-size caps
     fire, and large exponents put relation sides and words above the
-    degree bound."""
-    n = draw(st.integers(1, 4))
+    degree bound.  With more generators than the move table tracks, 5 to
+    8 relations on 2 or 3 generators a side mostly put some generators in
+    sources that it does not see."""
+    n = draw(st.one_of(st.integers(1, 4), st.integers(9, 12)))
     max_degree = draw(st.one_of(st.integers(0, 8), st.integers(128, 136), st.integers(256, 264)))
-    exps = st.lists(st.one_of(st.integers(0, 3), st.integers(0, max_degree + 3)), min_size=n, max_size=n)
-    rels = [Relation(dense_word(draw(exps)), dense_word(draw(exps))) for _ in range(draw(st.integers(1, 4)))]
+    e = st.one_of(st.integers(0, 3), st.integers(0, max_degree + 3))
+    exps = st.lists(e, min_size=n, max_size=n)
+    wide = n > rewrite._TRACKED
+    side = st.dictionaries(st.integers(0, n - 1), st.one_of(st.integers(1, 3), e), min_size=1 + wide, max_size=3)
+    count = st.integers(5, 8) if wide else st.integers(1, 4)
+    rels = [Relation(word_of(draw(side)), word_of(draw(side))) for _ in range(draw(count))]
     p = Presentation(GeneratorSet(tuple(f"g{i}" for i in range(n))), tuple(rels))
     b = SearchBound(max_degree=max_degree, max_class_size=draw(st.integers(1, 400)))
-    return p, dense_word(draw(exps)), b
+    if not wide:
+        return p, dense_word(draw(exps)), b
+    # a wide word is a relation side plus a few generators, so that some
+    # move applies and it mostly lies within the degree bound
+    extra = word_of(draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, 2), max_size=4)))
+    return p, draw(st.sampled_from([s for r in rels for s in (r.lhs, r.rhs)])).add(extra), b
 
 
 @settings(max_examples=300, deadline=None)
