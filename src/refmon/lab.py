@@ -9,6 +9,12 @@ Refinement is the oracle's own `refine`.  An exact oracle's `refine` solves
 every equation in closed form, so the exact oracles certify refinement and
 Riesz decomposition (Certificates, below), and the sampled checks of both run
 on presentation oracles and on uncertified copies, `o.replace(certified={})`.
+The refinement check first refines every a + b = c + d over 0 and the
+generators (the elements of degree 1), each pair of distinct pairs once, and
+only then the sampled equations; its Holds note counts both.  That first
+pass tests the same equations at every degree bound from 1 up, so a
+generator-level failure, such as m0's mixing relation z0 + x0 = y0 + x0, is
+found at every bound at which the oracle decides it (m0: from 2 up).
 The sampled Riesz decomposition of x <= y1 + y2 reads x = z11 + z12 off the
 refinement of x + c = y1 + y2, c the complement, and searches x1 + x2 = x
 itself only where that is not Holds (m0 is not a refinement monoid).  That
@@ -17,6 +23,13 @@ on them is a bounded result, not a proof: no witness within the bound.  It
 can flip as the bound rises: m0's riesz-interpolation reads Holds at degree
 3 and Fails at 4 (a strict xfail in tests/test_cli.py, until ROADMAP item 1
 lands).
+
+Order.  A test that reads only the order's verdict calls the oracle's
+`below`, True, False or None for Unknown, which `_Sweep.known` counts as
+`_Sweep.definite` counts an Unknown Decision: the unperforated,
+antisymmetric and archimedean sweeps, both Riesz searches, `irreducibles`
+and `o_ideal_closure`.  `leq` and its complement are read only where the
+complement is used: `_sample_equations` and the Riesz decomposition draw.
 
 The sampled checks test each drawn hypothesis once: Riesz decomposition
 refines with the complement its draw got for x <= y1 + y2, and Riesz
@@ -194,6 +207,13 @@ class _Sweep:
             return None
         return v == HOLDS
 
+    def known(self, v: bool | None) -> bool | None:
+        """`definite` for a verdict already read as True, False or None,
+        such as `MonoidOracle.below`'s."""
+        if v is None:
+            self.unknowns += 1
+        return v
+
     def close(self, b: SearchBound, note: str) -> Decision:
         if self.unknowns:
             return Decision.unknown(b, note=f"{note}; {self.unknowns} unknown oracle verdicts")
@@ -320,40 +340,40 @@ def _multiples(o, x, n: int) -> list:
 
 
 def _check_unperforated(o, b, samples):
-    E, sw = _elems(o, b), _Sweep()
-    d = sw.definite
+    E, sw, below = _elems(o, b), _Sweep(), o.below
+    k = sw.known
     multiples = list(zip(E, (_multiples(o, x, b.max_coefficient) for x in E)))
     found = (
         (x, y, m)
         for x, xs in multiples
         for y, ys in multiples
-        if d(o.leq(x, y)) is False
+        if k(below(x, y)) is False
         for m in range(2, b.max_coefficient + 1)
-        if d(o.leq(xs[m], ys[m]))
+        if k(below(xs[m], ys[m]))
     )
     return sw.refute(b, found, "m*x <= m*y but not x <= y")
 
 
 def _check_antisymmetric(o, b, samples):
-    E, sw = _elems(o, b), _Sweep()
-    d = sw.definite
+    E, sw, below = _elems(o, b), _Sweep(), o.below
+    d, k = sw.definite, sw.known
     found = (
         (x, y)
         for ix, x in enumerate(E)
         for y in E[ix + 1:]
-        if d(o.leq(x, y)) and d(o.leq(y, x)) and d(o.equal(x, y)) is False
+        if k(below(x, y)) and k(below(y, x)) and d(o.equal(x, y)) is False
     )
     return sw.refute(b, found, "x <= y <= x with x != y")
 
 
 def _check_archimedean(o, b, samples):
-    E, sw = _elems(o, b), _Sweep()
-    d = sw.definite
+    E, sw, below = _elems(o, b), _Sweep(), o.below
+    d, k = sw.definite, sw.known
     # refutation needs n well past the degree bound, or small-y artifacts
     # like n*x <= degree_bound * x would masquerade as infinitesimals
     n_max = max(2, b.max_degree * b.max_coefficient)
     nonzero = ((x, _multiples(o, x, n_max)) for x in E if d(o.is_zero(x)) is False)
-    found = ((x, y, n_max) for x, xs in nonzero for y in E if all(d(o.leq(xs[n], y)) for n in range(1, n_max + 1)))
+    found = ((x, y, n_max) for x, xs in nonzero for y in E if all(k(below(xs[n], y)) for n in range(1, n_max + 1)))
     held = Decision.unknown(b, note="enumeration cannot certify archimedean; no state available")
     return sw.refute(b, found, "n*x <= y for all tested n with x nonzero", held)
 
@@ -376,15 +396,33 @@ def _sample_equations(o, E, rng, samples):
                 return
 
 
+def _generator_equations(o, b, sw):
+    """Every valid a + b = c + d with a, b, c, d of degree at most 1 (0 and
+    the generators), within the bound: each pair of distinct pairs {a, b},
+    {c, d} once, its equality passed through `sw.definite`.  A pair with
+    itself is left out, since a + b = a + b always refines."""
+    G = o.elements(min(1, b.max_degree))
+    pairs = [(x, y, o.add(x, y)) for i, x in enumerate(G) for y in G[i:]]
+    for i, (a, bb, s) in enumerate(pairs):
+        for c, d, t in pairs[i + 1:]:
+            if sw.definite(o.equal(s, t)):
+                yield a, bb, c, d
+
+
 def _check_refinement(o, b, samples):
     sw = _Sweep()
-    drawn = 0
-    for a, bb, c, d in _sample_equations(o, _elems(o, b), random.Random(_SEED), samples):
-        drawn += 1
-        dec = o.refine(a, bb, c, d)
-        if sw.definite(dec) is False:
-            return Decision.fails(counterexample=(a, bb, c, d), note=dec.note)
-    return sw.close(b, f"{drawn} sampled equations refined")
+    refined = [0, 0]
+    streams = (
+        _generator_equations(o, b, sw),
+        _sample_equations(o, _elems(o, b), random.Random(_SEED), samples),
+    )
+    for i, equations in enumerate(streams):
+        for a, bb, c, d in equations:
+            refined[i] += 1
+            dec = o.refine(a, bb, c, d)
+            if sw.definite(dec) is False:
+                return Decision.fails(counterexample=(a, bb, c, d), note=dec.note)
+    return sw.close(b, "{} generator and {} sampled equations refined".format(*refined))
 
 
 def _sampled(b, samples, draw, found, fail_note: str, held_note: str):
@@ -413,7 +451,7 @@ def _sampled(b, samples, draw, found, fail_note: str, held_note: str):
 
 
 def _check_riesz_decomposition(o, b, samples):
-    E = _elems(o, b)
+    E, below = _elems(o, b), o.below
     rng = random.Random(_SEED + 1)
 
     def draw(definite):
@@ -425,24 +463,24 @@ def _check_riesz_decomposition(o, b, samples):
         # x + c = y1 + y2 refines as x = z11 + z12, z11 <= y1, z12 <= y2
         if o.refine(x, c, y1, y2).is_holds:
             return True
-        below = (x1 for x1 in E if o.leq(x1, y1).is_holds and o.leq(x1, x).is_holds)
-        return any(o.equal(o.add(x1, x2), x).is_holds and o.leq(x2, y2).is_holds for x1 in below for x2 in E)
+        lower = (x1 for x1 in E if below(x1, y1) and below(x1, x))
+        return any(o.equal(o.add(x1, x2), x).is_holds and below(x2, y2) for x1 in lower for x2 in E)
 
     return _sampled(b, samples, draw, found, "no bounded decomposition found", "{} sampled instances decomposed")
 
 
 def _check_riesz_interpolation(o, b, samples):
-    E = _elems(o, b)
+    E, below = _elems(o, b), o.below
     rng = random.Random(_SEED + 2)
 
     def draw(definite):
         y1, y2 = rng.choice(E), rng.choice(E)
-        below = [e for e in E if o.leq(e, y1).is_holds and o.leq(e, y2).is_holds]
-        return ((rng.choice(below), rng.choice(below), y1, y2), below) if below else None
+        lower = [e for e in E if below(e, y1) and below(e, y2)]
+        return ((rng.choice(lower), rng.choice(lower), y1, y2), lower) if lower else None
 
-    def found(below, x1, x2, y1, y2):
+    def found(lower, x1, x2, y1, y2):
         # the interpolants are the common lower bounds of y1, y2 above x1, x2
-        return any(o.leq(x1, z).is_holds and o.leq(x2, z).is_holds for z in below)
+        return any(below(x1, z) and below(x2, z) for z in lower)
 
     return _sampled(b, samples, draw, found, "no bounded interpolant found", "{} sampled instances interpolated")
 
@@ -482,7 +520,7 @@ def irreducibles(o: MonoidOracle, b: SearchBound):
     x + x = x test catches first.
     Returns (found, unknown) lists.
     """
-    E = _elems(o, b)
+    E, below = _elems(o, b), o.below
     pool = [a for a in o.generators or o.elements(1) if not o.is_zero(a).is_holds]
     found, unknown = [], []
     for x in E:
@@ -493,7 +531,7 @@ def irreducibles(o: MonoidOracle, b: SearchBound):
         if sw.definite(o.equal(o.add(x, x), x)):
             continue
         for a in pool:
-            if sw.definite(o.leq(a, x)) and sw.definite(o.equal(a, x)) is False:
+            if sw.known(below(a, x)) and sw.definite(o.equal(a, x)) is False:
                 break  # x = a + complement
         else:
             if sw.unknowns:
@@ -512,10 +550,12 @@ def o_ideal_closure(o: MonoidOracle, gens, b: SearchBound):
         gs = _multiples(o, g, b.max_coefficient)
         combos = [o.add(c, gn) for c in combos for gn in gs]
 
+    below = o.below
+
     def member(x) -> Decision:
         sw = _Sweep()
         for s in combos:
-            if sw.definite(o.leq(x, s)):
+            if sw.known(below(x, s)):
                 return Decision.holds(witness=s, note="below a generator combination")
         return sw.exhausted(b, f"not below any of {len(combos)} combinations at bound")
 

@@ -4,10 +4,13 @@ Every oracle exposes elements up to a degree bound, three-valued
 equal/leq/refine, total add, and zero.  Exact oracles (the ladder and bar
 monoids, primitive monoids) have canonical hashable elements and never
 answer Unknown; presentation oracles delegate to the bounded rewriting
-engine and may.  The free monoid of rank n is the primitive monoid of an
-antichain of n primes e0, e1, ..., so `free_oracle` is a primitive oracle
-with the free monoid's certificates.  A primitive oracle certifies the
-properties its poset proves, and is `finitely_generated`.
+engine and may.  `below` is the order's verdict alone, True, False or None
+for Unknown: an exact oracle reads it straight off its kernel, without the
+Decision that `leq` builds around the complement.  The free monoid of rank
+n is the primitive monoid of an antichain of n primes e0, e1, ..., so
+`free_oracle` is a primitive oracle with the free monoid's certificates.  A
+primitive oracle certifies the properties its poset proves, and is
+`finitely_generated`.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from . import primitive, wild
-from .decisions import Decision, SearchBound
+from .decisions import FAILS, HOLDS, UNKNOWN, Decision, SearchBound
 from .presentation import Presentation
 from .rewrite import ClassCache, decide_equal, decide_leq, find_refinement
 from .words import Word, compositions
@@ -24,6 +27,12 @@ from .words import Word, compositions
 class MonoidOracle:
     """One monoid as the lab sees it: elements up to a degree, three-valued
     `equal`, `leq` and `refine`, total `add`, and optional capabilities.
+
+    `below(x, y)` is `leq`'s verdict without its complement: True, False,
+    or None for Unknown.  The lab's order-only tests call it.  An exact
+    oracle passes one built on its kernel; otherwise, and whenever `replace`
+    changes `leq` without naming `below`, it is read off `leq`'s Decision,
+    so the two never disagree.
 
     Every oracle refines: an exact oracle in closed form, always Holds; a
     presentation oracle by bounded search, which may answer Fails or Unknown.
@@ -71,6 +80,7 @@ class MonoidOracle:
         # finitely presented monoid; not the ladder and bar monoids, which
         # are inductive limits
         finitely_generated: bool = False,
+        below: Callable | None = None,  # (x, y) -> True, False or None; None: read off `leq`
     ) -> None:
         if cancellable is not None and not exact:
             raise ValueError("only an exact oracle may name cancellable elements")
@@ -79,6 +89,7 @@ class MonoidOracle:
         self.add = add
         self.equal = equal
         self.leq = leq
+        self.below = below or (lambda x, y: _TRUTH[leq(x, y).verdict])
         self.elements = elements
         self.refine = refine
         self.cancellable = cancellable
@@ -91,13 +102,18 @@ class MonoidOracle:
 
     def replace(self, **changes) -> "MonoidOracle":
         """A copy with `changes` to its constructor arguments and an empty
-        report memo."""
+        report memo.  A new `leq` brings its own `below` unless `changes`
+        names one."""
         kept = {k: v for k, v in vars(self).items() if k != "reports"}
+        if "leq" in changes:
+            del kept["below"]
         return MonoidOracle(**{**kept, **changes})
 
     def is_zero(self, x) -> Decision:
         return self.equal(x, self.zero)
 
+
+_TRUTH = {HOLDS: True, FAILS: False, UNKNOWN: None}
 
 # m*x <= m*y iff x <= y, read off the closed-form order criterion
 _HOMOGENEOUS_ORDER = "homogeneous order certificate"
@@ -133,6 +149,8 @@ def _exact(name, zero, add, leq, refine, enumerate_elements, certified=None, **c
     """The oracle of a monoid with canonical elements: equality is `==`;
     `leq` returns a complement or None, and `refine` the matrix of a + b =
     c + d (raising ValueError when that fails); neither is ever Unknown.
+    `below` tests the kernel's complement against None and builds no
+    Decision.
     Closed-form refinement certifies refinement and Riesz decomposition, on
     top of the builder's own `certified`."""
 
@@ -146,6 +164,7 @@ def _exact(name, zero, add, leq, refine, enumerate_elements, certified=None, **c
         add=add,
         equal=lambda x, y: Decision.holds() if x == y else Decision.fails(),
         leq=exact_leq,
+        below=lambda x, y: leq(x, y) is not None,
         elements=_per_degree(enumerate_elements),
         refine=lambda a, b, c, d: Decision.holds(witness=refine(a, b, c, d), note="exact refinement"),
         exact=True,
@@ -244,7 +263,8 @@ def presentation_oracle(
     certs: Sequence = (),
 ) -> MonoidOracle:
     """Three-valued oracle over a finitely presented monoid via bounded
-    rewriting; elements are raw words (not canonical)."""
+    rewriting; elements are raw words (not canonical), and `below` reads
+    `decide_leq`'s verdict."""
 
     cache = ClassCache(p, bound)
 

@@ -109,6 +109,17 @@ def test_check_and_refine_agree_on_m0_refinement(capsys):
     assert code == 1 and out.rstrip().endswith(": fails")
 
 
+@pytest.mark.parametrize("degree", [None, "2", "3", "4", "5", "6", "7"])
+def test_m0_refinement_fails_on_its_generators_at_every_degree(capsys, degree):
+    """m0 is not a refinement monoid, and the generator pass shows it by the
+    mixing relation, at every bound: z0 + x0 = y0 + x0 has no refinement."""
+    bound = () if degree is None else ("--max-degree", degree)
+    code, out, _ = run(capsys, "check", "m0", "--prop", "refinement", *bound, "--format", "json")
+    (report,) = json.loads(out)["reports"]
+    assert code == 1 and report["decision"]["verdict"] == "fails"
+    assert report["decision"]["counterexample"] == ["z0", "x0", "y0", "x0"]
+
+
 def test_bad_words_are_reported(capsys):
     code, _, err = run(capsys, "eq", "m0", "x0 + nope", "x0")
     assert code == INPUT_ERROR
